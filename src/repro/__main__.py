@@ -20,19 +20,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import re
 import statistics
 import sys
+from dataclasses import fields
 from typing import List
 
 import repro.api
 from repro import kernels
 from repro.api import EngineConfig
-from repro.api.config import (
-    ALGORITHM_CHOICES,
-    SHARD_TRANSPORT_CHOICES,
-    UNSHARDEABLE_ALGORITHMS,
-)
-from repro.errors import ConfigError
+from repro.api.config import ALGORITHM_CHOICES, KNOBS, SHARD_EXECUTOR_CHOICES
+from repro.errors import ConfigError, ReproError
+from repro.service import ClusterService, ServiceLimits
 from repro.workload.config import MINPTS, RHO, backend_name, eps_for
 from repro.workload.runner import run_workload_engine
 from repro.workload.scenarios import (
@@ -45,52 +44,72 @@ from repro.workload.seed_spreader import seed_spreader
 from repro.workload.workload import generate_workload
 
 
-def _engine_for(
-    name: str,
-    eps: float,
-    minpts: int,
-    rho: float,
-    dim: int,
-    backend: str,
-    batch_size: int | None,
-    shards: int | None = None,
-    shard_executor: str | None = None,
-    shard_transport: str | None = None,
-    shard_call_timeout: float | None = None,
-    fragment_cache: bool | None = None,
-    shard_workers: tuple | None = None,
-):
-    """One benchmark engine: the CLI's bench path runs through repro.api."""
+def flag(name: str) -> str:
+    """The flag spelling of a knob or option name."""
+    return "--" + name.replace("_", "-")
+
+
+def _knob_rows(command: str):
+    """The knob-table rows ``command`` takes as flags."""
+    return [row for row in KNOBS.values() if command in row.cli]
+
+
+def _add_engine_flags(parser, command: str, **cli_defaults) -> None:
+    """``--eps-per-d`` plus one flag per knob row naming ``command``.
+
+    A knob with an env fallback defaults to None (resolved later);
+    ``cli_defaults`` sets the command's own default where it differs
+    from the library's."""
+    parser.add_argument(
+        "--eps-per-d", type=int, default=100, help="eps = eps_per_d * dim"
+    )
+    for row in _knob_rows(command):
+        default = None if row.env or row.required else row.default
+        text = row.doc
+        if row.env:
+            shown = ("on" if row.default else "off") if row.kind is bool \
+                else row.default
+            fallback = "" if shown is None else f" or {shown}"
+            text += f" (default: {row.env}{fallback})"
+        if row.requires:
+            text += f"; only meaningful with {flag('shards')}"
+        if row.requires and row.requires != SHARD_EXECUTOR_CHOICES:
+            text += f" --shard-executor {'/'.join(row.requires)}"
+        parser.add_argument(
+            flag(row.name),
+            type={int: int, float: float}.get(row.kind),
+            choices=row.options() or (
+                ("on", "off") if row.kind is bool else None),
+            default=cli_defaults.get(row.name, default),
+            help=text,
+        )
+
+
+def _engine_config(args, command: str, algorithm: str, eps: float):
+    """The validated config of one engine ``command`` runs."""
+    knobs = {}
+    for row in _knob_rows(command):
+        value = getattr(args, row.name)
+        if isinstance(value, str) and row.kind in (bool, tuple):
+            value = row.parse(value)
+        # Shard flags only mean something with --shards.
+        knobs[row.name] = None if row.requires and not args.shards else value
     # Exact and rho-free algorithms ignore --rho (matching the historical
     # CLI semantics); EngineConfig would reject the contradiction.
-    if name.endswith("-exact") or name in ("incdbscan", "recompute"):
-        rho = 0.0
-    config = EngineConfig(
-        eps=eps,
-        minpts=minpts,
-        algorithm=name,
-        rho=rho,
-        dim=dim,
-        # Carried in the config (not only selected process-wide) so
-        # shard worker processes resolve the same kernel backend.
-        backend=backend,
-        batch_size=batch_size,
-        shards=shards,
-        shard_executor=shard_executor if shards else None,
-        shard_transport=shard_transport if shards else None,
-        shard_call_timeout=shard_call_timeout if shards else None,
-        fragment_cache=fragment_cache,
-        shard_workers=shard_workers if shards else None,
-    )
-    return repro.api.open(config)
+    if algorithm.endswith("-exact") or algorithm in ("incdbscan", "recompute"):
+        knobs["rho"] = 0.0
+    # The backend rides in the config (not only selected process-wide)
+    # so shard worker processes resolve the same kernel backend.
+    return EngineConfig(**dict(knobs, algorithm=algorithm, eps=eps))
 
 
-def _worker_list(spec: str | None) -> tuple | None:
-    """Split a ``host:port,host:port`` CLI value (validation is the
-    config's job, so the CLI reports the same message as the API)."""
-    if spec is None:
-        return None
-    return tuple(part.strip() for part in spec.split(",") if part.strip())
+def _usage_error(exc: ReproError, command: str) -> int:
+    """Report ``exc`` with knob names spelled as ``command``'s flags."""
+    message = str(exc)
+    for row in _knob_rows(command):
+        message = re.sub(rf"\b{row.name}\b", flag(row.name), message)
+    print(message, file=sys.stderr)
+    return 2
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -102,52 +121,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.batch_size is not None and args.batch_size < 1:
-        print(
-            f"--batch-size must be >= 1, got {args.batch_size}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards is not None and args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.shards is not None:
-        unshardeable = [
-            a for a in args.algorithms if a in UNSHARDEABLE_ALGORITHMS
-        ]
-        if unshardeable:
-            print(
-                f"--shards requires grid-based algorithms; cannot shard: "
-                f"{', '.join(unshardeable)}",
-                file=sys.stderr,
-            )
-            return 2
-    kernels.use_backend(args.backend)
     eps = args.eps if args.eps is not None else eps_for(args.dim, args.eps_per_d)
-    # Resolve the shard transport once, up front, through the same config
-    # validation the engines will use — so a contradictory combination
-    # (e.g. --shard-transport with the serial executor) fails before any
-    # workload is generated, with the config's own message.
-    shard_transport = None
-    if args.shards:
-        try:
-            probe = EngineConfig(
-                eps=eps,
-                minpts=args.minpts,
-                dim=args.dim,
-                shards=args.shards,
-                shard_executor=args.shard_executor,
-                shard_transport=args.shard_transport,
-                shard_call_timeout=args.shard_call_timeout,
-                shard_workers=_worker_list(args.shard_workers),
-            )
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        shard_transport = probe.resolved_shard_transport
-    fragment_cache = (
-        None if args.fragment_cache is None else args.fragment_cache == "on"
-    )
+    # Every engine's config is validated before any workload is
+    # generated, so a bad flag fails fast with the config's message.
+    try:
+        configs = {
+            name: _engine_config(args, "bench", name, eps)
+            for name in args.algorithms
+        }
+        shard_transport = (
+            configs[args.algorithms[0]].resolved_shard_transport
+            if args.shards
+            else None
+        )
+    except ConfigError as exc:
+        return _usage_error(exc, "bench")
+    kernels.use_backend(args.backend)
     insert_fraction = 1.0 if args.semi else args.insert_fraction
     sliding = args.scenario == "sliding-window"
     if sliding and args.semi:
@@ -243,21 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "reason": reason,
             })
             continue
-        engine = _engine_for(
-            name,
-            eps,
-            args.minpts,
-            args.rho,
-            args.dim,
-            args.backend,
-            args.batch_size,
-            args.shards,
-            args.shard_executor,
-            args.shard_transport,
-            args.shard_call_timeout,
-            fragment_cache,
-            _worker_list(args.shard_workers),
-        )
+        engine = repro.api.open(configs[name])
         result = (
             run_sliding_window(engine, scenario)
             if sliding
@@ -356,34 +331,15 @@ async def _serve_until_shutdown(service, host: str, port: int) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.service import ClusterService, ServiceLimits
-
     kernels.use_backend(args.backend)
     eps = args.eps if args.eps is not None else eps_for(args.dim, args.eps_per_d)
     engine = None
     try:
-        engine = _engine_for(
-            args.algorithm,
-            eps,
-            args.minpts,
-            args.rho,
-            args.dim,
-            args.backend,
-            None,
-            args.shards,
-            args.shard_executor,
-            args.shard_transport,
-            args.shard_call_timeout,
-            None,
-            _worker_list(args.shard_workers),
+        engine = repro.api.open(
+            _engine_config(args, "serve", args.algorithm, eps)
         )
         limits = ServiceLimits(
-            max_sessions=args.max_sessions,
-            queue_depth=args.queue_depth,
-            max_inflight=args.max_inflight,
-            max_write_buffer=args.max_write_buffer,
-            drain_timeout=args.drain_timeout,
+            **{f.name: getattr(args, f.name) for f in fields(ServiceLimits)}
         )
         service = ClusterService(
             engine,
@@ -394,8 +350,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ReproError as exc:
         if engine is not None:
             engine.close()
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _usage_error(exc, "serve")
     try:
         return asyncio.run(_serve_until_shutdown(service, args.host, args.port))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
@@ -466,13 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a workload through algorithms")
     bench.add_argument("--n", type=int, default=2000, help="number of updates")
-    bench.add_argument("--dim", type=int, default=2)
-    bench.add_argument("--eps", type=float, default=None, help="absolute eps")
-    bench.add_argument(
-        "--eps-per-d", type=int, default=100, help="eps = eps_per_d * dim"
+    _add_engine_flags(
+        bench, "bench", minpts=MINPTS, rho=RHO, backend=backend_name()
     )
-    bench.add_argument("--minpts", type=int, default=MINPTS)
-    bench.add_argument("--rho", type=float, default=RHO)
     bench.add_argument(
         "--insert-fraction", type=float, default=5 / 6, help="%%ins of Table 2"
     )
@@ -510,79 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster density evolves over the stream (evolving)",
     )
     bench.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="drive the bulk-update engine: coalesce update runs into "
-        "insert_many/delete_many calls of at most this many points",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve through a sharded deployment: partition the cell "
-        "registry across this many per-shard engines behind one router "
-        "(grid-based algorithms only)",
-    )
-    bench.add_argument(
-        "--shard-executor",
-        choices=("serial", "process", "tcp"),
-        default="serial",
-        help="where shard engines live: in-process (serial), one "
-        "worker process per shard (process), or one remote "
-        "'python -m repro shard-worker' per shard (tcp, with "
-        "--shard-workers); only meaningful with --shards",
-    )
-    bench.add_argument(
-        "--shard-workers",
-        type=str,
-        default=None,
-        help="comma-separated host:port worker addresses for the tcp "
-        "executor, one per shard (default: REPRO_SHARD_WORKERS)",
-    )
-    bench.add_argument(
-        "--shard-transport",
-        choices=SHARD_TRANSPORT_CHOICES,
-        default=None,
-        help="process-executor payload plane: pickle whole messages "
-        "through the pipe, or move bulk arrays through pooled shared "
-        "memory (default: REPRO_SHARD_TRANSPORT or shm); only "
-        "meaningful with --shards --shard-executor process",
-    )
-    bench.add_argument(
-        "--shard-call-timeout",
-        type=float,
-        default=None,
-        help="deadline in seconds on every shard-worker reply wait: a "
-        "hung worker fails with ShardTimeoutError (and is restarted by "
-        "the supervisor) instead of hanging the run (default: "
-        "REPRO_SHARD_CALL_TIMEOUT or 60); only meaningful with --shards "
-        "--shard-executor process",
-    )
-    bench.add_argument(
-        "--fragment-cache",
-        choices=("on", "off"),
-        default=None,
-        help="incremental fragment cache of the grid clusterers: "
-        "memoize per-cell barrier fragments with cell-level "
-        "invalidation (default: REPRO_FRAGMENT_CACHE or on; "
-        "hit/miss/invalidation counters land in the result record)",
-    )
-    bench.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output format: human-readable rows (text) or one JSON "
         "record with the full metrics (avg/max/p50/p99 update and "
         "query costs, backend, per-algorithm engine config)",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=kernels.available_backends(),
-        default=backend_name(),
-        help="compute-kernel backend (default: REPRO_BACKEND or 'auto'; "
-        "'auto' picks the accelerated backend, falling back per kernel "
-        "to the numpy reference)",
     )
     bench.add_argument(
         "algorithms",
@@ -605,59 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port to bind (0 binds an ephemeral port, announced "
         "on stdout)",
     )
-    serve.add_argument(
-        "--algorithm",
-        choices=ALGORITHM_CHOICES + ("semi", "full"),
-        default="full",
-        help="the engine the service multiplexes sessions onto "
-        "(family aliases resolved by --rho)",
-    )
-    serve.add_argument("--dim", type=int, default=2)
-    serve.add_argument("--eps", type=float, default=None, help="absolute eps")
-    serve.add_argument(
-        "--eps-per-d", type=int, default=100, help="eps = eps_per_d * dim"
-    )
-    serve.add_argument("--minpts", type=int, default=MINPTS)
-    serve.add_argument("--rho", type=float, default=RHO)
-    serve.add_argument(
-        "--backend",
-        choices=kernels.available_backends(),
-        default=backend_name(),
-        help="compute-kernel backend (default: REPRO_BACKEND or 'auto')",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve a sharded deployment: one engine per shard behind "
-        "the router (grid-based algorithms only)",
-    )
-    serve.add_argument(
-        "--shard-executor",
-        choices=("serial", "process", "tcp"),
-        default="serial",
-        help="where shard engines live; only meaningful with --shards",
-    )
-    serve.add_argument(
-        "--shard-workers",
-        type=str,
-        default=None,
-        help="comma-separated host:port worker addresses for the tcp "
-        "executor, one per shard (default: REPRO_SHARD_WORKERS)",
-    )
-    serve.add_argument(
-        "--shard-transport",
-        choices=SHARD_TRANSPORT_CHOICES,
-        default=None,
-        help="process-executor payload plane; only meaningful with "
-        "--shards --shard-executor process",
-    )
-    serve.add_argument(
-        "--shard-call-timeout",
-        type=float,
-        default=None,
-        help="deadline in seconds on shard-worker replies; only "
-        "meaningful with --shards --shard-executor process",
+    _add_engine_flags(
+        serve, "serve", minpts=MINPTS, rho=RHO, backend=backend_name(),
+        algorithm="full",
     )
     serve.add_argument(
         "--window-capacity",
@@ -667,41 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
         "points, expiring the oldest through bulk delete_many; raw "
         "ingest/delete ops are rejected (405) in favor of window_append",
     )
-    serve.add_argument(
-        "--max-sessions",
-        type=int,
-        default=64,
-        help="concurrent client connections admitted; excess "
-        "connections are rejected with a 429 (default: 64)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=32,
-        help="operations one session may have queued before new ops "
-        "get a 429 (default: 32)",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=256,
-        help="operations queued service-wide across all sessions "
-        "before new ops get a 429 (default: 256)",
-    )
-    serve.add_argument(
-        "--max-write-buffer",
-        type=int,
-        default=1 << 20,
-        help="bytes of un-read response data one connection may "
-        "accumulate before the service aborts it (default: 1 MiB)",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="seconds graceful shutdown waits for one session's queue "
-        "to empty before failing the session (default: 30)",
-    )
+    for limit in fields(ServiceLimits):
+        serve.add_argument(
+            flag(limit.name),
+            type=type(limit.default),
+            default=limit.default,
+            help=f"{limit.metadata['doc']} (default: %(default)s)",
+        )
     serve.add_argument(
         "--allow-shutdown-op",
         action="store_true",

@@ -1,13 +1,12 @@
-"""Typed, frozen engine configuration — all knob validation in one place.
+"""Typed, frozen engine configuration, every knob declared once.
 
-Every parameter that used to be scattered across clusterer
-constructors, environment variables and CLI flags (algorithm, eps,
-minpts, rho, dim, kernel backend, batch size, ingest flush policy)
-lives in one immutable :class:`EngineConfig`.  Construction validates
-everything and raises :class:`repro.errors.ConfigError` with a precise
-message, so "is this configuration valid?" is decided before any
-structure is built — the clusterers re-check their own invariants, but
-through this class a bad knob can never get that far.
+Each field of :class:`EngineConfig` is one row of the knob table
+(:data:`KNOBS`): type, range or choices, environment fallback, what it
+requires, default, doc and the CLI commands taking it as a flag.  The
+rows drive ``EngineConfig`` validation, the explicit > env > default
+resolution behind the ``resolved_*`` properties, the ``bench`` /
+``serve`` flags and the README's knob table.  Every invalid knob raises
+:class:`repro.errors.ConfigError` before any structure is built.
 """
 
 from __future__ import annotations
@@ -15,16 +14,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import kernels
 from repro.errors import ConfigError
-
-
-def _available_start_methods() -> Tuple[str, ...]:
-    """Start methods this platform supports (fork is POSIX-only)."""
-    return tuple(multiprocessing.get_all_start_methods())
 
 #: Canonical algorithm names (the paper's Section 8 line-up, matching
 #: the CLI choices) plus the two family aliases ``semi`` / ``full``,
@@ -45,422 +39,317 @@ _ALIASES = {"semi": ("semi-exact", "semi-approx"),
 #: Algorithms whose core definition has no rho relaxation at all.
 _EXACT_ONLY = ("incdbscan", "recompute")
 
-#: Default ingest-session buffer size (updates held before a flush).
-#: Large enough that pure-ingest phases amortize the vectorized batch
-#: paths, small enough that a query barrier never replays an unbounded
-#: buffer.
-DEFAULT_FLUSH_THRESHOLD = 4096
-
-#: Shard executor choices (see :mod:`repro.shard.executors` and
-#: :mod:`repro.shard.rpc`): backends in-process and called inline, one
-#: worker process per shard, or one remote TCP worker per shard
-#: (``python -m repro shard-worker``, addressed via ``shard_workers``).
-SHARD_EXECUTOR_CHOICES = ("serial", "process", "tcp")
-
-#: Transports of the ``process`` shard executor (see
-#: :mod:`repro.shard.transport`): ``pickle`` ships whole call messages
-#: through the worker pipes, ``shm`` pickles only control metadata and
-#: moves bulk numpy payloads through pooled shared-memory segments
-#: (zero-copy on the receiving side).  Unset means *auto*: ``shm``
-#: whenever the process executor runs (overridable via the
-#: ``REPRO_SHARD_TRANSPORT`` environment variable); the serial executor
-#: calls backends inline and reports the pseudo-transport ``inline``.
-SHARD_TRANSPORT_CHOICES = ("pickle", "shm")
-
-#: Start methods a process-executor deployment may pin.  The default is
-#: ``spawn``: workers rebuild every backend from ``(config, index,
-#: count)`` in a fresh interpreter, so nothing of the parent's
-#: kernel-registry or jit state is inherited (under ``fork`` a worker
-#: silently starts from a snapshot of the parent).  Overridable via the
-#: ``REPRO_SHARD_START_METHOD`` environment variable.
-SHARD_START_METHOD_CHOICES = ("fork", "spawn", "forkserver")
-
-DEFAULT_SHARD_START_METHOD = "spawn"
-
-#: Default cell-ownership block side (in cells per axis) of a sharded
-#: deployment.  Larger blocks shrink the halo-replication factor
-#: (fewer points near a foreign boundary) but leave fewer blocks to
-#: balance across shards; 16 keeps the replication factor moderate
-#: (~1.5x at d=2) while a seed-spreader-scale dataset still spans
-#: hundreds of blocks.
-DEFAULT_SHARD_BLOCK = 16
-
 #: Algorithms a sharded deployment cannot run: sharding partitions the
 #: *cell registry*, so only the grid-based clusterers qualify.  (Today
 #: this coincides with ``_EXACT_ONLY``, but the two express different
 #: properties — rho-free vs. grid-less — and may diverge.)
 UNSHARDEABLE_ALGORITHMS = ("incdbscan", "recompute")
 
-#: Default deadline (seconds) on every process-executor reply wait.  A
-#: hung worker surfaces as :class:`repro.errors.ShardTimeoutError`
-#: within this bound instead of hanging the parent forever.  Generous
-#: enough that a legitimate big merge on a loaded machine never trips
-#: it; chaos tests tighten it per-deployment.  Overridable via the
-#: ``REPRO_SHARD_CALL_TIMEOUT`` environment variable.
+SHARD_EXECUTOR_CHOICES = ("serial", "process", "tcp")
+SHARD_TRANSPORT_CHOICES = ("pickle", "shm")
+SHARD_START_METHOD_CHOICES = ("fork", "spawn", "forkserver")
+
+# Defaults of the knobs of the same name; their rows say why.
+DEFAULT_FLUSH_THRESHOLD = 4096
+DEFAULT_SHARD_BLOCK = 16
+DEFAULT_SHARD_START_METHOD = "spawn"
 DEFAULT_SHARD_CALL_TIMEOUT = 60.0
-
-#: Default per-shard restart budget of the supervisor
-#: (:class:`repro.shard.supervisor.ShardSupervisor`): how many times
-#: one shard's worker may be respawned-and-replayed over the
-#: deployment's lifetime before a failure is declared unrecoverable.
-#: ``0`` disables recovery (every worker death or timeout is fatal,
-#: the pre-supervision behavior).  Overridable via the
-#: ``REPRO_SHARD_MAX_RESTARTS`` environment variable.
 DEFAULT_SHARD_MAX_RESTARTS = 3
-
-#: Default journal-truncation period of the shard supervisor: after
-#: this many journaled mutating calls on one shard, the supervisor
-#: captures a state snapshot from the worker and truncates the journal
-#: prefix, so recovery replays snapshot + suffix and the journal's
-#: memory footprint stays bounded regardless of update history.
-#: Overridable via the ``REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY``
-#: environment variable.
 DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY = 512
+
+_TRUTHY = ("1", "true", "on", "yes")
+_FALSY = ("0", "false", "off", "no")
+
+#: Per knob type: how a message names it, and the Python types it takes.
+_KINDS = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    bool: ("a bool", bool),
+    str: ("a string", str),
+    tuple: ("a sequence of 'host:port' strings", (list, tuple)),
+}
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One row of the knob table.
+
+    ``default`` is what an unset knob resolves to; ``nullable`` knobs
+    accept None; ``choices`` is a tuple or a callable giving one;
+    ``low`` is a lower bound, exclusive when ``strict``; ``requires``
+    names the shard executors the knob needs (it then needs ``shards``
+    too); ``check`` validates further; ``cli`` lists the commands that
+    take the knob as a flag.
+    """
+
+    kind: type
+    doc: str
+    default: Any = None
+    required: bool = False
+    nullable: bool = False
+    env: Optional[str] = None
+    choices: Any = None
+    noun: str = ""  # how "unknown <noun> ..." names a bad choice
+    low: Optional[float] = None
+    strict: bool = False
+    requires: Tuple[str, ...] = ()
+    check: Optional[Callable[[Any], Any]] = None
+    cli: Tuple[str, ...] = ()
+    name: str = ""
+
+    def options(self) -> Optional[Tuple[str, ...]]:
+        return self.choices() if callable(self.choices) else self.choices
+
+    def range_text(self) -> str:
+        if self.low is None:
+            return ""
+        if self.low == 0:
+            text = "positive" if self.strict else "non-negative"
+        else:
+            text = (">" if self.strict else ">=") + f" {self.low:g}"
+        return text + (" and finite" if self.kind is float else "")
+
+    def validate(self, value: Any) -> Any:
+        """``value`` if legal for this knob (sequences become tuples),
+        else a :class:`ConfigError` naming the knob."""
+        options = self.options()
+        what, accepted = _KINDS[self.kind]
+        if options is not None and value not in options:
+            raise ConfigError(
+                f"unknown {self.noun or self.name} {value!r}; choices: "
+                f"{', '.join(options)}"
+            )
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and self.kind is not bool
+        ):
+            raise ConfigError(
+                f"{self.name} must be {what}"
+                f"{' or None' if self.nullable else ''}, got {value!r}"
+            )
+        if self.low is not None and not (
+            math.isfinite(value)
+            and (value > self.low if self.strict else value >= self.low)
+        ):
+            raise ConfigError(
+                f"{self.name} must be {self.range_text()}, got {value!r}"
+            )
+        if self.check is not None:
+            self.check(value)
+        return tuple(value) if self.kind is tuple else value
+
+    def parse(self, text: str) -> Any:
+        """A flag or environment string as this knob's type; text that
+        does not parse stays as is, for :meth:`validate` to reject."""
+        if self.kind is bool:
+            lowered = text.strip().lower()
+            return (lowered in _TRUTHY if lowered in _TRUTHY + _FALSY
+                    else text)
+        if self.kind is tuple:
+            return tuple(s.strip() for s in text.split(",") if s.strip())
+        try:
+            return self.kind(text)
+        except ValueError:
+            return text
+
+    def resolve(self, explicit: Any) -> Any:
+        """The explicit value if set, else the environment variable
+        (its errors name it), else the default."""
+        if explicit is not None:
+            return float(explicit) if self.kind is float else explicit
+        text = os.environ.get(self.env) if self.env else None
+        if not text:
+            return self.default
+        try:
+            return self.validate(self.parse(text))
+        except ConfigError as exc:
+            raise ConfigError(f"{self.env}={text!r}: {exc}") from None
+
+
+def _knob(kind: type, doc: str, **spec: Any) -> Any:
+    """One :class:`EngineConfig` field carrying its :class:`Knob` row.
+
+    A knob with an env fallback or a ``requires`` is stored as None
+    until set, so resolution can tell "unset" from "set to default".
+    """
+    row = Knob(kind, doc, **spec)
+    if row.required:
+        return field(metadata={"knob": row})
+    unset = None if row.env or row.requires else row.default
+    row = replace(row, nullable=row.nullable or unset is None)
+    return field(default=unset, metadata={"knob": row})
+
+
+def _start_methods() -> Tuple[str, ...]:
+    """The start methods this platform supports (fork is POSIX-only)."""
+    available = multiprocessing.get_all_start_methods()
+    return tuple(m for m in SHARD_START_METHOD_CHOICES if m in available)
+
+
+def _check_fault_plan(plan: str) -> None:
+    # Imported lazily: repro.shard imports this module at load.
+    from repro.shard.faults import parse_fault_plan
+
+    parse_fault_plan(plan)
 
 
 def _parse_worker_address(spec: str) -> Tuple[str, int]:
     """Parse one ``host:port`` shard-worker address (ConfigError on junk)."""
-    if not isinstance(spec, str) or ":" not in spec:
-        raise ConfigError(
-            f"shard worker address must be a 'host:port' string, got "
-            f"{spec!r}"
-        )
-    host, _, port_text = spec.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
-    if not host or not (0 < port < 65536):
-        raise ConfigError(
-            f"shard worker address must be a 'host:port' string with a "
-            f"valid port, got {spec!r}"
-        )
-    return host, port
+    if isinstance(spec, str):
+        host, _, port_text = spec.rpartition(":")
+        port = int(port_text) if port_text.isdigit() else -1
+        if host and 0 < port < 65536:
+            return host, port
+    raise ConfigError(
+        f"shard worker address must be a 'host:port' string with a valid "
+        f"port, got {spec!r}"
+    )
+
+
+_SHARDED = SHARD_EXECUTOR_CHOICES
+_WORKERS = ("process", "tcp")
+_BOTH = ("bench", "serve")
+
+
+def _resolved(name: str) -> property:
+    return property(
+        lambda self: KNOBS[name].resolve(getattr(self, name)),
+        doc=f"The ``{name}`` in effect: explicit > env > default.",
+    )
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Validated, immutable configuration of one :class:`repro.api.Engine`.
 
-    Required: ``eps`` (the DBSCAN radius) and ``minpts``.  Everything
-    else defaults to the paper's conventions: the fully-dynamic
-    algorithm, exact clustering (``rho = 0``), two dimensions, the
-    process-wide kernel backend left untouched, sequential updates (no
-    ``batch_size``), ingest sessions flushing every
-    ``DEFAULT_FLUSH_THRESHOLD`` buffered updates, and a single engine
-    (no ``shards``).  Setting ``shards`` makes :func:`repro.api.open`
-    build a :class:`repro.shard.ShardedEngine` instead; ``shard_block``
-    (ownership block side, in cells per axis), ``shard_executor``
-    (``serial`` / ``process`` / ``tcp``), ``shard_transport``
-    (``pickle`` / ``shm``; process executor only, default auto →
-    ``shm``), ``shard_start_method`` (``fork`` / ``spawn`` /
-    ``forkserver``, default ``spawn``) and ``shard_workers`` (one
-    ``host:port`` per shard; tcp executor only, env fallback
-    ``REPRO_SHARD_WORKERS``) tune the deployment and require
-    ``shards``.  ``shard_journal_snapshot_every`` bounds the
-    supervisor's recovery journal: after that many journaled mutations
-    on one shard its state is snapshotted and the journal prefix
-    truncated (default
-    :data:`DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY`, env fallback
-    ``REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY``).
-    Fault tolerance of the process executor is tuned by
-    ``shard_call_timeout`` (deadline in seconds on every reply wait,
-    default :data:`DEFAULT_SHARD_CALL_TIMEOUT`),
-    ``shard_max_restarts`` (the supervisor's per-shard
-    respawn-and-replay budget, default
-    :data:`DEFAULT_SHARD_MAX_RESTARTS`; 0 disables recovery) and
-    ``shard_fault_plan`` (a :mod:`repro.shard.faults` injection plan
-    for chaos testing; process executor only) — all requiring
-    ``shards``, each with an environment fallback
-    (``REPRO_SHARD_CALL_TIMEOUT`` / ``REPRO_SHARD_MAX_RESTARTS`` /
-    ``REPRO_FAULT_PLAN``).  ``fragment_cache`` toggles the incremental
-    fragment cache of the grid clusterers (memoized per-cell barrier
-    fragments with cell-level invalidation; default on, env fallback
-    ``REPRO_FRAGMENT_CACHE``) — cache hit/miss/invalidation counters
-    surface in :class:`repro.api.EngineStats`.
-
-    ``algorithm`` accepts the canonical Section 8 names
-    (``semi-exact``, ``semi-approx``, ``full-exact``, ``double-approx``,
-    ``incdbscan``, ``recompute``) or a family alias (``semi`` /
-    ``full``) that resolves by ``rho``.  The instance stores the name
-    as given — so ``replace(rho=...)`` on a family alias re-resolves
-    instead of contradicting a frozen exact/approx choice — and
-    :attr:`resolved_algorithm` exposes the canonical name.
-
-    All validation happens here, in ``__post_init__``, and every
-    failure is a :class:`ConfigError`.
+    Required: ``eps`` and ``minpts``; the rest default to the paper's
+    conventions.  Setting ``shards`` makes :func:`repro.api.open` build
+    a :class:`repro.shard.ShardedEngine`, which the ``shard_*`` knobs
+    tune.  ``algorithm`` is stored as given, so ``replace(rho=...)`` on
+    a family alias re-resolves; :attr:`resolved_algorithm` is the
+    canonical name.
     """
 
-    eps: float
-    minpts: int
-    algorithm: str = "full-exact"
-    rho: float = 0.0
-    dim: int = 2
-    backend: Optional[str] = None
-    batch_size: Optional[int] = None
-    flush_threshold: Optional[int] = DEFAULT_FLUSH_THRESHOLD
-    shards: Optional[int] = None
-    shard_block: Optional[int] = None
-    shard_executor: Optional[str] = None
-    shard_transport: Optional[str] = None
-    shard_start_method: Optional[str] = None
-    shard_call_timeout: Optional[float] = None
-    shard_max_restarts: Optional[int] = None
-    shard_fault_plan: Optional[str] = None
-    shard_workers: Optional[Tuple[str, ...]] = None
-    shard_journal_snapshot_every: Optional[int] = None
-    fragment_cache: Optional[bool] = None
+    eps: float = _knob(
+        float, "the DBSCAN radius", required=True, low=0, strict=True,
+        cli=_BOTH)
+    minpts: int = _knob(
+        int, "the DBSCAN core threshold MinPts", required=True, low=1,
+        cli=_BOTH)
+    algorithm: str = _knob(
+        str, "a Section 8 algorithm, or the family alias semi / full "
+        "(exact at rho = 0, approximate above)", default="full-exact",
+        choices=ALGORITHM_CHOICES + tuple(_ALIASES), cli=("serve",))
+    rho: float = _knob(
+        float, "the approximation slack; 0 is exact DBSCAN", default=0.0,
+        low=0, cli=_BOTH)
+    dim: int = _knob(int, "point dimensionality", default=2, low=1, cli=_BOTH)
+    backend: Optional[str] = _knob(
+        str, "compute-kernel backend; 'auto' picks the accelerated one, "
+        "falling back per kernel to the numpy reference", default="auto",
+        env="REPRO_BACKEND", choices=kernels.available_backends,
+        noun="kernel backend", cli=_BOTH)
+    batch_size: Optional[int] = _knob(
+        int, "coalesce update runs into insert_many / delete_many calls "
+        "of at most this many points (unset: one update at a time)",
+        low=1, cli=("bench",))
+    flush_threshold: Optional[int] = _knob(
+        int, "updates an ingest session buffers before flushing; None "
+        "flushes only on query barriers", default=DEFAULT_FLUSH_THRESHOLD,
+        low=1, nullable=True)
+    shards: Optional[int] = _knob(
+        int, "partition the cell registry across this many engines "
+        "behind one router (grid-based algorithms only)", low=1, cli=_BOTH)
+    shard_block: Optional[int] = _knob(
+        int, "cell-ownership block side in cells per axis: larger blocks "
+        "replicate fewer halo points but balance coarser",
+        default=DEFAULT_SHARD_BLOCK, low=1, requires=_SHARDED)
+    shard_executor: Optional[str] = _knob(
+        str, "where shard engines live: in-process (serial), a worker "
+        "process each (process), or a remote 'python -m repro "
+        "shard-worker' each (tcp)", default="serial",
+        choices=SHARD_EXECUTOR_CHOICES, requires=_SHARDED, cli=_BOTH)
+    shard_transport: Optional[str] = _knob(
+        str, "process-executor payload plane: whole pickled messages, or "
+        "bulk arrays through pooled shared memory", default="shm",
+        env="REPRO_SHARD_TRANSPORT", choices=SHARD_TRANSPORT_CHOICES,
+        requires=("process",), cli=_BOTH)
+    shard_start_method: Optional[str] = _knob(
+        str, "start method of process workers; spawn rebuilds every "
+        "backend instead of inheriting the parent's kernel state",
+        default=DEFAULT_SHARD_START_METHOD, env="REPRO_SHARD_START_METHOD",
+        choices=_start_methods, requires=_SHARDED)
+    shard_call_timeout: Optional[float] = _knob(
+        float, "deadline in seconds on every shard-worker reply; a hung "
+        "worker fails with ShardTimeoutError and is restarted",
+        default=DEFAULT_SHARD_CALL_TIMEOUT, env="REPRO_SHARD_CALL_TIMEOUT",
+        low=0, strict=True, requires=_SHARDED, cli=_BOTH)
+    shard_max_restarts: Optional[int] = _knob(
+        int, "per-shard respawn-and-replay budget of the supervisor; 0 "
+        "makes a worker death fatal", default=DEFAULT_SHARD_MAX_RESTARTS,
+        env="REPRO_SHARD_MAX_RESTARTS", low=0, requires=_SHARDED)
+    shard_fault_plan: Optional[str] = _knob(
+        str, "a repro.shard.faults injection plan the workers consult",
+        env="REPRO_FAULT_PLAN", check=_check_fault_plan, requires=_WORKERS)
+    shard_workers: Optional[Tuple[str, ...]] = _knob(
+        tuple, "one host:port worker address per shard (comma-separated "
+        "in flags and the environment)", env="REPRO_SHARD_WORKERS",
+        check=lambda specs: [_parse_worker_address(s) for s in specs],
+        requires=("tcp",), cli=_BOTH)
+    shard_journal_snapshot_every: Optional[int] = _knob(
+        int, "journaled mutations per shard between the supervisor's "
+        "snapshots, each of which truncates the recovery journal",
+        default=DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY,
+        env="REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY", low=1, requires=_SHARDED)
+    fragment_cache: Optional[bool] = _knob(
+        bool, "memoize per-cell barrier fragments, invalidated per cell "
+        "(invisible in results)", default=True, env="REPRO_FRAGMENT_CACHE",
+        cli=("bench",))
 
     def __post_init__(self) -> None:
-        algorithm = self.algorithm
-        if algorithm not in ALGORITHM_CHOICES and algorithm not in _ALIASES:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; choices: "
-                f"{', '.join(ALGORITHM_CHOICES + tuple(_ALIASES))}"
-            )
-        if not isinstance(self.eps, (int, float)) or isinstance(self.eps, bool):
-            raise ConfigError(f"eps must be a number, got {self.eps!r}")
-        if not math.isfinite(self.eps) or self.eps <= 0:
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
-        if not isinstance(self.minpts, int) or isinstance(self.minpts, bool):
-            raise ConfigError(f"minpts must be an integer, got {self.minpts!r}")
-        if self.minpts < 1:
-            raise ConfigError(f"minpts must be >= 1, got {self.minpts}")
-        if not isinstance(self.rho, (int, float)) or isinstance(self.rho, bool):
-            raise ConfigError(f"rho must be a number, got {self.rho!r}")
-        if not math.isfinite(self.rho) or self.rho < 0:
-            raise ConfigError(
-                f"rho must be non-negative and finite, got {self.rho}"
-            )
+        for row in KNOBS.values():
+            value = getattr(self, row.name)
+            if value is None and row.nullable:
+                continue
+            # Frozen dataclass: store the normalized value (list -> tuple).
+            object.__setattr__(self, row.name, row.validate(value))
+            if row.requires and self.shards is None:
+                raise ConfigError(
+                    f"{row.name}={value!r} requires shards to be set"
+                )
+            if row.requires and self.resolved_shard_executor not in row.requires:
+                raise ConfigError(
+                    f"{row.name}={value!r} requires shard_executor="
+                    f"{' or '.join(map(repr, row.requires))}, not the "
+                    f"{self.resolved_shard_executor} executor"
+                )
         # Family aliases resolve by rho, so only an *explicitly* named
         # exact algorithm can contradict a non-zero rho.
-        if algorithm.endswith("-exact") and self.rho != 0:
+        if self.algorithm.endswith("-exact") and self.rho != 0:
             raise ConfigError(
-                f"algorithm {algorithm!r} is exact by definition but "
+                f"algorithm {self.algorithm!r} is exact by definition but "
                 f"rho={self.rho}; use the approximate variant, the "
                 f"family alias, or rho=0"
             )
-        if algorithm in _EXACT_ONLY and self.rho != 0:
+        if self.algorithm in _EXACT_ONLY and self.rho != 0:
             raise ConfigError(
-                f"algorithm {algorithm!r} has no rho parameter; got "
+                f"algorithm {self.algorithm!r} has no rho parameter; got "
                 f"rho={self.rho}"
             )
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise ConfigError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.backend is not None and self.backend not in kernels.available_backends():
-            raise ConfigError(
-                f"unknown kernel backend {self.backend!r}; choices: "
-                f"{', '.join(kernels.available_backends())}"
-            )
-        if self.batch_size is not None:
-            if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
-                raise ConfigError(
-                    f"batch_size must be an integer, got {self.batch_size!r}"
-                )
-            if self.batch_size < 1:
-                raise ConfigError(
-                    f"batch_size must be >= 1, got {self.batch_size}"
-                )
-        if self.flush_threshold is not None:
-            if not isinstance(self.flush_threshold, int) or isinstance(
-                self.flush_threshold, bool
-            ):
-                raise ConfigError(
-                    f"flush_threshold must be an integer or None, got "
-                    f"{self.flush_threshold!r}"
-                )
-            if self.flush_threshold < 1:
-                raise ConfigError(
-                    f"flush_threshold must be >= 1 (or None to flush only "
-                    f"on barriers), got {self.flush_threshold}"
-                )
-        if self.shards is not None:
-            if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-                raise ConfigError(
-                    f"shards must be an integer or None, got {self.shards!r}"
-                )
-            if self.shards < 1:
-                raise ConfigError(f"shards must be >= 1, got {self.shards}")
-            if self.resolved_algorithm in UNSHARDEABLE_ALGORITHMS:
-                raise ConfigError(
-                    f"algorithm {self.resolved_algorithm!r} cannot be "
-                    f"sharded: sharding partitions the cell registry, "
-                    f"which only the grid-based algorithms (semi/full "
-                    f"families) maintain"
-                )
-        if self.shard_block is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_block={self.shard_block!r} requires shards to "
-                    f"be set"
-                )
-            if (
-                not isinstance(self.shard_block, int)
-                or isinstance(self.shard_block, bool)
-                or self.shard_block < 1
-            ):
-                raise ConfigError(
-                    f"shard_block must be a positive integer or None, got "
-                    f"{self.shard_block!r}"
-                )
-        if self.shard_executor is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_executor={self.shard_executor!r} requires "
-                    f"shards to be set"
-                )
-            if self.shard_executor not in SHARD_EXECUTOR_CHOICES:
-                raise ConfigError(
-                    f"unknown shard_executor {self.shard_executor!r}; "
-                    f"choices: {', '.join(SHARD_EXECUTOR_CHOICES)}"
-                )
-        if self.shard_transport is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_transport={self.shard_transport!r} requires "
-                    f"shards to be set"
-                )
-            if self.shard_transport not in SHARD_TRANSPORT_CHOICES:
-                raise ConfigError(
-                    f"unknown shard_transport {self.shard_transport!r}; "
-                    f"choices: {', '.join(SHARD_TRANSPORT_CHOICES)}"
-                )
-            if self.resolved_shard_executor != "process":
-                raise ConfigError(
-                    f"shard_transport={self.shard_transport!r} requires "
-                    f"shard_executor='process'; the serial executor calls "
-                    f"backends inline and the tcp executor frames calls "
-                    f"over its sockets"
-                )
-        if self.shard_start_method is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_start_method={self.shard_start_method!r} "
-                    f"requires shards to be set"
-                )
-            if self.shard_start_method not in SHARD_START_METHOD_CHOICES:
-                raise ConfigError(
-                    f"unknown shard_start_method "
-                    f"{self.shard_start_method!r}; choices: "
-                    f"{', '.join(SHARD_START_METHOD_CHOICES)}"
-                )
-            if self.shard_start_method not in _available_start_methods():
-                raise ConfigError(
-                    f"shard_start_method {self.shard_start_method!r} is "
-                    f"not available on this platform; available: "
-                    f"{', '.join(_available_start_methods())}"
-                )
-        if self.shard_call_timeout is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_call_timeout={self.shard_call_timeout!r} "
-                    f"requires shards to be set"
-                )
-            if (
-                not isinstance(self.shard_call_timeout, (int, float))
-                or isinstance(self.shard_call_timeout, bool)
-                or not math.isfinite(self.shard_call_timeout)
-                or self.shard_call_timeout <= 0
-            ):
-                raise ConfigError(
-                    f"shard_call_timeout must be a positive finite number "
-                    f"of seconds or None, got {self.shard_call_timeout!r}"
-                )
-        if self.shard_max_restarts is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_max_restarts={self.shard_max_restarts!r} "
-                    f"requires shards to be set"
-                )
-            if (
-                not isinstance(self.shard_max_restarts, int)
-                or isinstance(self.shard_max_restarts, bool)
-                or self.shard_max_restarts < 0
-            ):
-                raise ConfigError(
-                    f"shard_max_restarts must be a non-negative integer or "
-                    f"None (0 disables recovery), got "
-                    f"{self.shard_max_restarts!r}"
-                )
-        if self.shard_fault_plan is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_fault_plan={self.shard_fault_plan!r} requires "
-                    f"shards to be set"
-                )
-            if self.resolved_shard_executor not in ("process", "tcp"):
-                raise ConfigError(
-                    f"shard_fault_plan={self.shard_fault_plan!r} requires "
-                    f"shard_executor='process' or 'tcp'; fault plans are "
-                    f"consulted by workers, which the serial executor does "
-                    f"not have"
-                )
-            if not isinstance(self.shard_fault_plan, str):
-                raise ConfigError(
-                    f"shard_fault_plan must be a plan string or None, got "
-                    f"{self.shard_fault_plan!r}"
-                )
-            # Imported lazily: repro.shard imports this module at load.
-            from repro.shard.faults import parse_fault_plan
-
-            parse_fault_plan(self.shard_fault_plan)
-        if self.shard_workers is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_workers={self.shard_workers!r} requires shards "
-                    f"to be set"
-                )
-            if self.resolved_shard_executor != "tcp":
-                raise ConfigError(
-                    f"shard_workers={self.shard_workers!r} requires "
-                    f"shard_executor='tcp'; only the tcp executor connects "
-                    f"to externally launched workers"
-                )
-            if isinstance(self.shard_workers, str) or not isinstance(
-                self.shard_workers, (list, tuple)
-            ):
-                raise ConfigError(
-                    f"shard_workers must be a sequence of 'host:port' "
-                    f"strings or None, got {self.shard_workers!r}"
-                )
-            for spec in self.shard_workers:
-                _parse_worker_address(spec)
-            # Frozen dataclass: normalize list input to a hashable tuple.
-            object.__setattr__(
-                self, "shard_workers", tuple(self.shard_workers)
-            )
-            if len(self.shard_workers) != self.shards:
-                raise ConfigError(
-                    f"shard_workers lists {len(self.shard_workers)} "
-                    f"addresses but shards={self.shards}; exactly one "
-                    f"worker address per shard is required"
-                )
-        if self.shard_journal_snapshot_every is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_journal_snapshot_every="
-                    f"{self.shard_journal_snapshot_every!r} requires "
-                    f"shards to be set"
-                )
-            if (
-                not isinstance(self.shard_journal_snapshot_every, int)
-                or isinstance(self.shard_journal_snapshot_every, bool)
-                or self.shard_journal_snapshot_every < 1
-            ):
-                raise ConfigError(
-                    f"shard_journal_snapshot_every must be a positive "
-                    f"integer or None, got "
-                    f"{self.shard_journal_snapshot_every!r}"
-                )
-        if self.fragment_cache is not None and not isinstance(
-            self.fragment_cache, bool
+        if self.shards is not None and (
+            self.resolved_algorithm in UNSHARDEABLE_ALGORITHMS
         ):
             raise ConfigError(
-                f"fragment_cache must be a bool or None (None defers to "
-                f"the REPRO_FRAGMENT_CACHE environment variable), got "
-                f"{self.fragment_cache!r}"
+                f"cannot shard algorithm {self.resolved_algorithm!r}: "
+                f"sharding partitions the cell registry, which only the "
+                f"grid-based algorithms (semi/full families) maintain"
+            )
+        if self.shard_workers is not None and (
+            len(self.shard_workers) != self.shards
+        ):
+            raise ConfigError(
+                f"shard_workers lists {len(self.shard_workers)} addresses "
+                f"but shards={self.shards}; exactly one worker address per "
+                f"shard is required"
             )
 
     # ------------------------------------------------------------------
@@ -485,212 +374,43 @@ class EngineConfig:
         """The rho the built clusterer actually runs with."""
         return 0.0 if self.resolved_algorithm.endswith("-exact") else self.rho
 
-    @property
-    def resolved_shard_block(self) -> int:
-        """The cell-ownership block side a sharded deployment uses."""
-        return (
-            self.shard_block
-            if self.shard_block is not None
-            else DEFAULT_SHARD_BLOCK
-        )
-
-    @property
-    def resolved_shard_executor(self) -> str:
-        """The shard executor a sharded deployment uses."""
-        return (
-            self.shard_executor if self.shard_executor is not None else "serial"
-        )
+    resolved_shard_block = _resolved("shard_block")
+    resolved_shard_executor = _resolved("shard_executor")
+    resolved_shard_start_method = _resolved("shard_start_method")
+    resolved_shard_call_timeout = _resolved("shard_call_timeout")
+    resolved_shard_max_restarts = _resolved("shard_max_restarts")
+    resolved_shard_journal_snapshot_every = _resolved(
+        "shard_journal_snapshot_every")
+    resolved_fragment_cache = _resolved("fragment_cache")
 
     @property
     def resolved_shard_transport(self) -> str:
-        """The transport the deployment's executor actually moves calls on.
-
-        ``inline`` for the serial executor (backends are called
-        in-process; nothing is transported), ``tcp`` for the tcp
-        executor (length-prefixed socket frames; not tunable).  For the
-        process executor: the explicit ``shard_transport`` knob if set,
-        else the ``REPRO_SHARD_TRANSPORT`` environment variable, else
-        ``shm``.
-        """
-        if self.resolved_shard_executor == "tcp":
-            return "tcp"
+        """What the executor moves calls on: ``inline`` (serial),
+        ``tcp``, or the process executor's ``shard_transport``."""
         if self.resolved_shard_executor != "process":
-            return "inline"
-        if self.shard_transport is not None:
-            return self.shard_transport
-        env = os.environ.get("REPRO_SHARD_TRANSPORT")
-        if env:
-            if env not in SHARD_TRANSPORT_CHOICES:
-                raise ConfigError(
-                    f"REPRO_SHARD_TRANSPORT={env!r} is not a valid shard "
-                    f"transport; choices: {', '.join(SHARD_TRANSPORT_CHOICES)}"
-                )
-            return env
-        return "shm"
-
-    @property
-    def resolved_shard_start_method(self) -> str:
-        """The multiprocessing start method the process executor pins.
-
-        The explicit ``shard_start_method`` knob if set, else the
-        ``REPRO_SHARD_START_METHOD`` environment variable, else
-        ``spawn`` — never the ambient platform default, which on POSIX
-        is ``fork`` and silently hands every worker a snapshot of the
-        parent's kernel-registry/jit state.
-        """
-        if self.shard_start_method is not None:
-            return self.shard_start_method
-        env = os.environ.get("REPRO_SHARD_START_METHOD")
-        if env:
-            if env not in _available_start_methods():
-                raise ConfigError(
-                    f"REPRO_SHARD_START_METHOD={env!r} is not an available "
-                    f"start method; available: "
-                    f"{', '.join(_available_start_methods())}"
-                )
-            return env
-        return DEFAULT_SHARD_START_METHOD
-
-    @property
-    def resolved_shard_call_timeout(self) -> float:
-        """The deadline (seconds) on every process-executor reply wait.
-
-        The explicit ``shard_call_timeout`` knob if set, else the
-        ``REPRO_SHARD_CALL_TIMEOUT`` environment variable, else
-        :data:`DEFAULT_SHARD_CALL_TIMEOUT`.
-        """
-        if self.shard_call_timeout is not None:
-            return float(self.shard_call_timeout)
-        env = os.environ.get("REPRO_SHARD_CALL_TIMEOUT")
-        if env:
-            try:
-                timeout = float(env)
-            except ValueError:
-                timeout = math.nan
-            if not math.isfinite(timeout) or timeout <= 0:
-                raise ConfigError(
-                    f"REPRO_SHARD_CALL_TIMEOUT={env!r} is not a positive "
-                    f"finite number of seconds"
-                )
-            return timeout
-        return DEFAULT_SHARD_CALL_TIMEOUT
-
-    @property
-    def resolved_shard_max_restarts(self) -> int:
-        """The supervisor's per-shard restart budget.
-
-        The explicit ``shard_max_restarts`` knob if set, else the
-        ``REPRO_SHARD_MAX_RESTARTS`` environment variable, else
-        :data:`DEFAULT_SHARD_MAX_RESTARTS`.
-        """
-        if self.shard_max_restarts is not None:
-            return self.shard_max_restarts
-        env = os.environ.get("REPRO_SHARD_MAX_RESTARTS")
-        if env:
-            try:
-                budget = int(env)
-            except ValueError:
-                budget = -1
-            if budget < 0:
-                raise ConfigError(
-                    f"REPRO_SHARD_MAX_RESTARTS={env!r} is not a "
-                    f"non-negative integer"
-                )
-            return budget
-        return DEFAULT_SHARD_MAX_RESTARTS
-
-    @property
-    def resolved_fragment_cache(self) -> bool:
-        """Whether the built clusterers memoize barrier fragments.
-
-        The explicit ``fragment_cache`` knob if set, else the
-        ``REPRO_FRAGMENT_CACHE`` environment variable, else on (the
-        cache is invisible in results — exact at ``rho = 0``,
-        sandwich-legal above).
-        """
-        # Imported lazily: repro.core pulls in the kernel registry.
-        from repro.core.fragments import resolve_fragment_cache
-
-        return resolve_fragment_cache(self.fragment_cache)
+            return "tcp" if self.resolved_shard_executor == "tcp" else "inline"
+        return KNOBS["shard_transport"].resolve(self.shard_transport)
 
     @property
     def resolved_shard_fault_plan(self) -> Optional[str]:
-        """The fault plan worker processes consult, or ``None``.
-
-        ``None`` unless the deployment runs the process or tcp
-        executor (fault plans inject into workers).  Then: the
-        explicit ``shard_fault_plan`` knob if set, else the
-        ``REPRO_FAULT_PLAN`` environment variable (validated here),
-        else ``None`` — the zero-overhead default.
-        """
-        if self.resolved_shard_executor not in ("process", "tcp"):
+        """The fault plan the workers consult (None without workers)."""
+        if self.resolved_shard_executor not in _WORKERS:
             return None
-        if self.shard_fault_plan is not None:
-            return self.shard_fault_plan
-        env = os.environ.get("REPRO_FAULT_PLAN")
-        if env:
-            from repro.shard.faults import parse_fault_plan
-
-            try:
-                parse_fault_plan(env)
-            except ConfigError as exc:
-                raise ConfigError(f"REPRO_FAULT_PLAN: {exc}") from None
-            return env
-        return None
+        return KNOBS["shard_fault_plan"].resolve(self.shard_fault_plan)
 
     @property
     def resolved_shard_workers(self) -> Tuple[Tuple[str, int], ...]:
-        """The ``(host, port)`` address of every tcp shard worker.
-
-        The explicit ``shard_workers`` knob if set, else the
-        ``REPRO_SHARD_WORKERS`` environment variable (comma-separated
-        ``host:port`` list).  Only meaningful for the tcp executor;
-        raises :class:`ConfigError` when neither source names exactly
-        one address per shard.
-        """
-        specs = self.shard_workers
+        """The ``(host, port)`` address of every tcp shard worker (the
+        tcp executor checks there is one per shard)."""
+        specs = KNOBS["shard_workers"].resolve(self.shard_workers)
         if specs is None:
-            env = os.environ.get("REPRO_SHARD_WORKERS")
-            if not env:
-                raise ConfigError(
-                    "shard_executor='tcp' needs worker addresses: set "
-                    "shard_workers=['host:port', ...] or the "
-                    "REPRO_SHARD_WORKERS environment variable "
-                    "(comma-separated)"
-                )
-            specs = tuple(s.strip() for s in env.split(",") if s.strip())
-        addresses = tuple(_parse_worker_address(spec) for spec in specs)
-        if self.shards is not None and len(addresses) != self.shards:
             raise ConfigError(
-                f"{len(addresses)} shard worker addresses for "
-                f"shards={self.shards}; exactly one worker per shard is "
-                f"required"
+                "shard_executor='tcp' needs worker addresses: set "
+                "shard_workers=['host:port', ...] or the "
+                "REPRO_SHARD_WORKERS environment variable "
+                "(comma-separated)"
             )
-        return addresses
-
-    @property
-    def resolved_shard_journal_snapshot_every(self) -> int:
-        """The supervisor's journal-truncation period (mutations/shard).
-
-        The explicit ``shard_journal_snapshot_every`` knob if set, else
-        the ``REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY`` environment
-        variable, else :data:`DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY`.
-        """
-        if self.shard_journal_snapshot_every is not None:
-            return self.shard_journal_snapshot_every
-        env = os.environ.get("REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY")
-        if env:
-            try:
-                period = int(env)
-            except ValueError:
-                period = 0
-            if period < 1:
-                raise ConfigError(
-                    f"REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY={env!r} is not a "
-                    f"positive integer"
-                )
-            return period
-        return DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY
+        return tuple(_parse_worker_address(spec) for spec in specs)
 
     def replace(self, **changes) -> "EngineConfig":
         """A new validated config with the given fields replaced."""
@@ -712,22 +432,25 @@ class EngineConfig:
         from repro.core.semidynamic import SemiDynamicClusterer
 
         algorithm = self.resolved_algorithm
-        if algorithm.startswith("semi"):
-            return SemiDynamicClusterer(
-                self.eps,
-                self.minpts,
-                rho=self.effective_rho,
-                dim=self.dim,
-                fragment_cache=self.fragment_cache,
-            )
-        if algorithm in ("full-exact", "double-approx"):
-            return FullyDynamicClusterer(
-                self.eps,
-                self.minpts,
-                rho=self.effective_rho,
-                dim=self.dim,
-                fragment_cache=self.fragment_cache,
-            )
-        if algorithm == "incdbscan":
-            return IncDBSCAN(self.eps, self.minpts, dim=self.dim)
-        return RecomputeClusterer(self.eps, self.minpts, dim=self.dim)
+        if algorithm in _EXACT_ONLY:
+            rho_free = IncDBSCAN if algorithm == "incdbscan" else RecomputeClusterer
+            return rho_free(self.eps, self.minpts, dim=self.dim)
+        grid = (
+            SemiDynamicClusterer
+            if algorithm.startswith("semi")
+            else FullyDynamicClusterer
+        )
+        return grid(
+            self.eps,
+            self.minpts,
+            rho=self.effective_rho,
+            dim=self.dim,
+            fragment_cache=self.fragment_cache,
+        )
+
+
+#: The knob table, in field order: one named :class:`Knob` per field.
+KNOBS: Dict[str, Knob] = {
+    f.name: replace(f.metadata["knob"], name=f.name)
+    for f in fields(EngineConfig)
+}

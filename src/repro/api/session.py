@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, ReproError
+from repro.api.config import KNOBS
+from repro.errors import ReproError
 
 
 class IngestSession:
@@ -49,15 +50,8 @@ class IngestSession:
     """
 
     def __init__(self, engine, flush_threshold: Optional[int] = None) -> None:
-        if flush_threshold is not None and (
-            not isinstance(flush_threshold, int)
-            or isinstance(flush_threshold, bool)
-            or flush_threshold < 1
-        ):
-            raise ConfigError(
-                f"flush_threshold must be a positive integer or None, got "
-                f"{flush_threshold!r}"
-            )
+        if flush_threshold is not None:
+            KNOBS["flush_threshold"].validate(flush_threshold)
         self._engine = engine
         self._threshold = (
             flush_threshold

@@ -44,14 +44,12 @@ were computed).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.grid import Cell
-from repro.errors import ConfigError
 
 __all__ = [
     "CellFragment",
@@ -62,9 +60,6 @@ __all__ = [
 
 #: Environment fallback of the ``EngineConfig.fragment_cache`` knob.
 FRAGMENT_CACHE_ENV = "REPRO_FRAGMENT_CACHE"
-
-_TRUTHY = ("1", "true", "on", "yes")
-_FALSY = ("0", "false", "off", "no")
 
 #: Distinguishes "no trust predicate yet" from a ``None`` predicate
 #: (which is itself a valid token: the unrestricted single engine).
@@ -78,22 +73,13 @@ def resolve_fragment_cache(explicit: Optional[bool]) -> bool:
     ``rho = 0``, sandwich-legal above), so every caller gets incremental
     barriers unless deliberately opted out — and the whole test suite
     exercises invalidation correctness.  ``REPRO_FRAGMENT_CACHE=0``
-    turns it off process-wide (the CI matrix sweeps both).
+    turns it off process-wide (the CI matrix sweeps both).  The knob's
+    row in :data:`repro.api.config.KNOBS` does the resolving.
     """
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(FRAGMENT_CACHE_ENV)
-    if env:
-        lowered = env.strip().lower()
-        if lowered in _TRUTHY:
-            return True
-        if lowered in _FALSY:
-            return False
-        raise ConfigError(
-            f"{FRAGMENT_CACHE_ENV}={env!r} is not a boolean; use one of "
-            f"{'/'.join(_TRUTHY)} or {'/'.join(_FALSY)}"
-        )
-    return True
+    # Imported lazily: repro.api imports this module at load.
+    from repro.api.config import KNOBS
+
+    return KNOBS["fragment_cache"].resolve(explicit)
 
 
 @dataclass(frozen=True)

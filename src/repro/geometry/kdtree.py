@@ -218,11 +218,7 @@ class DynamicKDTree:
         if len(items) >= max(1, len(self._points)):
             for pid, point in items:
                 self._points[pid] = point
-            self._deletes_since_build = 0
-            self._leaf_of = {}
-            ids = np.fromiter(self._points.keys(), dtype=np.int64)
-            coords = np.array(list(self._points.values()), dtype=float)
-            self._root = self._build_bulk(ids, coords)
+            self._rebuild_all()
         else:
             for pid, point in items:
                 self.insert(pid, point)
@@ -243,10 +239,24 @@ class DynamicKDTree:
 
     def rebuild(self) -> None:
         """Rebuild a balanced tree over the live points (tightens boxes)."""
-        items = list(self._points.items())
+        self._rebuild_all()
+
+    def _rebuild_all(self) -> None:
+        """The one whole-tree rebuild, behind :meth:`rebuild` and the
+        merging path of :meth:`insert_many`.
+
+        Large trees go through :meth:`_build_bulk`; trees it would hand
+        straight to the list builder skip the array round trip, which
+        costs about as much as the build itself at tens of points.
+        """
         self._deletes_since_build = 0
         self._leaf_of = {}
-        self._root = self._build(items)
+        if len(self._points) <= _BULK_CUTOFF:
+            self._root = self._build(list(self._points.items()))
+            return
+        ids = np.fromiter(self._points.keys(), dtype=np.int64)
+        coords = np.array(list(self._points.values()), dtype=float)
+        self._root = self._build_bulk(ids, coords)
 
     def _build(self, items: List[Tuple[int, Point]]) -> _Node:
         node = _Node(self.dim)

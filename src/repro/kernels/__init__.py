@@ -72,12 +72,14 @@ __all__ = [
 register_backend(numpy_backend.BACKEND, reference=True)
 register_backend(accel.BACKEND, preferred=True)
 
-_env = os.environ.get("REPRO_BACKEND", registry.AUTO) or registry.AUTO
+#: The selection ``REPRO_BACKEND`` asked for (None when unset): the one
+#: read of the variable, applied here at import.
+ENV_BACKEND = os.environ.get("REPRO_BACKEND") or None
 try:
-    use_backend(_env)
+    use_backend(ENV_BACKEND or registry.AUTO)
 except ValueError as exc:
     raise ConfigError(
-        f"REPRO_BACKEND={_env!r} is not a valid kernel backend: {exc}"
+        f"REPRO_BACKEND={ENV_BACKEND!r} is not a valid kernel backend: {exc}"
     ) from None
 
 

@@ -57,25 +57,26 @@ from repro.service.protocol import ProtocolError
 class ServiceLimits:
     """Admission-control and backpressure knobs of one service.
 
-    ``max_sessions``      — concurrent client connections admitted.
-    ``queue_depth``       — ops one session may have queued (not yet
-                            executed); excess gets a 429.
-    ``max_inflight``      — ops queued service-wide across sessions;
-                            the global 429 ceiling.
-    ``max_write_buffer``  — bytes of un-sent response data one
-                            connection may accumulate before the
-                            service aborts it (a stalled client must
-                            not grow service memory without bound).
-    ``drain_timeout``     — seconds :meth:`ClusterService.aclose`
-                            waits for one session's queue to empty
-                            before failing the session.
+    Each field's ``doc`` metadata is also the help of its
+    ``python -m repro serve`` flag and its README row.
     """
 
-    max_sessions: int = 64
-    queue_depth: int = 32
-    max_inflight: int = 256
-    max_write_buffer: int = 1 << 20
-    drain_timeout: float = 30.0
+    max_sessions: int = field(default=64, metadata={
+        "doc": "concurrent client connections admitted; excess "
+               "connections are rejected with a 429"})
+    queue_depth: int = field(default=32, metadata={
+        "doc": "operations one session may have queued (not yet "
+               "executed) before new ops get a 429"})
+    max_inflight: int = field(default=256, metadata={
+        "doc": "operations queued service-wide across all sessions "
+               "before new ops get a 429"})
+    max_write_buffer: int = field(default=1 << 20, metadata={
+        "doc": "bytes of un-sent response data one connection may "
+               "accumulate before the service aborts it, so a stalled "
+               "client cannot grow service memory without bound"})
+    drain_timeout: float = field(default=30.0, metadata={
+        "doc": "seconds graceful shutdown waits for one session's queue "
+               "to empty before failing the session"})
 
     def __post_init__(self) -> None:
         for name in ("max_sessions", "queue_depth", "max_inflight",
@@ -172,6 +173,7 @@ class ClusterService:
         )
         self.stats = ServiceStats()
         self._sessions: Set[_Session] = set()
+        self._connections: Set[asyncio.Task] = set()
         self._active_writer: Optional[_Session] = None
         self._inflight = 0
         self._next_session_id = 0
@@ -255,6 +257,12 @@ class ClusterService:
             await asyncio.gather(
                 *(self._drain_session(s) for s in sessions)
             )
+        # A client that left just before shutdown has its handler still
+        # closing the session outside ``_sessions``; let it finish here
+        # rather than be cancelled mid-close when the event loop ends.
+        closing = self._connections - {asyncio.current_task()}
+        if closing:
+            await asyncio.wait(closing, timeout=self.limits.drain_timeout)
 
     async def _drain_session(self, session: _Session) -> None:
         try:
@@ -331,6 +339,9 @@ class ClusterService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         if self._draining:
             self.stats.sessions_rejected += 1
             await self._reject_connection(

@@ -221,11 +221,14 @@ class TcpShardExecutor:
     def _connect(self, index: int) -> None:
         """Open shard ``index``'s session: connect, hello, await ready.
 
-        Retries the connect within the startup deadline, so both a
-        worker that is still binding its listener and one being
-        restarted by its platform supervisor are tolerated.
+        The first session (incarnation 0) fails fast: an address nobody
+        listens on is a deployment error.  A reconnect from
+        :meth:`restart_worker` retries within the startup deadline, so
+        a worker its platform supervisor is still bringing back is
+        tolerated.
         """
         host, port = self._addresses[index]
+        retrying = self._incarnations[index] > 0
         deadline = time.monotonic() + self._startup_timeout()
         while True:
             try:
@@ -234,10 +237,14 @@ class TcpShardExecutor:
                 )
                 break
             except (OSError, socket.timeout) as exc:
-                if time.monotonic() >= deadline:
+                if not retrying or time.monotonic() >= deadline:
+                    window = (
+                        f" within {self._startup_timeout():g}s"
+                        if retrying else ""
+                    )
                     raise ShardWorkerLost(
                         f"cannot reach shard worker {index} at "
-                        f"{host}:{port} within {self._startup_timeout():g}s; "
+                        f"{host}:{port}{window}; "
                         f"is 'python -m repro shard-worker' running there?"
                     ) from exc
                 time.sleep(_CONNECT_RETRY_SECONDS)

@@ -61,11 +61,13 @@ def bench_n(default: int = DEFAULT_BENCH_N) -> int:
 def backend_name(default: str = DEFAULT_BACKEND) -> str:
     """Kernel backend selection, overridable via ``REPRO_BACKEND``.
 
-    This is the same variable :mod:`repro.kernels` honours at import;
-    reading it here keeps CLI defaults and the kernel layer in sync.
+    The variable is read once, by :mod:`repro.kernels` at import; this
+    returns what it asked for, so CLI defaults and the kernel layer
+    agree.
     """
-    value = os.environ.get("REPRO_BACKEND")
-    return value if value else default
+    from repro import kernels
+
+    return kernels.ENV_BACKEND or default
 
 
 def eps_for(dim: int, eps_per_d: int = DEFAULT_EPS_PER_D) -> float:

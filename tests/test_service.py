@@ -24,8 +24,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import random
+import re
+import signal
+import sys
 from contextlib import asynccontextmanager
+from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -514,6 +519,51 @@ class TestDrain:
         run_async(scenario())
         assert len(engine) == 2
         engine.close()
+
+    def test_sigint_while_sessions_close_drains_cleanly(self):
+        """SIGINT right after clients hang up catches their handlers
+        mid-close; the drain must wait for them, so the server logs no
+        traceback and reports a clean drain — every time."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        async def one_run():
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--eps", str(EPS), "--minpts", str(MINPTS),
+                stdout=asyncio.subprocess.PIPE,
+                stderr=asyncio.subprocess.PIPE, env=env,
+            )
+            try:
+                line = await proc.stdout.readline()
+                host, port = re.search(
+                    rb"serving on ([\d.]+):(\d+)", line
+                ).groups()
+                clients = [
+                    await ServiceClient.connect(host.decode(), int(port))
+                    for _ in range(3)
+                ]
+                for client in clients:
+                    await client.ingest([[0.0, 0.0], [0.5, 0.5]])
+                for client in clients:
+                    await client.aclose()
+                proc.send_signal(signal.SIGINT)
+                out, err = await proc.communicate()
+            finally:
+                if proc.returncode is None:
+                    proc.kill()
+                    await proc.wait()
+            return proc.returncode, out.decode(), err.decode()
+
+        for attempt in range(10):
+            code, out, err = run_async(one_run())
+            assert "Traceback" not in err and "CancelledError" not in err, (
+                attempt, err)
+            assert code == 0, (attempt, err)
+            assert re.search(
+                r"drained \d+ session\(s\) \(0 failed\);.* 0 failed$",
+                out.strip(),
+            ), (attempt, out)
 
 
 # ----------------------------------------------------------------------

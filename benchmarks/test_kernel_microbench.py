@@ -1,10 +1,9 @@
-"""Per-kernel throughput of every backend (the kernels-layer smoke bench).
+"""Per-kernel throughput (the kernels-layer smoke bench).
 
 Not a paper figure: this microbenchmark times each dispatched kernel on
-synthetic cell-neighborhood-shaped data under both registered backends
-and records the throughputs side by side, so a backend regression (or a
-future accelerator port) shows up as a number, not a feeling.  Sizes
-scale with ``REPRO_BENCH_N``.
+synthetic cell-neighborhood-shaped data and records the throughputs, so
+a kernel regression shows up as a number, not a feeling.  Sizes scale
+with ``REPRO_BENCH_N``.
 
 Results are written to benchmarks/results/kernel_microbench.txt.
 """
@@ -26,8 +25,6 @@ N = bench_n(20000)
 M = max(64, min(4000, N // 5))
 SQ_RADIUS = 0.25
 
-BACKENDS = ("numpy", "accel")
-
 _collected: dict = {}
 
 
@@ -44,7 +41,7 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
-def _run_backend(backend: str):
+def _run_kernels():
     a, b = _rng_data()
     ids = list(range(M))
     rows = {}
@@ -72,40 +69,22 @@ def _run_backend(backend: str):
     return rows
 
 
-def test_kernel_throughput_both_backends():
-    previous = kernels.active_backend().requested
-    try:
-        for backend in BACKENDS:
-            kernels.use_backend(backend)
-            info = (
-                f"{kernels.backend_summary()}; "
-                f"{kernels.active_backend().description}"
-            )
-            _collected[backend] = (info, _run_backend(backend))
-    finally:
-        kernels.use_backend(previous)
-    # Checksums must agree across backends: same data, same decisions.
-    numpy_rows, accel_rows = _collected["numpy"][1], _collected["accel"][1]
-    for name in numpy_rows:
-        # distance_matrix included: bit-identity across backends is the
-        # interface contract, so the float checksums compare equal too.
-        assert numpy_rows[name][1] == accel_rows[name][1], name
-        assert numpy_rows[name][0] > 0
+def test_kernel_throughput():
+    _collected.update(_run_kernels())
+    for name, (throughput, _) in _collected.items():
+        assert throughput > 0, name
 
 
 def test_zz_write_results():
     """Runs last (name-ordered): dump the collected throughput table."""
     assert _collected, "no measurements collected"
-    info_lines = ["backend\tresolution"]
+    backend = kernels.active_backend_name()
     table_lines = ["kernel\tbackend\tthroughput_per_s\tchecksum"]
-    for backend in BACKENDS:
-        summary, rows = _collected[backend]
-        info_lines.append(f"{backend}\t{summary}")
-        for name, (throughput, checksum) in rows.items():
-            table_lines.append(f"{name}\t{backend}\t{throughput:,.0f}\t{checksum}")
+    for name, (throughput, checksum) in _collected.items():
+        table_lines.append(f"{name}\t{backend}\t{throughput:,.0f}\t{checksum}")
     write_results(
         "kernel_microbench.txt",
         f"Kernel-layer throughput: n={N}, m={M}, d={DIM} "
         f"(pair kernels: pairs/s; grouping kernels: rows/s)",
-        [info_lines, table_lines],
+        [table_lines],
     )

@@ -7,25 +7,28 @@ and re-takes a full ``clusters()`` snapshot after each one.  With the
 cache on, a batch touching a handful of cells only invalidates those
 cells' closeness-reach neighborhood; every other cell's membership
 fragment is spliced back from cache, so a warm snapshot recomputes a
-few percent of the grid instead of all of it.
+few percent of the grid instead of all of it.  Each round times the
+warm snapshot, then drops the engine's cache and times a cold snapshot
+of the same state, which recomputes every fragment.
 
 The headline measurement is the acceptance scenario: a 2d seed-spreader
 dataset of ``REPRO_BENCH_N`` points (default 50000) under the
 semi-dynamic clusterer at the Table 2 defaults, localized batches
-touching well under 5% of the populated cells, where warm cached
-snapshots must be at least 3x faster than the cache-off path taking the
-same snapshots after the same batches.  A second regime covers 5d
-fully-dynamic data with interleaved localized deletions.
+touching well under 5% of the populated cells, where warm snapshots
+must be at least 3x faster than cold ones after the same batches.  A
+second regime covers 5d fully-dynamic data with interleaved localized
+deletions.
 
 A third regime covers the *sharded* serving path: the router's
 persistent boundary-witness cache keeps cross-shard ``any_within``
 verdicts across query barriers, invalidating only pairs near mutated
 cells, so repeated sharded snapshots between localized batches stop
-re-probing the entire boundary.
+re-probing the entire boundary; its cold snapshots clear that cache
+and the shard engines' fragment caches.
 
-Bit-identity of cached snapshots is asserted exhaustively in
-``tests/test_fragment_cache.py``; this file re-checks it per round as a
-cheap sanity gate.  Results go to
+Correctness of cached snapshots is asserted exhaustively in
+``tests/test_fragment_cache.py``; this file re-checks warm == cold per
+round as a cheap sanity gate.  Results go to
 benchmarks/results/snapshot_throughput.txt.
 """
 
@@ -35,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.core.fragments import FragmentCache
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.core.semidynamic import SemiDynamicClusterer
 from repro.workload.config import MINPTS, RHO, bench_n, eps_for
@@ -77,38 +81,41 @@ def _localized_batches(points, dim, rounds, batch, seed, side=None):
     ]
 
 
-def _drive(algo, batches, deletes_per_round=0):
-    """Ingest each batch, snapshot after it; return (total_s, snaps)."""
-    total = 0.0
-    snaps = []
+def _timed_snapshot(take):
+    start = time.perf_counter()
+    snap = _canon(take())
+    return time.perf_counter() - start, snap
+
+
+def _measure(algo, points, batches, deletes_per_round=0):
+    """Warm vs dropped-cache snapshots of one engine, same state each round.
+
+    Each round applies its batch, times the warm snapshot, swaps in an
+    empty fragment cache and times the cold snapshot of the same state.
+    Returns ``(warm_s, cold_s)`` summed over the rounds.
+    """
+    algo.insert_many(points)
+    algo.clusters()  # untimed: builds kd-trees, primes the cache
+    t_warm = t_cold = 0.0
+    hits = invalidations = 0
     for batch in batches:
         pids = algo.insert_many(batch)
         if deletes_per_round:
             algo.delete_many(pids[:deletes_per_round])
-        start = time.perf_counter()
-        snap = algo.clusters()
-        total += time.perf_counter() - start
-        snaps.append(_canon(snap))
-    return total, snaps
-
-
-def _measure(make_algo, points, batches, deletes_per_round=0):
-    """Run the cached and uncached engines through the same rounds."""
-    warm = make_algo(True)
-    cold = make_algo(False)
-    for algo in (warm, cold):
-        algo.insert_many(points)
-        algo.clusters()  # untimed: builds kd-trees, primes the cache
-    t_warm, warm_snaps = _drive(warm, batches, deletes_per_round)
-    t_cold, cold_snaps = _drive(cold, batches, deletes_per_round)
-    assert warm_snaps == cold_snaps, (
-        "cached snapshots diverged from the cache-off path"
-    )
-    stats = warm.fragment_cache_stats()
-    assert stats is not None and stats.hits > 0, (
-        "warm engine served no fragments from cache"
-    )
-    assert stats.invalidations > 0, "localized batches invalidated nothing"
+        warm_s, warm_snap = _timed_snapshot(algo.clusters)
+        # A fresh cache per round: these counters are this round's.
+        stats = algo.fragment_cache_stats()
+        hits += stats.hits
+        invalidations += stats.invalidations
+        algo._fragments = FragmentCache()
+        cold_s, cold_snap = _timed_snapshot(algo.clusters)
+        assert warm_snap == cold_snap, (
+            "cached snapshot diverged from a recompute of the same state"
+        )
+        t_warm += warm_s
+        t_cold += cold_s
+    assert hits > 0, "warm engine served no fragments from cache"
+    assert invalidations > 0, "localized batches invalidated nothing"
     return t_warm, t_cold
 
 
@@ -119,17 +126,13 @@ def test_semi_2d_warm_snapshot_speedup():
         points, DIM, ROUNDS, batch=max(10, N // 1000), seed=7
     )
     t_warm, t_cold = _measure(
-        lambda cache: SemiDynamicClusterer(
-            EPS, MINPTS, rho=RHO, dim=DIM, fragment_cache=cache
-        ),
-        points,
-        batches,
+        SemiDynamicClusterer(EPS, MINPTS, rho=RHO, dim=DIM), points, batches
     )
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
     _collected["semi 2d localized batches"] = (N, t_cold, t_warm, speedup)
     if N >= ASSERT_FLOOR_N:
         assert speedup >= 3.0, (
-            f"warm cached snapshots must be >= 3x cache-off at N={N}, got "
+            f"warm snapshots must be >= 3x cold ones at N={N}, got "
             f"{speedup:.2f}x ({t_cold:.3f}s cold vs {t_warm:.3f}s warm)"
         )
     else:
@@ -156,9 +159,7 @@ def test_full_5d_warm_snapshot_speedup():
         points, dim, ROUNDS, batch=max(10, n // 1000), seed=8, side=eps
     )
     t_warm, t_cold = _measure(
-        lambda cache: FullyDynamicClusterer(
-            eps, MINPTS, rho=RHO, dim=dim, fragment_cache=cache
-        ),
+        FullyDynamicClusterer(eps, MINPTS, rho=RHO, dim=dim),
         points,
         batches,
         deletes_per_round=5,
@@ -167,7 +168,7 @@ def test_full_5d_warm_snapshot_speedup():
     _collected["full 5d localized churn"] = (n, t_cold, t_warm, speedup)
     if n >= ASSERT_FLOOR_N // 2:
         assert speedup >= 1.05, (
-            f"warm cached snapshots must beat cache-off at n={n}, got "
+            f"warm snapshots must beat cold ones at n={n}, got "
             f"{speedup:.2f}x ({t_cold:.3f}s cold vs {t_warm:.3f}s warm)"
         )
     else:
@@ -179,9 +180,10 @@ def test_sharded_2d_warm_boundary_merge_speedup():
 
     ``shard_block=1`` shreds ownership so the boundary cuts through
     every cluster — the worst case for the merge, and therefore the
-    best case for caching its witnesses.  Snapshots must stay
-    bit-identical with the cache on, and the warm run must serve
-    witnesses from cache.
+    best case for caching its witnesses.  Each round times the warm
+    snapshot, clears the router's witness cache and the shard engines'
+    fragment caches, and times a cold one of the same state; they must
+    be equal, and the warm run must serve witnesses from cache.
     """
     import repro.api as api
 
@@ -191,53 +193,48 @@ def test_sharded_2d_warm_boundary_merge_speedup():
         points, DIM, ROUNDS, batch=max(10, n // 1000), seed=9
     )
 
-    def open_sharded(cache):
-        return api.open(
-            algorithm="full",
-            eps=EPS,
-            minpts=MINPTS,
-            rho=RHO,
-            dim=DIM,
-            shards=2,
-            shard_block=1,
-            shard_executor="serial",
-            fragment_cache=cache,
-        )
-
-    def drive(engine):
-        total = 0.0
-        snaps = []
+    engine = api.open(
+        algorithm="full",
+        eps=EPS,
+        minpts=MINPTS,
+        rho=RHO,
+        dim=DIM,
+        shards=2,
+        shard_block=1,
+        shard_executor="serial",
+    )
+    router = engine.raw
+    t_warm = t_cold = 0.0
+    try:
+        engine.ingest(points)
+        engine.snapshot()  # untimed: primes trees and caches
         for batch in batches:
             engine.insert_many(batch)
-            start = time.perf_counter()
-            snap = engine.snapshot().clustering
-            total += time.perf_counter() - start
-            snaps.append(_canon(snap))
-        return total, snaps
-
-    warm = open_sharded(True)
-    cold = open_sharded(False)
-    try:
-        for engine in (warm, cold):
-            engine.ingest(points)
-            engine.snapshot()  # untimed: primes trees and caches
-        t_warm, warm_snaps = drive(warm)
-        t_cold, cold_snaps = drive(cold)
-        assert warm_snaps == cold_snaps, (
-            "cached sharded snapshots diverged from the cache-off path"
-        )
-        assert warm.raw.merge_cache_hits > 0, (
+            warm_s, warm_snap = _timed_snapshot(
+                lambda: engine.snapshot().clustering)
+            # Cold: the router's witness cache and every shard engine's
+            # fragment cache dropped, so the barrier recomputes it all.
+            router._witness_cache.clear()
+            for backend in router.executor._backends:
+                backend.engine.raw._fragments = FragmentCache()
+            cold_s, cold_snap = _timed_snapshot(
+                lambda: engine.snapshot().clustering)
+            assert warm_snap == cold_snap, (
+                "sharded snapshot with cached witnesses diverged from a "
+                "recompute of the same state"
+            )
+            t_warm += warm_s
+            t_cold += cold_s
+        assert router.merge_cache_hits > 0, (
             "warm router served no boundary witnesses from cache"
         )
-        assert cold.raw.merge_cache_hits == 0
     finally:
-        warm.close()
-        cold.close()
+        engine.close()
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
     _collected["sharded 2d boundary merge"] = (n, t_cold, t_warm, speedup)
     if n >= ASSERT_FLOOR_N:
         assert speedup >= 1.05, (
-            f"warm sharded snapshots must beat cache-off at n={n}, got "
+            f"warm sharded snapshots must beat cold ones at n={n}, got "
             f"{speedup:.2f}x ({t_cold:.3f}s cold vs {t_warm:.3f}s warm)"
         )
     else:
@@ -246,7 +243,7 @@ def test_sharded_2d_warm_boundary_merge_speedup():
 
 def test_zz_write_results():
     """Runs last (name-ordered): dump the collected series."""
-    lines = ["scenario\tn\tcache_off_s\tcache_on_s\tspeedup"]
+    lines = ["scenario\tn\tcold_s\twarm_s\tspeedup"]
     for name, (n, t_cold, t_warm, speedup) in _collected.items():
         lines.append(f"{name}\t{n}\t{t_cold:.4f}\t{t_warm:.4f}\t{speedup:.2f}")
     write_results(

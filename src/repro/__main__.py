@@ -32,7 +32,7 @@ from repro.api import EngineConfig
 from repro.api.config import ALGORITHM_CHOICES, KNOBS, SHARD_EXECUTOR_CHOICES
 from repro.errors import ConfigError, ReproError
 from repro.service import ClusterService, ServiceLimits
-from repro.workload.config import MINPTS, RHO, backend_name, eps_for
+from repro.workload.config import MINPTS, RHO, eps_for
 from repro.workload.runner import run_workload_engine
 from repro.workload.scenarios import (
     ARRIVAL_REGIMES,
@@ -67,9 +67,7 @@ def _add_engine_flags(parser, command: str, **cli_defaults) -> None:
         default = None if row.env or row.required else row.default
         text = row.doc
         if row.env:
-            shown = ("on" if row.default else "off") if row.kind is bool \
-                else row.default
-            fallback = "" if shown is None else f" or {shown}"
+            fallback = "" if row.default is None else f" or {row.default}"
             text += f" (default: {row.env}{fallback})"
         if row.requires:
             text += f"; only meaningful with {flag('shards')}"
@@ -78,8 +76,7 @@ def _add_engine_flags(parser, command: str, **cli_defaults) -> None:
         parser.add_argument(
             flag(row.name),
             type={int: int, float: float}.get(row.kind),
-            choices=row.options() or (
-                ("on", "off") if row.kind is bool else None),
+            choices=row.options(),
             default=cli_defaults.get(row.name, default),
             help=text,
         )
@@ -90,7 +87,7 @@ def _engine_config(args, command: str, algorithm: str, eps: float):
     knobs = {}
     for row in _knob_rows(command):
         value = getattr(args, row.name)
-        if isinstance(value, str) and row.kind in (bool, tuple):
+        if isinstance(value, str) and row.kind is tuple:
             value = row.parse(value)
         # Shard flags only mean something with --shards.
         knobs[row.name] = None if row.requires and not args.shards else value
@@ -98,8 +95,6 @@ def _engine_config(args, command: str, algorithm: str, eps: float):
     # CLI semantics); EngineConfig would reject the contradiction.
     if algorithm.endswith("-exact") or algorithm in ("incdbscan", "recompute"):
         knobs["rho"] = 0.0
-    # The backend rides in the config (not only selected process-wide)
-    # so shard worker processes resolve the same kernel backend.
     return EngineConfig(**dict(knobs, algorithm=algorithm, eps=eps))
 
 
@@ -136,7 +131,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     except ConfigError as exc:
         return _usage_error(exc, "bench")
-    kernels.use_backend(args.backend)
     insert_fraction = 1.0 if args.semi else args.insert_fraction
     sliding = args.scenario == "sliding-window"
     if sliding and args.semi:
@@ -208,14 +202,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"N={args.n}, capacity={scenario.capacity}, "
                 f"{len(scenario.batches)} ticks, d={args.dim}, eps={eps:g}, "
                 f"MinPts={args.minpts}, rho={args.rho}{shard_note}, "
-                f"backend={kernels.backend_summary()}"
+                f"backend={kernels.active_backend_name()}"
             )
         else:
             print(
                 f"workload: N={args.n} (%ins={insert_fraction:.3f}), d={args.dim}, "
                 f"eps={eps:g}, MinPts={args.minpts}, rho={args.rho}, "
                 f"{workload.query_count} queries{batch_note}{shard_note}, "
-                f"backend={kernels.backend_summary()}"
+                f"backend={kernels.active_backend_name()}"
             )
     for name in args.algorithms:
         if name.startswith("semi") and (sliding or insert_fraction < 1.0):
@@ -264,7 +258,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "shards": result.shards,
             "transport": result.transport,
             "restarts": result.restarts,
-            "fragment_cache": engine.config.resolved_fragment_cache,
             "fragment_hits": result.fragment_hits,
             "fragment_misses": result.fragment_misses,
             "fragment_invalidations": result.fragment_invalidations,
@@ -331,7 +324,6 @@ async def _serve_until_shutdown(service, host: str, port: int) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    kernels.use_backend(args.backend)
     eps = args.eps if args.eps is not None else eps_for(args.dim, args.eps_per_d)
     engine = None
     try:
@@ -421,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a workload through algorithms")
     bench.add_argument("--n", type=int, default=2000, help="number of updates")
-    _add_engine_flags(
-        bench, "bench", minpts=MINPTS, rho=RHO, backend=backend_name()
-    )
+    _add_engine_flags(bench, "bench", minpts=MINPTS, rho=RHO)
     bench.add_argument(
         "--insert-fraction", type=float, default=5 / 6, help="%%ins of Table 2"
     )
@@ -489,10 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port to bind (0 binds an ephemeral port, announced "
         "on stdout)",
     )
-    _add_engine_flags(
-        serve, "serve", minpts=MINPTS, rho=RHO, backend=backend_name(),
-        algorithm="full",
-    )
+    _add_engine_flags(serve, "serve", minpts=MINPTS, rho=RHO, algorithm="full")
     serve.add_argument(
         "--window-capacity",
         type=int,

@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro import kernels
 from repro.errors import ConfigError
 
 #: Canonical algorithm names (the paper's Section 8 line-up, matching
@@ -57,14 +56,10 @@ DEFAULT_SHARD_CALL_TIMEOUT = 60.0
 DEFAULT_SHARD_MAX_RESTARTS = 3
 DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY = 512
 
-_TRUTHY = ("1", "true", "on", "yes")
-_FALSY = ("0", "false", "off", "no")
-
 #: Per knob type: how a message names it, and the Python types it takes.
 _KINDS = {
     int: ("an integer", int),
     float: ("a number", (int, float)),
-    bool: ("a bool", bool),
     str: ("a string", str),
     tuple: ("a sequence of 'host:port' strings", (list, tuple)),
 }
@@ -89,7 +84,6 @@ class Knob:
     nullable: bool = False
     env: Optional[str] = None
     choices: Any = None
-    noun: str = ""  # how "unknown <noun> ..." names a bad choice
     low: Optional[float] = None
     strict: bool = False
     requires: Tuple[str, ...] = ()
@@ -116,12 +110,10 @@ class Knob:
         what, accepted = _KINDS[self.kind]
         if options is not None and value not in options:
             raise ConfigError(
-                f"unknown {self.noun or self.name} {value!r}; choices: "
+                f"unknown {self.name} {value!r}; choices: "
                 f"{', '.join(options)}"
             )
-        if not isinstance(value, accepted) or (
-            isinstance(value, bool) and self.kind is not bool
-        ):
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(
                 f"{self.name} must be {what}"
                 f"{' or None' if self.nullable else ''}, got {value!r}"
@@ -140,10 +132,6 @@ class Knob:
     def parse(self, text: str) -> Any:
         """A flag or environment string as this knob's type; text that
         does not parse stays as is, for :meth:`validate` to reject."""
-        if self.kind is bool:
-            lowered = text.strip().lower()
-            return (lowered in _TRUTHY if lowered in _TRUTHY + _FALSY
-                    else text)
         if self.kind is tuple:
             return tuple(s.strip() for s in text.split(",") if s.strip())
         try:
@@ -243,11 +231,6 @@ class EngineConfig:
         float, "the approximation slack; 0 is exact DBSCAN", default=0.0,
         low=0, cli=_BOTH)
     dim: int = _knob(int, "point dimensionality", default=2, low=1, cli=_BOTH)
-    backend: Optional[str] = _knob(
-        str, "compute-kernel backend; 'auto' picks the accelerated one, "
-        "falling back per kernel to the numpy reference", default="auto",
-        env="REPRO_BACKEND", choices=kernels.available_backends,
-        noun="kernel backend", cli=_BOTH)
     batch_size: Optional[int] = _knob(
         int, "coalesce update runs into insert_many / delete_many calls "
         "of at most this many points (unset: one update at a time)",
@@ -274,8 +257,8 @@ class EngineConfig:
         env="REPRO_SHARD_TRANSPORT", choices=SHARD_TRANSPORT_CHOICES,
         requires=("process",), cli=_BOTH)
     shard_start_method: Optional[str] = _knob(
-        str, "start method of process workers; spawn rebuilds every "
-        "backend instead of inheriting the parent's kernel state",
+        str, "start method of process workers; spawn starts each worker "
+        "from a fresh interpreter instead of a copy of the parent",
         default=DEFAULT_SHARD_START_METHOD, env="REPRO_SHARD_START_METHOD",
         choices=_start_methods, requires=_SHARDED)
     shard_call_timeout: Optional[float] = _knob(
@@ -300,10 +283,6 @@ class EngineConfig:
         "snapshots, each of which truncates the recovery journal",
         default=DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY,
         env="REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY", low=1, requires=_SHARDED)
-    fragment_cache: Optional[bool] = _knob(
-        bool, "memoize per-cell barrier fragments, invalidated per cell "
-        "(invisible in results)", default=True, env="REPRO_FRAGMENT_CACHE",
-        cli=("bench",))
 
     def __post_init__(self) -> None:
         for row in KNOBS.values():
@@ -381,7 +360,6 @@ class EngineConfig:
     resolved_shard_max_restarts = _resolved("shard_max_restarts")
     resolved_shard_journal_snapshot_every = _resolved(
         "shard_journal_snapshot_every")
-    resolved_fragment_cache = _resolved("fragment_cache")
 
     @property
     def resolved_shard_transport(self) -> str:
@@ -421,9 +399,7 @@ class EngineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def build_clusterer(self):
-        """Instantiate the configured clusterer (without backend side
-        effects — :meth:`repro.api.Engine.open` owns backend selection).
-        """
+        """Instantiate the configured clusterer."""
         # Imported here: repro.core imports repro.kernels at module
         # load, and keeping config importable early avoids any cycle.
         from repro.baselines.incdbscan import IncDBSCAN
@@ -445,7 +421,6 @@ class EngineConfig:
             self.minpts,
             rho=self.effective_rho,
             dim=self.dim,
-            fragment_cache=self.fragment_cache,
         )
 
 

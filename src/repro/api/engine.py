@@ -96,9 +96,9 @@ class EngineStats:
     algorithm: str
     config: EngineConfig
     cells: Optional[int] = None  # grid-based algorithms only
-    # Incremental fragment cache counters (grid-based algorithms with
-    # the cache enabled; None otherwise).
-    fragment_cache: Optional[FragmentCacheStats] = None
+    # Incremental fragment cache counters (all zero for the rho-free
+    # baselines, which keep no cache).
+    fragment_cache: FragmentCacheStats = FragmentCacheStats()
 
 
 class Engine:
@@ -128,9 +128,7 @@ class Engine:
         ``Engine.open(EngineConfig(...))`` and
         ``Engine.open(eps=..., minpts=..., ...)`` are equivalent; mixing
         a config instance with extra knobs applies them via
-        :meth:`EngineConfig.replace` (revalidated).  If the config names
-        a kernel ``backend``, it is selected process-wide before the
-        clusterer is built, exactly like the CLI's ``--backend`` flag.
+        :meth:`EngineConfig.replace` (revalidated).
         """
         try:
             if config is None:
@@ -141,8 +139,6 @@ class Engine:
             # Unknown knob names surface as TypeError from the dataclass
             # constructor; fold them into the unified config failure.
             raise ConfigError(f"invalid engine configuration: {exc}") from None
-        if config.backend is not None:
-            kernels.use_backend(config.backend)
         return cls(config, config.build_clusterer(), kernels.active_backend_name())
 
     # ------------------------------------------------------------------
@@ -277,7 +273,8 @@ class Engine:
             config=self.config,
             cells=getattr(self._clusterer, "cell_count", None),
             fragment_cache=(
-                fragment_stats() if fragment_stats is not None else None
+                fragment_stats() if fragment_stats is not None
+                else FragmentCacheStats()
             ),
         )
 

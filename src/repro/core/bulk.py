@@ -1,9 +1,9 @@
 """Bulk-update surface shared by every clusterer (sequential fallbacks).
 
 The numeric primitives that used to live here (cell bucketing, ball
-counts, witness searches, box pruning) are now owned by the pluggable
-kernel layer — see :mod:`repro.kernels` for the backend registry and
-:mod:`repro.kernels.numpy_backend` for the reference implementations.
+counts, witness searches, box pruning) are now owned by the kernel
+layer — see :mod:`repro.kernels` for the dispatchers and
+:mod:`repro.kernels.numpy_backend` for the implementations.
 This module keeps the batch *API* glue: the sequential fallback mixins
 that give every clusterer (baselines included) the ``insert_many`` /
 ``delete_many`` / ``cgroup_by_many`` surface the batched workload
@@ -28,8 +28,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 # Historical home of these primitives — re-exported so existing callers
-# (and external code) keep working; they dispatch into the active
-# backend like every other kernel call.
+# (and external code) keep working; they dispatch through the kernel
+# table like every other kernel call.
 from repro.kernels import (  # noqa: F401
     any_within,
     as_point_array,

@@ -35,8 +35,8 @@ lookup under a different predicate flushes the cache first, so a
 fragment resolved with one shard's authority can never serve another.
 
 Reuse legality: with ``rho = 0`` every cached decision is exact and
-deterministic, so cache-on results are bit-identical to cache-off.
-With ``rho > 0`` a cached fragment is a previously *legal* answer for a
+deterministic, so a replayed fragment equals a recomputed one.  With
+``rho > 0`` a cached fragment is a previously *legal* answer for a
 neighborhood that has not changed since — replaying it is as legal as
 recomputing (the sandwich guarantee constrains answers, not when they
 were computed).
@@ -55,31 +55,11 @@ __all__ = [
     "CellFragment",
     "FragmentCache",
     "FragmentCacheStats",
-    "resolve_fragment_cache",
 ]
-
-#: Environment fallback of the ``EngineConfig.fragment_cache`` knob.
-FRAGMENT_CACHE_ENV = "REPRO_FRAGMENT_CACHE"
 
 #: Distinguishes "no trust predicate yet" from a ``None`` predicate
 #: (which is itself a valid token: the unrestricted single engine).
 _UNSET = object()
-
-
-def resolve_fragment_cache(explicit: Optional[bool]) -> bool:
-    """Resolve the fragment-cache knob: explicit > env > default (on).
-
-    The default is **on**: the cache is invisible in results (exact at
-    ``rho = 0``, sandwich-legal above), so every caller gets incremental
-    barriers unless deliberately opted out — and the whole test suite
-    exercises invalidation correctness.  ``REPRO_FRAGMENT_CACHE=0``
-    turns it off process-wide (the CI matrix sweeps both).  The knob's
-    row in :data:`repro.api.config.KNOBS` does the resolving.
-    """
-    # Imported lazily: repro.api imports this module at load.
-    from repro.api.config import KNOBS
-
-    return KNOBS["fragment_cache"].resolve(explicit)
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,7 @@ from repro.core.bulk import (
     MembershipFragments,
     SequentialBulkMixin,
 )
-from repro.core.fragments import (
-    CellFragment,
-    FragmentCache,
-    FragmentCacheStats,
-    resolve_fragment_cache,
-)
+from repro.core.fragments import CellFragment, FragmentCache, FragmentCacheStats
 from repro.errors import ConfigError, UnknownPointError
 from repro.kernels import any_within, as_point_array, box_sq_dists, bucket_by_cell
 from repro.core.grid import Cell, Grid
@@ -154,7 +149,6 @@ class GridClusterer(SequentialBulkMixin):
         rho: float = 0.0,
         dim: int = 2,
         strategy: str = "auto",
-        fragment_cache: Optional[bool] = None,
     ) -> None:
         if minpts < 1:
             raise ConfigError(f"minpts must be >= 1, got {minpts}")
@@ -169,21 +163,14 @@ class GridClusterer(SequentialBulkMixin):
         self._points: Dict[int, Point] = {}
         self._cells: Dict[Cell, object] = {}
         self._next_id = 0
-        # Incremental fragment cache (None when disabled): memoizes
-        # per-cell membership fragments and GUM edge decisions across
-        # barriers; the update paths invalidate through _touch_cells.
-        self._fragments: Optional[FragmentCache] = (
-            FragmentCache() if resolve_fragment_cache(fragment_cache) else None
-        )
+        # Incremental fragment cache: memoizes per-cell membership
+        # fragments and GUM edge decisions across barriers; the update
+        # paths invalidate through _touch_cells.
+        self._fragments = FragmentCache()
 
-    @property
-    def fragment_cache_enabled(self) -> bool:
-        """Whether barriers reuse cached fragments (the resolved knob)."""
-        return self._fragments is not None
-
-    def fragment_cache_stats(self) -> Optional[FragmentCacheStats]:
-        """Cumulative cache counters, or ``None`` when disabled."""
-        return None if self._fragments is None else self._fragments.stats()
+    def fragment_cache_stats(self) -> FragmentCacheStats:
+        """Cumulative fragment-cache counters."""
+        return self._fragments.stats()
 
     def _touch_cells(self, touched: Iterable[Cell]) -> None:
         """Invalidate cached fragments around mutated cells.
@@ -202,7 +189,7 @@ class GridClusterer(SequentialBulkMixin):
         rings are derived here.
         """
         cache = self._fragments
-        if cache is None or cache.is_empty():
+        if cache.is_empty():
             return
         cells = self._cells
         ring1 = set(touched)
@@ -363,21 +350,13 @@ class GridClusterer(SequentialBulkMixin):
         accumulated as id-array fragments per CC id and flattened once at
         the end, so fully-core cells (the common case on clustered data)
         contribute one slice each with no per-point Python work.  The
-        flatten deduplicates: the cell-complete fragments of the cached
-        engine grant a border point once per close core cell, so two
-        cells of one component may both contribute it (the uncached
-        engine's same-component skip keeps its fragments disjoint, and
-        ``np.unique`` degenerates to the plain sort).
+        flatten deduplicates: cell fragments grant a border point once
+        per close core cell, so two cells of one component may both
+        contribute it.
         """
-        group_parts, group_pids, noise, _ = self._resolve_memberships(
-            pid_arr, arr
-        )
+        group_parts, noise, _ = self._resolve_memberships(pid_arr, arr)
         groups = []
-        for cid in group_parts.keys() | group_pids.keys():
-            parts = group_parts.get(cid, [])
-            pids_of_cid = group_pids.get(cid)
-            if pids_of_cid:
-                parts.append(np.asarray(pids_of_cid, dtype=np.int64))
+        for parts in group_parts.values():
             merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
             groups.append(np.unique(merged).tolist())
         groups.sort()
@@ -403,114 +382,19 @@ class GridClusterer(SequentialBulkMixin):
         owner's authoritative core set.  Queried ids always live in
         trusted cells (the shard router routes each id to its owner).
 
-        Returns ``(group_parts, group_pids, noise, probes)``: id-array
-        fragments and scalar id lists per key, ids with no membership
-        among trusted cells, and the open probes (empty when ``trust`` is
-        None).
-
-        With the fragment cache enabled the resolution routes through
-        :meth:`_resolve_memberships_cached` instead — same outputs (at
-        ``rho = 0`` bit-identical; above it sandwich-legal either way),
-        but cell-complete buckets splice memoized
-        :class:`repro.core.fragments.CellFragment` entries.
-        """
-        if self._fragments is not None:
-            return self._resolve_memberships_cached(
-                pid_arr, arr, key=key, trust=trust
-            )
-        group_parts: Dict[Hashable, List[np.ndarray]] = {}
-        group_pids: Dict[Hashable, List[int]] = {}
-        noise: List[int] = []
-        probes: List[Tuple[int, Cell]] = []
-        cc_cache: Dict[Cell, Hashable] = {}
-        key_of = self._cc_id if key is None else key
-
-        def cc(cell: Cell) -> Hashable:
-            cid = cc_cache.get(cell)
-            if cid is None:
-                cid = cc_cache[cell] = key_of(cell)
-            return cid
-
-        for cell, idxs in bucket_by_cell(arr, self._grid.side):
-            data = self._cells[cell]
-            core_set = data.core  # type: ignore[attr-defined]
-            cell_ids = pid_arr[idxs]
-            if len(core_set) == len(data.points):  # type: ignore[attr-defined]
-                # Fully-core cell: one array append covers every query.
-                group_parts.setdefault(cc(cell), []).append(cell_ids)
-                continue
-            cell_pids = cell_ids.tolist()
-            if not core_set:
-                core_q: List[int] = []
-                noncore_q = cell_pids
-            else:
-                core_q = [pid for pid in cell_pids if pid in core_set]
-                noncore_q = [pid for pid in cell_pids if pid not in core_set]
-            if core_q:
-                group_pids.setdefault(cc(cell), []).extend(core_q)
-            if not noncore_q:
-                continue
-            # A core point in the cell itself is within eps automatically.
-            membership: Dict[int, Set[Hashable]] = (
-                {pid: {cc(cell)} for pid in noncore_q}
-                if core_set
-                else {pid: set() for pid in noncore_q}
-            )
-            row_of = {pid: k for k, pid in enumerate(cell_pids)}
-            cell_coords = arr[idxs]
-            for other in sorted(data.neighbors):  # type: ignore[attr-defined]
-                if trust is not None and not trust(other):
-                    # Outside this resolver's authority: its local view
-                    # of the cell's core set may be stale, so leave the
-                    # decision open for every non-core id of the bucket
-                    # (a point may belong to several clusters, so probes
-                    # are emitted regardless of memberships found here).
-                    probes.extend((pid, other) for pid in noncore_q)
-                    continue
-                odata = self._cells[other]
-                if not odata.core:  # type: ignore[attr-defined]
-                    continue
-                ocid = cc(other)
-                todo = [pid for pid in noncore_q if ocid not in membership[pid]]
-                if not todo:
-                    continue
-                q_arr = (
-                    cell_coords
-                    if len(todo) == len(cell_pids)
-                    else cell_coords[[row_of[pid] for pid in todo]]
-                )
-                proofs = odata.emptiness.empty_many(q_arr)  # type: ignore[attr-defined]
-                for pid, proof in zip(todo, proofs):
-                    if proof is not None:
-                        membership[pid].add(ocid)
-            for pid in noncore_q:
-                cids = membership[pid]
-                if not cids:
-                    noise.append(pid)
-                for cid in cids:
-                    group_pids.setdefault(cid, []).append(pid)
-        return group_parts, group_pids, noise, probes
-
-    def _resolve_memberships_cached(
-        self,
-        pid_arr: np.ndarray,
-        arr: np.ndarray,
-        key: Optional[Callable[[Cell], Hashable]] = None,
-        trust: Optional[Callable[[Cell], bool]] = None,
-    ):
-        """The fragment-cache twin of :meth:`_resolve_memberships`.
-
         Every bucket resolves to a granting-cell-keyed
         :class:`CellFragment` via :meth:`_resolve_cell_fragment`;
         *cell-complete* buckets (the query covers every live point of
         the cell — always true for ``Q = P`` and for the shard merge's
-        owned-cell queries) are served from / stored into the cache,
-        partial buckets recompute and bypass it.  The fragments are then
-        spliced under ``key(granting cell)``, so the caller-visible
-        outputs match the uncached engine's.
+        owned-cell queries) are served from / stored into the fragment
+        cache, partial buckets recompute and bypass it.
+
+        Returns ``(group_parts, noise, probes)``: id-array fragments per
+        key (a border point may appear in several fragments of one key),
+        ids with no membership among trusted cells, and the open probes
+        (empty when ``trust`` is None).
         """
         cache = self._fragments
-        assert cache is not None
         cache.begin(trust)
         group_parts: Dict[Hashable, List[np.ndarray]] = {}
         noise: List[int] = []
@@ -535,7 +419,7 @@ class GridClusterer(SequentialBulkMixin):
                 group_parts.setdefault(cid, []).append(member_ids)
             noise.extend(frag.noise)
             probes.extend(frag.probes)
-        return group_parts, {}, noise, probes
+        return group_parts, noise, probes
 
     def _resolve_cell_fragment(
         self,
@@ -547,13 +431,11 @@ class GridClusterer(SequentialBulkMixin):
     ) -> CellFragment:
         """Resolve one cell bucket into a granting-cell-keyed fragment.
 
-        The per-cell core of the batched query engine, factored out so
-        the cached and uncached barriers run the same decisions.  Unlike
-        the CC-keyed fast path of :meth:`_resolve_memberships`, every
-        close trusted core cell is probed (no same-component skip):
-        a fragment must be complete per *cell* so it stays valid while
-        the global component structure drifts around it, and so the
-        shard merge can apply its own global components to it.
+        The per-cell core of the batched query engine.  Every close
+        trusted core cell is probed (no same-component skip): a fragment
+        must be complete per *cell* so it stays valid while the global
+        component structure drifts around it, and so the shard merge can
+        apply its own global components to it.
         """
         core_set = data.core  # type: ignore[attr-defined]
         if len(core_set) == len(data.points):  # type: ignore[attr-defined]
@@ -588,8 +470,11 @@ class GridClusterer(SequentialBulkMixin):
             )
             for other in sorted(data.neighbors):  # type: ignore[attr-defined]
                 if trust is not None and not trust(other):
-                    # Outside this resolver's authority (see
-                    # _resolve_memberships): leave the decision open.
+                    # Outside this resolver's authority: its local view
+                    # of the cell's core set may be stale, so leave the
+                    # decision open for every non-core id of the bucket
+                    # (a point may belong to several clusters, so probes
+                    # are emitted regardless of memberships found here).
                     probes.extend((pid, other) for pid in noncore_q)
                     continue
                 odata = self._cells[other]
@@ -648,18 +533,14 @@ class GridClusterer(SequentialBulkMixin):
         flat = np.fromiter(
             chain.from_iterable(coords), dtype=float, count=len(coords) * self.dim
         )
-        group_parts, group_pids, noise, probes = self._resolve_memberships(
+        group_parts, noise, probes = self._resolve_memberships(
             pid_arr,
             flat.reshape(-1, self.dim),
             key=lambda cell: cell,
             trust=trust,
         )
         fragments: Dict[Cell, List[int]] = {}
-        for cell in group_parts.keys() | group_pids.keys():
-            parts = group_parts.get(cell, [])
-            pids_of_cell = group_pids.get(cell)
-            if pids_of_cell:
-                parts.append(np.asarray(pids_of_cell, dtype=np.int64))
+        for cell, parts in group_parts.items():
             merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
             fragments[cell] = np.sort(merged).tolist()
         return MembershipFragments(
@@ -681,40 +562,31 @@ class GridClusterer(SequentialBulkMixin):
         the shard router settles those against the owners' fragments.
         With ``trust=None`` the fragment simply covers the whole graph.
 
-        With the fragment cache enabled, per-pair edge decisions and
-        per-cell core-coordinate arrays are memoized across barriers: a
-        decision depends only on the two cells' core point sets, so it
-        stays valid until a mutation dirties either endpoint
+        Per-pair edge decisions and per-cell core-coordinate arrays are
+        memoized in the fragment cache across barriers: a decision
+        depends only on the two cells' core point sets, so it stays
+        valid until a mutation dirties either endpoint
         (:meth:`_touch_cells` drops exactly those).
         """
         sq_relaxed = self._sq_relaxed
         cells = self._cells
         cache = self._fragments
-        if cache is not None:
-            cache.begin(trust)
+        cache.begin(trust)
         trusted = (lambda _cell: True) if trust is None else trust
         core_cells: List[Cell] = sorted(
             cell
             for cell, data in cells.items()
             if data.core and trusted(cell)  # type: ignore[attr-defined]
         )
-        core_cache: Dict[Cell, np.ndarray] = {}
 
         def core_coords(cell: Cell) -> np.ndarray:
-            arr = (
-                cache.get_core_coords(cell)
-                if cache is not None
-                else core_cache.get(cell)
-            )
+            arr = cache.get_core_coords(cell)
             if arr is None:
                 data = cells[cell]
                 arr = np.array(
                     [data.points[pid] for pid in sorted(data.core)]  # type: ignore[attr-defined]
                 )
-                if cache is not None:
-                    cache.set_core_coords(cell, arr)
-                else:
-                    core_cache[cell] = arr
+                cache.set_core_coords(cell, arr)
             return arr
 
         def edge_exists(cell: Cell, other: Cell, cell_lo, cell_hi) -> bool:
@@ -756,13 +628,10 @@ class GridClusterer(SequentialBulkMixin):
                 odata = cells[other]
                 if not odata.core:  # type: ignore[attr-defined]
                     continue
-                if cache is not None:
-                    decision = cache.lookup_gum((cell, other))
-                    if decision is None:
-                        decision = edge_exists(cell, other, cell_lo, cell_hi)
-                        cache.store_gum((cell, other), decision)
-                else:
+                decision = cache.lookup_gum((cell, other))
+                if decision is None:
                     decision = edge_exists(cell, other, cell_lo, cell_hi)
+                    cache.store_gum((cell, other), decision)
                 if decision:
                     edges.append((cell, other))
             if borders_untrusted:
@@ -793,41 +662,20 @@ class GridClusterer(SequentialBulkMixin):
         return canonical_cgroup_result(groups.values(), noise)
 
     def clusters(self) -> Clustering:
-        """Full clustering of the live dataset (a ``Q = P`` query)."""
-        points = self._points
-        if not points:
-            return Clustering()
-        if self._fragments is not None:
-            return self._clusters_cached()
-        # Q = P needs no per-id validation or dict lookups: the store's
-        # keys and values already are the query arrays.
-        flat = np.fromiter(
-            chain.from_iterable(points.values()),
-            dtype=float,
-            count=len(points) * self.dim,
-        )
-        result = self._resolve_query(
-            np.fromiter(points.keys(), dtype=np.int64, count=len(points)),
-            flat.reshape(-1, self.dim),
-        )
-        return Clustering(
-            clusters=result.group_sets(), noise=set(result.noise)
-        )
+        """Full clustering of the live dataset (a ``Q = P`` query).
 
-    def _clusters_cached(self) -> Clustering:
-        """The incremental ``Q = P`` barrier (fragment cache enabled).
-
-        Iterates the cell registry directly — Q = P queries every live
-        point of every cell, so there is nothing to flatten, bucket or
-        validate, and every cell is cache-eligible.  Clean cells splice
-        their memoized fragment; only cells a mutation dirtied since the
-        last barrier recompute.  The cluster list keeps the canonical
-        group order of :meth:`cgroup_by_many` (members ascending and
-        deduplicated, groups lexicographic), so the result equals the
-        uncached path's (exactly at ``rho = 0``).
+        The incremental barrier: iterates the cell registry directly —
+        Q = P queries every live point of every cell, so there is
+        nothing to flatten, bucket or validate, and every cell is
+        cache-eligible.  Clean cells splice their memoized fragment;
+        only cells a mutation dirtied since the last barrier recompute.
+        The cluster list keeps the canonical group order of
+        :meth:`cgroup_by_many` (members ascending and deduplicated,
+        groups lexicographic).
         """
+        if not self._points:
+            return Clustering()
         cache = self._fragments
-        assert cache is not None
         cache.begin(None)
         group_parts: Dict[Hashable, List[np.ndarray]] = {}
         noise: List[int] = []

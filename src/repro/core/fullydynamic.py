@@ -75,11 +75,8 @@ class FullyDynamicClusterer(GridClusterer):
         strategy: str = "auto",
         connectivity: str = "hdt",
         bcp: str = "abcp",
-        fragment_cache: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            eps, minpts, rho, dim, strategy, fragment_cache=fragment_cache
-        )
+        super().__init__(eps, minpts, rho, dim, strategy)
         if connectivity == "hdt":
             self._conn: Connectivity = HDTConnectivity()
         elif connectivity == "naive":

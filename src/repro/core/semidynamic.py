@@ -59,11 +59,8 @@ class SemiDynamicClusterer(GridClusterer):
         rho: float = 0.0,
         dim: int = 2,
         strategy: str = "auto",
-        fragment_cache: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            eps, minpts, rho, dim, strategy, fragment_cache=fragment_cache
-        )
+        super().__init__(eps, minpts, rho, dim, strategy)
         self._uf = UnionFind()
         self._vincnt: Dict[int, int] = {}
 

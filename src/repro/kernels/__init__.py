@@ -1,26 +1,17 @@
-"""``repro.kernels`` — the pluggable compute-kernel backend layer.
+"""``repro.kernels`` — the compute-kernel layer.
 
 Every hot numeric primitive in the repo (distance matrices, ball
 counts, witness searches, cell bucketing/key packing) lives behind this
 package's small typed interface; nothing outside ``repro.kernels``
 performs distance-matrix or cell-packing math.  The module-level
-functions below are thin dispatchers into the active backend's kernel
-table, so swapping backends never touches the algorithms:
-
-* ``numpy`` — the reference backend, a pure code-motion of the
-  original implementations (BLAS identity + exact band recheck);
-* ``accel`` — numba-jit exact loops when numba is importable, else
-  cache-blocked numpy tiles; provides only the kernels it accelerates
-  and falls back per kernel to the reference for the rest;
-* ``auto`` (default) — ``accel``.
-
-Selection, in increasing precedence: the ``REPRO_BACKEND`` environment
-variable (read once at import), :func:`use_backend` from code, and the
-``--backend`` CLI flag of ``python -m repro`` (which simply calls
-:func:`use_backend`).  All backends are bit-identical on every kernel:
-counts, booleans and proof ids are discrete decisions made from exact
-distances, and ``distance_matrix`` uses the same axis-ordered exact
-formula everywhere (``tests/test_kernels.py`` sweeps the grid).
+functions below are thin dispatchers into the kernel table
+(:mod:`repro.kernels.registry`), so the algorithms never name an
+implementation.  There is one implementation per kernel,
+:mod:`repro.kernels.numpy_backend`: numpy, with the BLAS identity plus
+an exact band recheck for the pair decisions, and cache-blocked tiles
+for the pair kernels.  Counts, booleans and proof ids are discrete
+decisions made from exact distances (``tests/test_kernels.py`` checks
+them against the brute-force difference formula).
 
 See :mod:`repro.kernels.interface` for the kernel contracts and the
 ~64MB :data:`~repro.kernels.interface.MAX_BLOCK_BYTES` intermediate cap.
@@ -28,35 +19,18 @@ See :mod:`repro.kernels.interface` for the kernel contracts and the
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.kernels import accel, numpy_backend, registry
-from repro.kernels.interface import KERNEL_NAMES, MAX_BLOCK_BYTES, Backend, Cell
-from repro.kernels.registry import (
-    ActiveBackend,
-    active_backend,
-    available_backends,
-    backend_summary,
-    register_backend,
-    use_backend,
-)
+from repro.kernels import registry
+from repro.kernels.interface import KERNEL_NAMES, MAX_BLOCK_BYTES, Cell
 
 __all__ = [
     "KERNEL_NAMES",
     "MAX_BLOCK_BYTES",
-    "Backend",
     "Cell",
-    "ActiveBackend",
-    "active_backend",
     "active_backend_name",
-    "available_backends",
-    "backend_summary",
-    "register_backend",
-    "use_backend",
     "as_point_array",
     "distance_matrix",
     "ball_counts",
@@ -69,23 +43,10 @@ __all__ = [
     "cell_gap_sq_dists",
 ]
 
-register_backend(numpy_backend.BACKEND, reference=True)
-register_backend(accel.BACKEND, preferred=True)
-
-#: The selection ``REPRO_BACKEND`` asked for (None when unset): the one
-#: read of the variable, applied here at import.
-ENV_BACKEND = os.environ.get("REPRO_BACKEND") or None
-try:
-    use_backend(ENV_BACKEND or registry.AUTO)
-except ValueError as exc:
-    raise ConfigError(
-        f"REPRO_BACKEND={ENV_BACKEND!r} is not a valid kernel backend: {exc}"
-    ) from None
-
 
 def active_backend_name() -> str:
-    """The resolved name of the live backend (``numpy`` or ``accel``)."""
-    return active_backend().resolved
+    """The name results and reports are stamped with (``numpy``)."""
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +105,7 @@ def cell_gap_sq_dists(deltas: np.ndarray, side: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Shared validation (not a dispatched kernel — no math to accelerate)
+# Shared validation (not a dispatched kernel)
 # ----------------------------------------------------------------------
 
 
@@ -154,7 +115,7 @@ def as_point_array(points: Sequence[Sequence[float]], dim: int) -> np.ndarray:
     Rejects ragged/object inputs, wrong trailing dimensions and
     non-finite coordinates with a clear ``ValueError`` *before* any
     kernel runs, so malformed batches never surface as numpy broadcast
-    errors deep in a backend.
+    errors deep in a kernel.
     """
     try:
         arr = np.asarray(points, dtype=float)

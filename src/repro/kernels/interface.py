@@ -1,27 +1,24 @@
-"""The kernel interface: names, contracts, and shared tuning knobs.
+"""The kernel interface: names, contracts, and the block cap.
 
 A *kernel* is one of the hot numeric primitives every clusterer, index
 and query engine in the repo bottoms out in.  Each kernel has a fixed
-array-level signature and an exactness contract (below); a *backend* is
-a named set of implementations of some or all kernels
-(:class:`Backend`).  The registry (:mod:`repro.kernels.registry`)
-resolves the active backend into a per-kernel dispatch table, falling
-back kernel-by-kernel to the numpy reference backend for anything a
-backend does not provide.
+array-level signature and an exactness contract (below); the
+implementations live in :mod:`repro.kernels.numpy_backend`, and the
+dispatch table (:mod:`repro.kernels.registry`) maps each name to one.
 
 Kernel contracts
 ----------------
 
 ``distance_matrix(a, b) -> (n, m) float64``
     Exact squared Euclidean distances via the difference formula —
-    bit-identical across backends (every backend evaluates the same
-    axis-ordered vectorized sum per element).
+    the same axis-ordered vectorized sum per element, whatever the
+    blocking.
 
 ``ball_counts(a, b, sq_radius) -> (n,) int64``
     For each row of ``a``, how many rows of ``b`` lie within the ball.
-    Backends may use fast approximate identities internally (e.g. the
-    BLAS expansion) but every membership *decision* must equal the exact
-    difference formula bit-for-bit.
+    The implementation may use fast approximate identities internally
+    (e.g. the BLAS expansion) but every membership *decision* must equal
+    the exact difference formula bit-for-bit.
 
 ``any_within(a, b, sq_radius) -> bool``
     Whether any pair ``(a[i], b[j])`` lies within the ball.  Same
@@ -34,7 +31,7 @@ Kernel contracts
 ``find_within_many(qs, ids, pts, sq_radius) -> list[Optional[int]]``
     For each query row, ``ids[j]`` of some row ``pts[j]`` within the
     ball, else ``None``.  Proofs are the lowest-index match
-    (deterministic across backends); membership decisions are exact.
+    (deterministic); membership decisions are exact.
 
 ``bucket_by_cell(arr, side) -> list[(cell, indices)]``
     Group point rows by grid cell via vectorized flooring, cells in
@@ -58,15 +55,13 @@ Memory cap
 
 ``MAX_BLOCK_BYTES`` caps the largest intermediate array any kernel may
 materialize (distance-matrix chunks, difference tensors): ~64MB by
-default, so a 50k x 50k neighborhood never allocation-spikes.  Backends
-must consult :func:`max_block_entries` *at call time* so tests (and
-operators) can shrink it.
+default, so a 50k x 50k neighborhood never allocation-spikes.  Kernels
+consult it *at call time* so tests (and operators) can shrink it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
 Cell = Tuple[int, ...]
 
@@ -92,29 +87,3 @@ def max_block_entries() -> int:
     """Largest float64 entry count a kernel block may materialize."""
     return max(1, MAX_BLOCK_BYTES // 8)
 
-
-@dataclass
-class Backend:
-    """A named set of kernel implementations.
-
-    ``kernels`` maps kernel names (a subset of :data:`KERNEL_NAMES`) to
-    callables with the documented signatures; anything missing falls
-    back to the reference backend per kernel.  ``description`` is a
-    short human-readable note on how the backend accelerates (shown in
-    CLI/benchmark reports).
-    """
-
-    name: str
-    kernels: Dict[str, Callable] = field(default_factory=dict)
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        unknown = set(self.kernels) - set(KERNEL_NAMES)
-        if unknown:
-            raise ValueError(
-                f"backend {self.name!r} implements unknown kernel(s) "
-                f"{sorted(unknown)}; valid names: {KERNEL_NAMES}"
-            )
-
-    def provides(self, kernel: str) -> bool:
-        return kernel in self.kernels

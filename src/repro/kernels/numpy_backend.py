@@ -1,19 +1,28 @@
-"""The numpy reference backend — the semantics every backend must match.
+"""The kernel implementations: numpy, cache-blocked where it pays.
 
-These are the battle-tested implementations extracted verbatim from the
-bulk-update engine (``repro.core.bulk``) and the kd-tree batched query
-helpers (``repro.geometry.kdtree``), now owned by the kernels layer.
-Every other backend is validated against this one bit-for-bit
-(``tests/test_kernels.py``).
+These are the implementations extracted verbatim from the bulk-update
+engine (``repro.core.bulk``) and the kd-tree batched query helpers
+(``repro.geometry.kdtree``), now owned by the kernels layer and checked
+against the brute-force difference formula (``tests/test_kernels.py``).
 
 Exactness: ``ball_counts`` / ``any_within`` use the BLAS identity
 ``|x - y|^2 = |x|^2 + |y|^2 - 2 x.y`` for speed and re-verify pairs in
 the cancellation band with the exact difference formula, so membership
 decisions equal scalar ``sq_dist`` comparisons bit-for-bit.
 ``distance_matrix`` / ``count_within`` / ``find_within_many`` use the
-exact formula throughout.  All kernels chunk their intermediates to at
-most :func:`repro.kernels.interface.max_block_entries` float64 entries
-(~64MB), so huge neighborhoods never allocation-spike.
+exact formula throughout.
+
+Blocking: the pair kernels (``distance_matrix`` / ``ball_counts`` /
+``any_within``) tile both operands into ~L2-sized blocks
+(:data:`CACHE_BLOCK_BYTES`) and run one untiled tile body per block
+pair.  Streaming chunks of ``a`` against *all* of ``b`` would evict
+every ``b`` row from cache between chunks on wide neighborhoods; a
+tile keeps one ``b`` block hot across a whole stripe of ``a``.  Tiling
+changes no output: every element and every decision is computed by the
+same formula whatever the tile shape.  The other kernels chunk their
+intermediates to at most
+:func:`repro.kernels.interface.max_block_entries` float64 entries
+(~64MB), which also caps every tile.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels import interface
-from repro.kernels.interface import Backend, Cell
+from repro.kernels.interface import Cell
 
 #: Relative slack of the fast BLAS distance identity.  The identity
 #: ``|x - y|^2 = |x|^2 + |y|^2 - 2 x.y`` suffers cancellation of order
@@ -49,47 +58,78 @@ def exact_within(point: np.ndarray, others: np.ndarray, sq_radius: float) -> np.
     return np.einsum("ij,ij->i", diff, diff) <= sq_radius
 
 
+#: Tile cap (bytes of one float64 distance block) of the pair kernels,
+#: sized to stay L2-resident.  Patchable; read at call time.  The
+#: global :data:`repro.kernels.interface.MAX_BLOCK_BYTES` cap still
+#: bounds every tile.
+CACHE_BLOCK_BYTES = 4 * 1024 * 1024
+
+
+def _tile_shape(m: int) -> Tuple[int, int]:
+    """(a_rows, b_rows) per tile: near-square, capped by the tile budget."""
+    entries = max(1, min(CACHE_BLOCK_BYTES, interface.MAX_BLOCK_BYTES) // 8)
+    b_rows = max(1, min(m, int(entries**0.5) * 2))
+    a_rows = max(1, entries // b_rows)
+    return a_rows, b_rows
+
+
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact squared distances between every row pair (see interface).
 
     The returned ``(n, m)`` matrix is the caller's memory to budget; the
-    chunking below caps the *intermediate* difference tensor, which is
+    tiling below caps the *intermediate* difference tensor, which is
     ``dim`` times larger than its slice of the output.
     """
     n, m = len(a), len(b)
     out = np.empty((n, m), dtype=float)
     if n == 0 or m == 0:
         return out
-    per_row = m * a.shape[1]
-    chunk = max(1, interface.max_block_entries() // per_row)
-    for start in range(0, n, chunk):
-        diff = a[start : start + chunk, None, :] - b[None, :, :]
-        out[start : start + chunk] = np.einsum("ijk,ijk->ij", diff, diff)
+    a_rows, b_rows = _tile_shape(m)
+    a_rows = max(1, a_rows // a.shape[1])  # difference tensor is dim x larger
+    for a0 in range(0, n, a_rows):
+        block = a[a0 : a0 + a_rows, None, :]
+        for b0 in range(0, m, b_rows):
+            diff = block - b[None, b0 : b0 + b_rows, :]
+            out[a0 : a0 + a_rows, b0 : b0 + b_rows] = np.einsum(
+                "ijk,ijk->ij", diff, diff
+            )
     return out
 
 
+def ball_counts_block(block: np.ndarray, b: np.ndarray, sq_radius: float) -> np.ndarray:
+    """One tile of :func:`ball_counts`: per-row counts of ``block`` in ``b``."""
+    d2, tol = fast_sq_dists(block, b)
+    counts = (d2 < sq_radius - tol).sum(axis=1)
+    border = np.abs(d2 - sq_radius) <= tol
+    for row in np.nonzero(border.any(axis=1))[0].tolist():
+        candidates = b[border[row]]
+        counts[row] += int(exact_within(block[row], candidates, sq_radius).sum())
+    return counts
+
+
 def ball_counts(a: np.ndarray, b: np.ndarray, sq_radius: float) -> np.ndarray:
-    """For each row of ``a``, how many rows of ``b`` lie within the ball."""
+    """For each row of ``a``, how many rows of ``b`` lie within the ball.
+
+    Counts accumulate over ``b`` tiles; each tile makes exact decisions
+    via the band recheck, so the per-row sums do not depend on the tile
+    shape (integer addition is associative).
+    """
     n = len(a)
     counts = np.zeros(n, dtype=np.int64)
     if n == 0 or len(b) == 0:
         return counts
-    chunk = max(1, interface.max_block_entries() // len(b))
-    for start in range(0, n, chunk):
-        block = a[start : start + chunk]
-        d2, tol = fast_sq_dists(block, b)
-        counts[start : start + chunk] = (d2 < sq_radius - tol).sum(axis=1)
-        border = np.abs(d2 - sq_radius) <= tol
-        for row in np.nonzero(border.any(axis=1))[0].tolist():
-            candidates = b[border[row]]
-            counts[start + row] += int(
-                exact_within(block[row], candidates, sq_radius).sum()
+    a_rows, b_rows = _tile_shape(len(b))
+    for a0 in range(0, n, a_rows):
+        block = a[a0 : a0 + a_rows]
+        for b0 in range(0, len(b), b_rows):
+            counts[a0 : a0 + a_rows] += ball_counts_block(
+                block, b[b0 : b0 + b_rows], sq_radius
             )
     return counts
 
 
 def any_within_block(block: np.ndarray, b: np.ndarray, sq_radius: float) -> bool:
-    """One chunk of :func:`any_within` (shared with the accel backend)."""
+    """One tile of :func:`any_within`."""
     d2, tol = fast_sq_dists(block, b)
     if (d2 < sq_radius - tol).any():
         return True
@@ -103,20 +143,23 @@ def any_within_block(block: np.ndarray, b: np.ndarray, sq_radius: float) -> bool
 def any_within(a: np.ndarray, b: np.ndarray, sq_radius: float) -> bool:
     """Whether any pair ``(a[i], b[j])`` lies within the ball.
 
-    Same exactness guarantee (and chunking) as :func:`ball_counts`.  A
+    Same exactness guarantee (and tiling) as :func:`ball_counts`.  A
     small probe block runs first: in dense regimes adjacent cells almost
     always hold a witness among the first few rows, so the common case
     never materializes the full matrix.
     """
     if len(a) == 0 or len(b) == 0:
         return False
+    a_rows, b_rows = _tile_shape(len(b))
     probe = min(32, len(a))
-    if any_within_block(a[:probe], b, sq_radius):
-        return True
-    chunk = max(1, interface.max_block_entries() // len(b))
-    for start in range(probe, len(a), chunk):
-        if any_within_block(a[start : start + chunk], b, sq_radius):
+    for b0 in range(0, len(b), b_rows):
+        if any_within_block(a[:probe], b[b0 : b0 + b_rows], sq_radius):
             return True
+    for a0 in range(probe, len(a), a_rows):
+        block = a[a0 : a0 + a_rows]
+        for b0 in range(0, len(b), b_rows):
+            if any_within_block(block, b[b0 : b0 + b_rows], sq_radius):
+                return True
     return False
 
 
@@ -196,8 +239,7 @@ def bucket_by_cell(arr: np.ndarray, side: float) -> List[Tuple[Cell, np.ndarray]
     (the deterministic replay order) and indices ascending within each
     cell.  The flooring matches :meth:`repro.core.grid.Grid.cell_of`
     exactly, including on negative coordinates.  Key packing routes
-    through the dispatched ``pack_cell_keys`` kernel so an accelerated
-    packing benefits this kernel too.
+    through the dispatched ``pack_cell_keys`` kernel.
     """
     if len(arr) == 0:
         return []
@@ -238,19 +280,3 @@ def cell_gap_sq_dists(deltas: np.ndarray, side: float) -> np.ndarray:
     gaps = np.maximum(np.abs(deltas) - 1, 0) * side
     return (gaps * gaps).sum(axis=1)
 
-
-BACKEND = Backend(
-    name="numpy",
-    kernels={
-        "distance_matrix": distance_matrix,
-        "ball_counts": ball_counts,
-        "any_within": any_within,
-        "count_within": count_within,
-        "find_within_many": find_within_many,
-        "bucket_by_cell": bucket_by_cell,
-        "pack_cell_keys": pack_cell_keys,
-        "box_sq_dists": box_sq_dists,
-        "cell_gap_sq_dists": cell_gap_sq_dists,
-    },
-    description="numpy reference (BLAS identity + exact band recheck)",
-)

@@ -1,132 +1,23 @@
-"""Backend registry, selection, and the per-kernel dispatch table.
+"""The per-kernel dispatch table.
 
-Backends register under a name; selecting one (:func:`use_backend`)
-resolves a complete dispatch table by taking the backend's
-implementation of each kernel and falling back, kernel by kernel, to
-the reference backend for anything it does not provide — so a backend
-may accelerate only some kernels and still be fully usable.
-
-Selection names are the registered backends plus ``"auto"``, which
-picks the preferred accelerated backend when one is registered and the
-reference otherwise.  The selection applied at import of
-:mod:`repro.kernels` comes from the ``REPRO_BACKEND`` environment
-variable (default ``auto``); ``python -m repro bench --backend ...``
-re-applies it per run.
+Every dispatcher in :mod:`repro.kernels` looks its kernel up here on
+each call, so a wrapper installed over :func:`get_kernel` (a tracer, a
+test double) sees every kernel call, including the ones kernels make
+on each other.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict
 
-from repro.errors import ConfigError
-from repro.kernels.interface import KERNEL_NAMES, Backend
+from repro.kernels import numpy_backend
+from repro.kernels.interface import KERNEL_NAMES
 
-AUTO = "auto"
-
-_backends: Dict[str, Backend] = {}
-_reference: Optional[Backend] = None
-_preferred: Optional[str] = None  # what "auto" resolves to, if registered
-
-_requested: str = AUTO
-_resolved: Optional[Backend] = None
-_table: Dict[str, Callable] = {}
-
-
-class ActiveBackend(NamedTuple):
-    """The current selection: what was asked for and what answers."""
-
-    requested: str
-    resolved: str
-    description: str
-
-
-def register_backend(
-    backend: Backend, reference: bool = False, preferred: bool = False
-) -> None:
-    """Add a backend to the registry.
-
-    Exactly one backend must be registered with ``reference=True``; it
-    completes every other backend's dispatch table.  A backend
-    registered with ``preferred=True`` is what ``"auto"`` selects.
-    """
-    global _reference, _preferred
-    if backend.name == AUTO:
-        raise ValueError(f"backend name {AUTO!r} is reserved")
-    _backends[backend.name] = backend
-    if reference:
-        missing = [k for k in KERNEL_NAMES if not backend.provides(k)]
-        if missing:
-            raise ValueError(
-                f"reference backend {backend.name!r} must provide every "
-                f"kernel; missing {missing}"
-            )
-        _reference = backend
-    if preferred:
-        _preferred = backend.name
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Valid selection names: every registered backend plus ``auto``."""
-    return tuple(sorted(_backends)) + (AUTO,)
-
-
-def _resolve_name(name: str) -> Backend:
-    if name == AUTO:
-        name = _preferred if _preferred in _backends else _reference.name
-    backend = _backends.get(name)
-    if backend is None:
-        raise ConfigError(
-            f"unknown kernel backend {name!r}; choices: "
-            f"{', '.join(available_backends())}"
-        )
-    return backend
-
-
-def use_backend(name: str) -> str:
-    """Select the active backend by name; returns the previous selection.
-
-    The return value is the previously *requested* name (possibly
-    ``"auto"``), so callers can restore it:
-    ``prev = use_backend("numpy"); ...; use_backend(prev)``.
-    """
-    global _requested, _resolved, _table
-    if _reference is None:
-        raise RuntimeError("no reference backend registered")
-    backend = _resolve_name(name)
-    previous = _requested
-    _requested = name
-    _resolved = backend
-    _table = {
-        kernel: backend.kernels.get(kernel, _reference.kernels[kernel])
-        for kernel in KERNEL_NAMES
-    }
-    return previous
+_TABLE: Dict[str, Callable] = {
+    name: getattr(numpy_backend, name) for name in KERNEL_NAMES
+}
 
 
 def get_kernel(name: str) -> Callable:
-    """The active implementation of one kernel (after fallback)."""
-    return _table[name]
-
-
-def active_backend() -> ActiveBackend:
-    """Requested/resolved names and description of the live selection."""
-    if _resolved is None:
-        raise RuntimeError("no backend selected")
-    return ActiveBackend(
-        requested=_requested,
-        resolved=_resolved.name,
-        description=_resolved.description,
-    )
-
-
-def backend_summary() -> str:
-    """One line for reports: resolved name plus any per-kernel fallbacks.
-
-    E.g. ``accel (fallback to numpy: bucket_by_cell, pack_cell_keys)``.
-    """
-    info = active_backend()
-    backend = _backends[info.resolved]
-    fallbacks = [k for k in KERNEL_NAMES if not backend.provides(k)]
-    if not fallbacks or _reference is backend:
-        return info.resolved
-    return f"{info.resolved} (fallback to {_reference.name}: {', '.join(fallbacks)})"
+    """The implementation of one kernel."""
+    return _TABLE[name]

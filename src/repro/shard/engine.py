@@ -43,7 +43,7 @@ class ShardedStats:
     journal replay) performed over the deployment's lifetime — 0 for
     the serial executor and for a process deployment that never lost a
     worker.  ``fragment_cache`` sums the per-shard incremental
-    fragment-cache counters (``None`` when the cache is disabled).
+    fragment-cache counters.
     """
 
     points: int
@@ -55,7 +55,7 @@ class ShardedStats:
     replicas: int
     per_shard: Tuple[EngineStats, ...]
     restarts: int = 0
-    fragment_cache: Optional[FragmentCacheStats] = None
+    fragment_cache: FragmentCacheStats = FragmentCacheStats()
 
 
 class ShardedEngine:
@@ -77,9 +77,8 @@ class ShardedEngine:
 
         Mirrors :meth:`repro.api.Engine.open` (and is what
         :func:`repro.api.open` dispatches to when the config names a
-        shard count): the kernel backend is selected process-wide first,
-        then the executor named by ``shard_executor`` spins up one
-        engine per shard.
+        shard count): the executor named by ``shard_executor`` spins up
+        one engine per shard.
         """
         try:
             if config is None:
@@ -94,8 +93,6 @@ class ShardedEngine:
                 f"{config.shards!r}; use repro.api.Engine for a single "
                 f"engine"
             )
-        if config.backend is not None:
-            kernels.use_backend(config.backend)
         executor_kind = config.resolved_shard_executor
         if executor_kind == "process":
             # Worker processes can die or hang: supervise them with the
@@ -238,11 +235,7 @@ class ShardedEngine:
 
     def stats(self) -> ShardedStats:
         per_shard = tuple(self._router.shard_stats())
-        fragment_parts = [
-            s.fragment_cache
-            for s in per_shard
-            if s.fragment_cache is not None
-        ]
+        fragment_parts = [s.fragment_cache for s in per_shard]
         return ShardedStats(
             points=len(self._router),
             epoch=self.epoch,
@@ -253,16 +246,10 @@ class ShardedEngine:
             replicas=sum(s.points for s in per_shard),
             per_shard=per_shard,
             restarts=self.restarts,
-            fragment_cache=(
-                FragmentCacheStats(
-                    hits=sum(f.hits for f in fragment_parts),
-                    misses=sum(f.misses for f in fragment_parts),
-                    invalidations=sum(
-                        f.invalidations for f in fragment_parts
-                    ),
-                )
-                if fragment_parts
-                else None
+            fragment_cache=FragmentCacheStats(
+                hits=sum(f.hits for f in fragment_parts),
+                misses=sum(f.misses for f in fragment_parts),
+                invalidations=sum(f.invalidations for f in fragment_parts),
             ),
         )
 

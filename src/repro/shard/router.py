@@ -100,10 +100,7 @@ class ShardRouter:
         ]
         #: Updates routed to each shard — what its engine epoch must read.
         self._routed: List[int] = [0] * self.shard_count
-        # Boundary-witness cache (see module docstring).  Shares the
-        # fragment-cache knob: both are epoch-aware caches trading a
-        # little bookkeeping for skipped exact geometry.
-        self._cache_enabled = config.resolved_fragment_cache
+        # Boundary-witness cache (see module docstring).
         self._witness_cache: Dict[Tuple[Cell, Cell], bool] = {}
         self._dirty_cells: Set[Cell] = set()
         self.merge_cache_hits = 0
@@ -157,8 +154,7 @@ class ShardRouter:
             [] for _ in range(self.shard_count)
         ]
         for cell, idxs in bucket_by_cell(arr, self._grid.side):
-            if self._cache_enabled:
-                self._dirty_cells.add(cell)
+            self._dirty_cells.add(cell)
             for shard in replica_shards(cell):
                 member_idxs[shard].append(idxs)
         orders: List[Optional[np.ndarray]] = [None] * self.shard_count
@@ -225,8 +221,7 @@ class ShardRouter:
         cell_of = self._grid.cell_of
         for pid in pid_list:
             cell = cell_of(self._points[pid])
-            if self._cache_enabled:
-                self._dirty_cells.add(cell)
+            self._dirty_cells.add(cell)
             for shard in replica_shards(cell):
                 per_shard[shard].append(pid)
         calls = []
@@ -468,14 +463,12 @@ class ShardRouter:
                 if b in core_cells
             }
         )
-        if self._cache_enabled and self._dirty_cells:
+        if self._dirty_cells:
             self._invalidate_witnesses()
         for a, b in cross_pairs:
             if uf.connected(a, b):
                 continue  # an extra witness cannot change any component
-            witness = (
-                self._witness_cache.get((a, b)) if self._cache_enabled else None
-            )
+            witness = self._witness_cache.get((a, b))
             if witness is None:
                 coords_a, coords_b = frontier.get(a), frontier.get(b)
                 if coords_a is None or coords_b is None:
@@ -487,9 +480,8 @@ class ShardRouter:
                 witness = bool(
                     any_within(coords_a, coords_b, self._sq_relaxed)
                 )
-                if self._cache_enabled:
-                    self._witness_cache[(a, b)] = witness
-                    self.merge_cache_misses += 1
+                self._witness_cache[(a, b)] = witness
+                self.merge_cache_misses += 1
             else:
                 self.merge_cache_hits += 1
             if witness:

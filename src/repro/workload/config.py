@@ -38,12 +38,6 @@ DEFAULT_INSERT_FRACTION = 5 / 6
 QUERY_FREQ_FRACTIONS = (0.01, 0.02, 0.05, 0.1)
 DEFAULT_QUERY_FREQ_FRACTION = 0.05
 
-#: Default kernel-backend selection (see :mod:`repro.kernels`).  The
-#: valid names come from ``repro.kernels.available_backends()`` — the
-#: registry is the single source of truth, so the CLI automatically
-#: picks up any newly registered backend.
-DEFAULT_BACKEND = "auto"
-
 #: Default number of updates per benchmark workload (paper: 10M).
 DEFAULT_BENCH_N = 5000
 
@@ -56,18 +50,6 @@ def bench_n(default: int = DEFAULT_BENCH_N) -> int:
     """Benchmark workload size, overridable via ``REPRO_BENCH_N``."""
     value = os.environ.get("REPRO_BENCH_N")
     return int(value) if value else default
-
-
-def backend_name(default: str = DEFAULT_BACKEND) -> str:
-    """Kernel backend selection, overridable via ``REPRO_BACKEND``.
-
-    The variable is read once, by :mod:`repro.kernels` at import; this
-    returns what it asked for, so CLI defaults and the kernel layer
-    agree.
-    """
-    from repro import kernels
-
-    return kernels.ENV_BACKEND or default
 
 
 def eps_for(dim: int, eps_per_d: int = DEFAULT_EPS_PER_D) -> float:

@@ -108,8 +108,8 @@ class RunResult:
     deployments) — a run that survived worker deaths says so in its
     record.  ``fragment_hits`` / ``fragment_misses`` /
     ``fragment_invalidations`` record the incremental fragment cache's
-    counters over the run (all 0 when the cache is disabled or the
-    engine has none), so a benchmark row shows how incremental its
+    counters over the run (all 0 for a bare clusterer run or an
+    engine without a grid), so a benchmark row shows how incremental its
     barriers actually were.  ``scenario`` names the workload family the
     run executed (``""`` for the classic Section 8.1 mixed workload,
     ``"sliding-window"`` for :mod:`repro.workload.scenarios` runs), so
@@ -340,9 +340,8 @@ def run_workload_engine(
     if engine.config.shards:
         result.transport = engine.config.resolved_shard_transport
         result.restarts = getattr(engine, "restarts", 0)
-    fragment_stats = getattr(engine.stats(), "fragment_cache", None)
-    if fragment_stats is not None:
-        result.fragment_hits = fragment_stats.hits
-        result.fragment_misses = fragment_stats.misses
-        result.fragment_invalidations = fragment_stats.invalidations
+    fragment_stats = engine.stats().fragment_cache
+    result.fragment_hits = fragment_stats.hits
+    result.fragment_misses = fragment_stats.misses
+    result.fragment_invalidations = fragment_stats.invalidations
     return result

@@ -159,9 +159,8 @@ def run_sliding_window(
     if engine.config.shards:
         result.transport = engine.config.resolved_shard_transport
         result.restarts = getattr(engine, "restarts", 0)
-    fragment_stats = getattr(engine.stats(), "fragment_cache", None)
-    if fragment_stats is not None:
-        result.fragment_hits = fragment_stats.hits
-        result.fragment_misses = fragment_stats.misses
-        result.fragment_invalidations = fragment_stats.invalidations
+    fragment_stats = engine.stats().fragment_cache
+    result.fragment_hits = fragment_stats.hits
+    result.fragment_misses = fragment_stats.misses
+    result.fragment_invalidations = fragment_stats.invalidations
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import kernels
+import repro.api
 from repro.api import EngineConfig
 from repro.baselines.incdbscan import IncDBSCAN
 from repro.baselines.naive_dynamic import RecomputeClusterer
@@ -94,8 +94,12 @@ class TestConstructorValidation:
             FullyDynamicClusterer(1.0, 10, bcp="oracle")
 
     def test_unknown_backend(self):
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            kernels.use_backend("warp-drive")
+        """Neither the kernel backend nor the fragment cache is a knob:
+        naming one is the unknown-knob configuration error."""
+        with pytest.raises(ConfigError, match="backend"):
+            repro.api.open(eps=1.0, minpts=10, backend="numpy")
+        with pytest.raises(ConfigError, match="fragment_cache"):
+            repro.api.open(eps=1.0, minpts=10, fragment_cache=False)
 
     def test_engine_config_mirrors_clusterer_validation(self):
         """EngineConfig rejects exactly what the clusterers reject."""
@@ -107,8 +111,6 @@ class TestConstructorValidation:
             EngineConfig(eps=1.0, minpts=10, rho=-0.1, algorithm="full")
         with pytest.raises(ConfigError, match="dim"):
             EngineConfig(eps=1.0, minpts=10, dim=0)
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            EngineConfig(eps=1.0, minpts=10, backend="warp-drive")
 
 
 class TestUnknownPoint:

@@ -1,20 +1,19 @@
-"""Incremental fragment cache: differential correctness + counters.
+"""Incremental fragment cache: correctness against references + counters.
 
 The cache (:mod:`repro.core.fragments`) must be *invisible in results*:
-with the knob on, every barrier splices memoized per-cell fragments and
-reuses per-pair GUM decisions, yet at ``rho = 0`` the outputs are
-bit-identical to a cache-off engine driven through the same updates —
-across dims {2, 3, 5}, both clusterer families, shard counts {1, 4},
+every barrier splices memoized per-cell fragments and reuses per-pair
+GUM decisions, yet each barrier must equal what references that never
+touch the cache compute from the same live set — the scalar
+``cgroup_by_sequential`` path over all live ids and exact brute-force
+DBSCAN at ``rho = 0``, the sandwich bounds at ``rho > 0``.  The sweep
+covers dims {2, 3, 5}, both clusterer families, shard counts {1, 4},
 localized update batches between barriers (the regime where most cells
 stay clean), bulk deletions, a shard-trust switch, and supervised
 crash/replay recovery (a respawned worker rebuilds its cache from the
-journal; recovery must not resurrect stale fragments).  At ``rho > 0``
-cached reuse replays an answer computed from the same structure state a
-recompute would read, so the differential holds there too.
+journal; recovery must not resurrect stale fragments).
 
 Counters (hits / misses / invalidations) surface through
-``EngineStats.fragment_cache`` and ``RunResult``; the knob resolves
-explicit > ``REPRO_FRAGMENT_CACHE`` > on.
+``EngineStats.fragment_cache`` and ``RunResult``.
 """
 
 from __future__ import annotations
@@ -22,15 +21,10 @@ from __future__ import annotations
 import pytest
 
 import repro.api as api
-from repro.core.fragments import (
-    FRAGMENT_CACHE_ENV,
-    FragmentCache,
-    FragmentCacheStats,
-    resolve_fragment_cache,
-)
+from repro.baselines.static_dbscan import dbscan_brute
+from repro.core.fragments import FragmentCache, FragmentCacheStats
 from repro.core.fullydynamic import FullyDynamicClusterer
-from repro.core.semidynamic import SemiDynamicClusterer
-from repro.errors import ConfigError
+from repro.validation.sandwich import check_sandwich
 from repro.workload.config import eps_for
 
 from conftest import clustered_points
@@ -44,102 +38,80 @@ def _eps(dim: int) -> float:
     return 1.25 * dim
 
 
-# ----------------------------------------------------------------------
-# Knob resolution
-# ----------------------------------------------------------------------
-
-
-class TestKnobResolution:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(FRAGMENT_CACHE_ENV, raising=False)
-        assert resolve_fragment_cache(None) is True
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("ON", True), ("yes", True),
-        ("0", False), ("false", False), ("OFF", False), ("no", False),
-    ])
-    def test_env_fallback(self, monkeypatch, value, expected):
-        monkeypatch.setenv(FRAGMENT_CACHE_ENV, value)
-        assert resolve_fragment_cache(None) is expected
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FRAGMENT_CACHE_ENV, "0")
-        assert resolve_fragment_cache(True) is True
-        monkeypatch.setenv(FRAGMENT_CACHE_ENV, "1")
-        assert resolve_fragment_cache(False) is False
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv(FRAGMENT_CACHE_ENV, "maybe")
-        with pytest.raises(ConfigError, match="REPRO_FRAGMENT_CACHE"):
-            resolve_fragment_cache(None)
-
-    def test_config_knob_validation(self, monkeypatch):
-        with pytest.raises(ConfigError, match="fragment_cache"):
-            api.EngineConfig(eps=1.0, minpts=3, fragment_cache="on")
-        cfg = api.EngineConfig(eps=1.0, minpts=3, fragment_cache=False)
-        assert cfg.resolved_fragment_cache is False
-        monkeypatch.delenv(FRAGMENT_CACHE_ENV, raising=False)
-        assert api.EngineConfig(
-            eps=1.0, minpts=3
-        ).resolved_fragment_cache is True
-
-    def test_env_reaches_clusterer(self, monkeypatch):
-        monkeypatch.setenv(FRAGMENT_CACHE_ENV, "0")
-        assert not FullyDynamicClusterer(1.0, 3).fragment_cache_enabled
-        monkeypatch.setenv(FRAGMENT_CACHE_ENV, "1")
-        assert SemiDynamicClusterer(1.0, 3).fragment_cache_enabled
-
-
-# ----------------------------------------------------------------------
-# Differential: cache-on == cache-off
-# ----------------------------------------------------------------------
-
-
-def _open(algorithm, dim, rho, cache, shards=None):
+def _open(algorithm, dim, rho, shards=None):
     return api.open(
         algorithm=algorithm,
         eps=_eps(dim),
         minpts=MINPTS,
         rho=rho,
         dim=dim,
-        fragment_cache=cache,
         shards=shards,
         shard_block=1 if shards else None,
     )
 
 
-def _canon_snapshot(snapshot):
-    c = snapshot.clustering
-    return [sorted(map(sorted, c.clusters)), sorted(c.noise)]
+def _canon(result):
+    """``(groups, noise)`` of a snapshot or C-group-by, order-free."""
+    if isinstance(result, api.Snapshot):
+        groups, noise = result.clustering.clusters, result.clustering.noise
+    else:
+        groups, noise = result.groups, result.noise
+    return sorted(sorted(g) for g in groups), sorted(noise)
 
 
-def _drive(engine, dim, rho, with_deletes):
-    """Barrier-heavy localized workload; returns every barrier output.
+def _check_barrier(got, coords, rho, sequential):
+    """One barrier output against references that bypass the cache.
+
+    ``sequential`` is the scalar path's answer over every live id, taken
+    at the same state.  At ``rho = 0`` the barrier must equal it and
+    exact brute-force DBSCAN; above, it must be sandwich-legal.
+    """
+    groups, noise = _canon(got)
+    dim = len(next(iter(coords.values())))
+    if rho:
+        assert check_sandwich(
+            coords, [set(g) for g in groups], _eps(dim), MINPTS, rho
+        ) == []
+        return
+    assert (groups, noise) == _canon(sequential)
+    ids = sorted(coords)
+    ref = dbscan_brute([coords[i] for i in ids], _eps(dim), MINPTS)
+    assert groups == sorted(sorted(ids[j] for j in c) for c in ref.clusters)
+    assert noise == sorted(ids[j] for j in ref.noise)
+
+
+def _barriers(engines, dim, with_deletes):
+    """Barrier-heavy localized workload, driven on every engine in step.
 
     Ingests a clustered base, then alternates small *localized* batches
     (consecutive points of one blob land in few cells) with full
     snapshots and whole-live-set C-group-by barriers — the cache's
     target regime, where a warm barrier should splice mostly clean
-    cells.  The outputs are what the differential compares.
+    cells.  Yields ``(coords, outputs)`` at every barrier: the live
+    id -> point map and each engine's output, while the engines still
+    hold that state.
     """
-    outputs = []
     base = clustered_points(180, dim, seed=dim * 11)
     extra = clustered_points(60, dim, seed=dim * 11 + 1)
-    pids = engine.ingest(base)
-    live = list(pids)
-    outputs.append(_canon_snapshot(engine.snapshot()))
+    ids = [engine.ingest(base) for engine in engines]
+    assert all(i == ids[0] for i in ids)
+    coords = dict(zip(ids[0], base))
+    yield coords, [engine.snapshot() for engine in engines]
     for step in range(3):
         batch = extra[step * 20:(step + 1) * 20]
-        live.extend(engine.ingest(batch))
+        ids = [engine.ingest(batch) for engine in engines]
+        coords.update(zip(ids[0], batch))
         if with_deletes and step:
-            victims = live[step::40][:6]
-            engine.delete_many(victims)
-            live = [pid for pid in live if pid not in set(victims)]
-        outputs.append(_canon_snapshot(engine.snapshot()))
-        outputs.append(engine.cgroup_by_many(live).result)
+            victims = list(coords)[step::40][:6]
+            for engine in engines:
+                engine.delete_many(victims)
+            for pid in victims:
+                del coords[pid]
+        yield coords, [engine.snapshot() for engine in engines]
+        live = list(coords)
+        yield coords, [engine.cgroup_by_many(live).result for engine in engines]
         # Repeat barrier with zero mutations in between: fully warm.
-        outputs.append(_canon_snapshot(engine.snapshot()))
-    return outputs
+        yield coords, [engine.snapshot() for engine in engines]
 
 
 @pytest.mark.parametrize("rho", (0.0, 0.01))
@@ -149,14 +121,11 @@ def _drive(engine, dim, rho, with_deletes):
     ("full", True),
 ])
 def test_cache_is_invisible_single_engine(algorithm, with_deletes, dim, rho):
-    on = _open(algorithm, dim, rho, cache=True)
-    off = _open(algorithm, dim, rho, cache=False)
-    assert on.stats().fragment_cache is not None
-    assert off.stats().fragment_cache is None
-    got = _drive(on, dim, rho, with_deletes)
-    want = _drive(off, dim, rho, with_deletes)
-    assert got == want
-    stats = on.stats().fragment_cache
+    engine = _open(algorithm, dim, rho)
+    for coords, (got,) in _barriers([engine], dim, with_deletes):
+        sequential = engine.raw.cgroup_by_sequential(sorted(coords))
+        _check_barrier(got, coords, rho, sequential)
+    stats = engine.stats().fragment_cache
     assert stats.hits > 0  # warm barriers actually spliced fragments
     if with_deletes:
         assert stats.invalidations > 0
@@ -165,44 +134,46 @@ def test_cache_is_invisible_single_engine(algorithm, with_deletes, dim, rho):
 @pytest.mark.parametrize("shards", (1, 4))
 @pytest.mark.parametrize("dim", DIMS)
 def test_cache_is_invisible_sharded(dim, shards):
-    """Sharded cache-on vs single cache-off at rho=0, tiny blocks.
+    """Sharded barriers at rho=0, tiny blocks, against the references.
 
     Covers the router's boundary merge consuming cached per-shard
-    membership/GUM fragments under the trust predicate, against the
-    plain uncached engine as the oracle.
+    membership/GUM fragments (and its own witness cache) under the
+    trust predicate; the scalar path of a single engine driven in step
+    supplies the sequential reference.
     """
-    sharded = _open("full", dim, 0.0, cache=True, shards=shards)
-    single = _open("full", dim, 0.0, cache=False)
+    sharded = _open("full", dim, 0.0, shards=shards)
+    single = _open("full", dim, 0.0)
     try:
-        got = _drive(sharded, dim, 0.0, with_deletes=True)
-        want = _drive(single, dim, 0.0, with_deletes=True)
-        assert got == want
+        for coords, (got, _) in _barriers([sharded, single], dim, True):
+            sequential = single.raw.cgroup_by_sequential(sorted(coords))
+            _check_barrier(got, coords, 0.0, sequential)
         stats = sharded.stats().fragment_cache
-        assert stats is not None and stats.hits > 0
+        assert stats.hits > 0
+        if shards > 1:  # one shard has no boundary to merge
+            assert sharded.raw.merge_cache_hits > 0
     finally:
         sharded.close()
 
 
 def test_sequential_updates_invalidate_correctly():
     """Point-at-a-time insert/delete paths also dirty their cells."""
-    on = _open("full", 2, 0.0, cache=True)
-    off = _open("full", 2, 0.0, cache=False)
+    engine = _open("full", 2, 0.0)
     pts = clustered_points(120, 2, seed=5)
-    for engine in (on, off):
-        engine.ingest(pts[:100])
-    assert _canon_snapshot(on.snapshot()) == _canon_snapshot(off.snapshot())
+    coords = dict(zip(engine.ingest(pts[:100]), pts[:100]))
+
+    def check():
+        everything = sorted(coords)
+        _check_barrier(engine.snapshot(), coords, 0.0,
+                       engine.raw.cgroup_by_sequential(everything))
+
+    check()
     for p in pts[100:]:
-        for engine in (on, off):
-            engine.insert(p)
-        assert _canon_snapshot(on.snapshot()) == _canon_snapshot(
-            off.snapshot()
-        )
+        coords[engine.insert(p)] = p
+        check()
     for pid in (0, 17, 55):
-        for engine in (on, off):
-            engine.delete(pid)
-        assert _canon_snapshot(on.snapshot()) == _canon_snapshot(
-            off.snapshot()
-        )
+        engine.delete(pid)
+        del coords[pid]
+        check()
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +183,7 @@ def test_sequential_updates_invalidate_correctly():
 
 class TestCounters:
     def test_warm_snapshot_is_all_hits(self):
-        engine = _open("full", 2, 0.0, cache=True)
+        engine = _open("full", 2, 0.0)
         engine.ingest(clustered_points(150, 2, seed=3))
         engine.snapshot()
         cold = engine.stats().fragment_cache
@@ -223,7 +194,7 @@ class TestCounters:
         assert warm.hits == cold.misses  # every cell spliced
 
     def test_mutations_count_invalidations(self):
-        engine = _open("full", 2, 0.0, cache=True)
+        engine = _open("full", 2, 0.0)
         pids = engine.ingest(clustered_points(150, 2, seed=3))
         engine.snapshot()
         assert engine.stats().fragment_cache.invalidations == 0
@@ -231,7 +202,7 @@ class TestCounters:
         assert engine.stats().fragment_cache.invalidations > 0
 
     def test_partial_queries_bypass_the_cache(self):
-        engine = _open("full", 2, 0.0, cache=True)
+        engine = _open("full", 2, 0.0)
         pids = engine.ingest(clustered_points(200, 2, seed=4))
         engine.cgroup_by_many(pids[: len(pids) // 3])
         stats = engine.stats().fragment_cache
@@ -240,17 +211,13 @@ class TestCounters:
         assert stats.hits == 0
 
     def test_sharded_stats_aggregate(self):
-        engine = _open("full", 2, 0.0, cache=True, shards=4)
+        engine = _open("full", 2, 0.0, shards=4)
         try:
             engine.ingest(clustered_points(150, 2, seed=6))
             engine.snapshot()
             engine.snapshot()
             total = engine.stats().fragment_cache
-            parts = [
-                s.fragment_cache
-                for s in engine.stats().per_shard
-                if s.fragment_cache is not None
-            ]
+            parts = [s.fragment_cache for s in engine.stats().per_shard]
             assert total.hits == sum(p.hits for p in parts) > 0
             assert total.misses == sum(p.misses for p in parts)
         finally:
@@ -265,7 +232,7 @@ class TestCounters:
         )
         engine = api.open(
             algorithm="semi", eps=eps_for(2), minpts=MINPTS,
-            batch_size=25, fragment_cache=True,
+            batch_size=25,
         )
         result = run_workload_engine(engine, workload)
         stats = engine.stats().fragment_cache
@@ -287,9 +254,7 @@ class TestCounters:
 
 def test_trust_switch_flushes_everything():
     """A fragment computed under one trust set must not serve another."""
-    clusterer = FullyDynamicClusterer(
-        _eps(2), MINPTS, dim=2, fragment_cache=True
-    )
+    clusterer = FullyDynamicClusterer(_eps(2), MINPTS, dim=2)
     pids = clusterer.insert_many(clustered_points(120, 2, seed=8))
     full = clusterer.membership_fragments(pids, trust=None)
     cached = clusterer._fragments.stats()
@@ -340,43 +305,44 @@ def test_crash_replay_rebuilds_cache_consistently():
 
     Both workers crash mid-run *after* warm barriers populated their
     caches; the respawned workers rebuild state (cache empty) by exact
-    journal replay.  The recovered deployment's warm snapshot must stay
-    bit-identical to a cache-off single engine at rho=0, and the run
-    must actually have recovered (restarts >= 1).
+    journal replay.  The recovered deployment's snapshots, cold and
+    warm, must match the references at rho=0, and the run must actually
+    have recovered (restarts >= 1).
     """
     pts = clustered_points(140, 2, seed=12)
-    single = _open("full", 2, 0.0, cache=False)
+    single = _open("full", 2, 0.0)
     sharded = api.open(
         algorithm="full",
         eps=_eps(2),
         minpts=MINPTS,
         dim=2,
-        fragment_cache=True,
         shards=2,
         shard_executor="process",
         shard_fault_plan="crash:ingest:2",
     )
+
+    def check():
+        _check_barrier(sharded.snapshot(), coords, 0.0,
+                       single.raw.cgroup_by_sequential(sorted(coords)))
+
     try:
         s_ids = single.ingest(pts[:80])
         g_ids = sharded.ingest(pts[:80])
+        coords = dict(zip(g_ids, pts[:80]))
         # Warm the worker-side caches before the crash.
-        assert _canon_snapshot(sharded.snapshot()) == _canon_snapshot(
-            single.snapshot()
-        )
+        check()
         single.delete_many(s_ids[:10])
         sharded.delete_many(g_ids[:10])
+        for pid in g_ids[:10]:
+            del coords[pid]
         # Second ingest per worker: the plan crashes every shard here,
         # so recovery replays ingest + delete_many before retrying.
         single.ingest(pts[80:])
-        sharded.ingest(pts[80:])
+        coords.update(zip(sharded.ingest(pts[80:]), pts[80:]))
         assert sharded.restarts >= 1
-        assert _canon_snapshot(sharded.snapshot()) == _canon_snapshot(
-            single.snapshot()
-        )
+        check()
         # And the rebuilt cache serves warm barriers correctly too.
-        assert _canon_snapshot(sharded.snapshot()) == _canon_snapshot(
-            single.snapshot()
-        )
+        check()
     finally:
         single.close()
         sharded.close()

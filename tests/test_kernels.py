@@ -1,53 +1,33 @@
-"""Backend-equivalence suite for the pluggable kernel layer.
+"""The kernel layer against first principles.
 
-Every kernel must be bit-identical across backends: counts, booleans,
-proof ids and cell groupings are discrete decisions made from exact
-distances on every backend, and ``distance_matrix`` uses the same
-axis-ordered exact formula everywhere.  The sweep reuses the
-dims {2, 3, 5} / rho {0, 0.001, 0.1} grid of
-``tests/test_query_equivalence.py`` (rho enters a kernel only through
-its radius argument), plus first-principles oracles, the ~64MB chunking
-cap regression, registry/selection behavior, and an end-to-end
-clusterer comparison at rho = 0.
+Every kernel decision must equal the brute-force difference formula
+bit-for-bit: counts, booleans, proof ids and cell groupings are discrete
+decisions made from exact distances, and ``distance_matrix`` evaluates
+the same axis-ordered exact sum per element.  The pair kernels tile
+their operands (``numpy_backend.CACHE_BLOCK_BYTES``), so each check runs
+at the default tile budget and at one shrunk until dozens of tiles are
+crossed.  The sweep reuses the dims {2, 3, 5} / rho {0, 0.001, 0.1}
+grid of ``tests/test_query_equivalence.py`` (rho enters a kernel only
+through its radius argument), plus scalar oracles, the ~64MB chunking
+cap regression, the dispatch table, and an end-to-end clusterer
+comparison at rho = 0.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import accel, interface, numpy_backend, registry
-from repro.geometry.points import sq_dist
+from repro.core.grid import Grid
+from repro.geometry.points import box_min_sq_dist, sq_dist
+from repro.kernels import interface, numpy_backend, registry
 
 DIMS = (2, 3, 5)
 RHOS = (0.0, 0.001, 0.1)
-BACKENDS = ("numpy", "accel")
 EPS = 0.35
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    """Every test leaves the session's backend selection untouched."""
-    previous = kernels.active_backend().requested
-    yield
-    kernels.use_backend(previous)
-
-
-def _tables():
-    """The resolved per-kernel dispatch tables of both backends."""
-    tables = {}
-    prev = kernels.active_backend().requested
-    for name in BACKENDS:
-        kernels.use_backend(name)
-        tables[name] = {k: registry.get_kernel(k) for k in kernels.KERNEL_NAMES}
-    kernels.use_backend(prev)
-    return tables
+#: 512 bytes => 64-entry tiles: dozens of tiles per call.
+TINY_BLOCK_BYTES = 512
 
 
 def _data(dim: int, seed: int, n: int = 220, m: int = 180):
@@ -60,81 +40,92 @@ def _data(dim: int, seed: int, n: int = 220, m: int = 180):
     return a, b
 
 
+def _brute_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every pair's squared distance by the untiled difference formula."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 class TestBackendEquivalence:
-    """Each kernel, numpy vs accel, over the dims x rho grid."""
+    """Each kernel against the brute-force formula over dims x rho."""
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("rho", RHOS)
-    def test_pair_kernels_bit_identical(self, dim, rho):
+    def test_pair_kernels_bit_identical(self, dim, rho, monkeypatch):
         a, b = _data(dim, seed=dim * 7 + int(rho * 1000))
         sq_radius = (EPS * (1.0 + rho)) ** 2
-        tables = _tables()
-        ref, acc = tables["numpy"], tables["accel"]
-        assert np.array_equal(
-            ref["ball_counts"](a, b, sq_radius), acc["ball_counts"](a, b, sq_radius)
-        )
-        assert ref["any_within"](a, b, sq_radius) == acc["any_within"](a, b, sq_radius)
+        within = _brute_sq_dists(a, b) <= sq_radius
         far = np.full((4, dim), 1e6)
-        assert ref["any_within"](a, far, sq_radius) == acc["any_within"](
-            a, far, sq_radius
-        )
-        assert ref["count_within"](a[0], b, sq_radius) == acc["count_within"](
-            a[0], b, sq_radius
-        )
         ids = list(range(100, 100 + len(b)))
-        assert ref["find_within_many"](a, ids, b, sq_radius) == acc[
-            "find_within_many"
-        ](a, ids, b, sq_radius)
+        proofs = [ids[int(np.argmax(row))] if row.any() else None
+                  for row in within]
+        for block_bytes in (numpy_backend.CACHE_BLOCK_BYTES, TINY_BLOCK_BYTES):
+            monkeypatch.setattr(numpy_backend, "CACHE_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(
+                kernels.ball_counts(a, b, sq_radius), within.sum(axis=1)
+            )
+            assert kernels.any_within(a, b, sq_radius) == bool(within.any())
+            assert not kernels.any_within(a, far, sq_radius)
+            # A lone witness deep in a late tile must still be found.
+            assert kernels.any_within(a[-3:], b, sq_radius) == bool(
+                within[-3:].any()
+            )
+            assert kernels.count_within(a[0], b, sq_radius) == int(within[0].sum())
+            assert kernels.find_within_many(a, ids, b, sq_radius) == proofs
 
     @pytest.mark.parametrize("dim", DIMS)
-    def test_distance_matrix_bit_identical(self, dim):
+    def test_distance_matrix_bit_identical(self, dim, monkeypatch):
         a, b = _data(dim, seed=dim + 31)
-        tables = _tables()
-        got_ref = tables["numpy"]["distance_matrix"](a, b)
-        got_acc = tables["accel"]["distance_matrix"](a, b)
-        assert np.array_equal(got_ref, got_acc)
-        assert got_ref.shape == (len(a), len(b))
+        want = _brute_sq_dists(a, b)
+        for block_bytes in (numpy_backend.CACHE_BLOCK_BYTES, TINY_BLOCK_BYTES):
+            monkeypatch.setattr(numpy_backend, "CACHE_BLOCK_BYTES", block_bytes)
+            got = kernels.distance_matrix(a, b)
+            assert got.shape == (len(a), len(b))
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_grouping_kernels_identical(self, dim):
         a, _ = _data(dim, seed=dim + 5)
         a = a * 40.0 - 30.0  # negative coordinates included
-        tables = _tables()
-        for side in (0.7, 3.0):
-            ref = tables["numpy"]["bucket_by_cell"](a, side)
-            acc = tables["accel"]["bucket_by_cell"](a, side)
-            assert [(c, idx.tolist()) for c, idx in ref] == [
-                (c, idx.tolist()) for c, idx in acc
-            ]
+        for eps in (0.7, 3.0):
+            grid = Grid(eps, dim)
+            want = {}
+            for idx, row in enumerate(a.tolist()):
+                want.setdefault(grid.cell_of(row), []).append(idx)
+            got = kernels.bucket_by_cell(a, grid.side)
+            assert [(c, idx.tolist()) for c, idx in got] == sorted(want.items())
         cells = np.floor(a / 0.7).astype(np.int64)
-        assert np.array_equal(
-            tables["numpy"]["pack_cell_keys"](cells),
-            tables["accel"]["pack_cell_keys"](cells),
-        )
+        keys = kernels.pack_cell_keys(cells)
+        # Monotone in the lexicographic cell order, equal only on equal
+        # cells.
+        rows = [tuple(c) for c in cells.tolist()]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        assert np.all(np.diff(keys[order]) >= 0)
+        for i, j in zip(order, order[1:]):
+            assert (keys[i] == keys[j]) == (rows[i] == rows[j])
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_box_kernels_identical(self, dim):
         a, _ = _data(dim, seed=dim + 17)
         lo = np.full(dim, 0.5)
         hi = np.full(dim, 1.2)
-        tables = _tables()
-        assert np.array_equal(
-            tables["numpy"]["box_sq_dists"](a, lo, hi),
-            tables["accel"]["box_sq_dists"](a, lo, hi),
-        )
+        got = kernels.box_sq_dists(a, lo, hi)
+        box = (tuple(lo.tolist()), tuple(hi.tolist()))
+        want = [box_min_sq_dist(box, row) for row in a.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
         deltas = np.floor(a * 5).astype(np.int64) - 3
-        assert np.array_equal(
-            tables["numpy"]["cell_gap_sq_dists"](deltas, 0.9),
-            tables["accel"]["cell_gap_sq_dists"](deltas, 0.9),
+        grid = Grid(0.9, dim)
+        origin = (0,) * dim
+        want = [grid.cell_min_sq_dist(origin, tuple(d)) for d in deltas.tolist()]
+        np.testing.assert_allclose(
+            kernels.cell_gap_sq_dists(deltas, grid.side), want, rtol=1e-15, atol=0
         )
 
 
 class TestAgainstOracles:
-    """The reference backend itself must match scalar first principles."""
+    """The kernels must match scalar first principles."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counts_match_brute_force(self, backend):
-        kernels.use_backend(backend)
+    def test_counts_match_brute_force(self):
         a, b = _data(3, seed=2, n=60, m=45)
         sq_radius = EPS * EPS
         want = np.array(
@@ -147,23 +138,19 @@ class TestAgainstOracles:
         for i in (0, 17, 59):
             for j in (0, 21, 44):
                 # The vectorized accumulation may differ from the scalar
-                # loop in the last ulp; cross-backend bit-identity is the
-                # hard contract (asserted above).
+                # loop in the last ulp; bit-identity with the vectorized
+                # formula is the hard contract (asserted above).
                 want_d = sq_dist(a[i], b[j])
                 assert abs(dm[i, j] - want_d) <= 4 * np.spacing(want_d)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_find_within_many_lowest_index_proof(self, backend):
-        kernels.use_backend(backend)
+    def test_find_within_many_lowest_index_proof(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
         got = kernels.find_within_many(
             np.array([[0.05, 0.0], [4.9, 5.0], [9.0, 9.0]]), [7, 8, 9], pts, 0.25
         )
         assert got == [7, 9, None]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_inputs(self, backend):
-        kernels.use_backend(backend)
+    def test_empty_inputs(self):
         empty = np.empty((0, 2))
         b = np.array([[1.0, 2.0]])
         assert kernels.ball_counts(empty, b, 1.0).tolist() == []
@@ -177,9 +164,7 @@ class TestAgainstOracles:
 class TestChunking:
     """The ~64MB block cap: tiny caps must not change any output."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_blocked_outputs_identical(self, backend, monkeypatch):
-        kernels.use_backend(backend)
+    def test_blocked_outputs_identical(self, monkeypatch):
         a, b = _data(3, seed=9, n=150, m=130)
         sq_radius = EPS * EPS
         ids = list(range(len(b)))
@@ -190,9 +175,8 @@ class TestChunking:
             kernels.count_within(a[0], b, sq_radius),
             kernels.find_within_many(a, ids, b, sq_radius),
         )
-        # 512 bytes => 64-entry blocks: dozens of chunks per call.
-        monkeypatch.setattr(interface, "MAX_BLOCK_BYTES", 512)
-        monkeypatch.setattr(accel, "CACHE_BLOCK_BYTES", 512)
+        # The global cap bounds every tile too: dozens of chunks per call.
+        monkeypatch.setattr(interface, "MAX_BLOCK_BYTES", TINY_BLOCK_BYTES)
         assert np.array_equal(kernels.ball_counts(a, b, sq_radius), want[0])
         assert np.array_equal(kernels.distance_matrix(a, b), want[1])
         assert kernels.any_within(a, b, sq_radius) == want[2]
@@ -205,82 +189,47 @@ class TestChunking:
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        names = kernels.available_backends()
-        assert "numpy" in names and "accel" in names and "auto" in names
+    def test_dispatchers_route_through_get_kernel(self, monkeypatch):
+        """A wrapper over ``registry.get_kernel`` sees every kernel call,
+        including the packing ``bucket_by_cell`` does internally."""
+        seen = []
+        lookup = registry.get_kernel
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.use_backend("cuda")
+        def recording(name):
+            seen.append(name)
+            return lookup(name)
 
-    def test_auto_resolves_to_accel(self):
-        kernels.use_backend("auto")
-        info = kernels.active_backend()
-        assert info.requested == "auto"
-        assert info.resolved == "accel"
-
-    def test_use_backend_returns_previous(self):
-        first = kernels.use_backend("numpy")
-        assert kernels.active_backend_name() == "numpy"
-        assert kernels.use_backend(first) == "numpy"
-
-    def test_per_kernel_fallback(self):
-        """accel deliberately omits grouping kernels: dispatch must fall
-        back to the reference implementation kernel-by-kernel."""
-        assert not accel.BACKEND.provides("bucket_by_cell")
-        assert not accel.BACKEND.provides("pack_cell_keys")
-        kernels.use_backend("accel")
-        assert registry.get_kernel("bucket_by_cell") is numpy_backend.bucket_by_cell
-        assert registry.get_kernel("pack_cell_keys") is numpy_backend.pack_cell_keys
-        assert (
-            registry.get_kernel("ball_counts")
-            is accel.BACKEND.kernels["ball_counts"]
-        )
-        assert "fallback to numpy" in kernels.backend_summary()
-        kernels.use_backend("numpy")
-        assert kernels.backend_summary() == "numpy"
-
-    def test_backend_validates_kernel_names(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.Backend(name="bogus", kernels={"warp_drive": lambda: None})
-
-    def test_env_var_selects_backend(self):
-        """REPRO_BACKEND is honoured at import in a fresh interpreter."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, REPRO_BACKEND="numpy", PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import repro.kernels as k; print(k.active_backend_name())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-        env["REPRO_BACKEND"] = "warp"
-        bad = subprocess.run(
-            [sys.executable, "-c", "import repro.kernels"],
-            env=env, capture_output=True, text=True,
-        )
-        assert bad.returncode != 0
-        assert "REPRO_BACKEND" in bad.stderr
+        monkeypatch.setattr(registry, "get_kernel", recording)
+        a, b = _data(2, seed=4, n=20, m=15)
+        kernels.distance_matrix(a, b)
+        kernels.ball_counts(a, b, 0.1)
+        kernels.any_within(a, b, 0.1)
+        kernels.count_within(a[0], b, 0.1)
+        kernels.find_within_many(a, list(range(len(b))), b, 0.1)
+        kernels.bucket_by_cell(a, 0.5)
+        kernels.box_sq_dists(a, np.zeros(2), np.ones(2))
+        kernels.cell_gap_sq_dists(np.zeros((3, 2), dtype=np.int64), 0.5)
+        assert sorted(set(seen)) == sorted(kernels.KERNEL_NAMES)
 
 
 class TestEndToEnd:
-    """Whole-clusterer equivalence across backends at rho = 0."""
+    """Whole-clusterer results do not depend on the tile budget."""
 
     @pytest.mark.parametrize("dim", DIMS)
-    def test_clusterings_identical_across_backends(self, dim):
+    def test_clusterings_identical_across_tile_sizes(self, dim, monkeypatch):
         from conftest import clustered_points
         from repro.core.fullydynamic import FullyDynamicClusterer
 
         points = clustered_points(200, dim, seed=dim)
-        results = {}
-        for backend in BACKENDS:
-            kernels.use_backend(backend)
+        results = []
+        for block_bytes in (numpy_backend.CACHE_BLOCK_BYTES, TINY_BLOCK_BYTES):
+            monkeypatch.setattr(numpy_backend, "CACHE_BLOCK_BYTES", block_bytes)
             algo = FullyDynamicClusterer(2.0, 5, rho=0.0, dim=dim)
             pids = algo.insert_many(points)
             algo.delete_many(pids[::4])
             result = algo.cgroup_by_many(list(algo.ids()))
-            results[backend] = (result.groups, result.noise)
-        assert results["numpy"] == results["accel"]
+            results.append((result.groups, result.noise))
+        assert results[0] == results[1]
 
     def test_run_result_records_backend(self):
         from repro.core.semidynamic import SemiDynamicClusterer
@@ -288,7 +237,6 @@ class TestEndToEnd:
         from repro.workload.workload import generate_workload
 
         workload = generate_workload(60, 2, insert_fraction=1.0, seed=3)
-        kernels.use_backend("numpy")
         result = run_workload_batched(
             SemiDynamicClusterer(150.0, 5, dim=2), workload, batch_size=16
         )

@@ -22,7 +22,6 @@ from repro.__main__ import build_parser, flag
 from repro.api.config import KNOBS, SHARD_EXECUTOR_CHOICES
 from repro.errors import ConfigError
 from repro.service import ServiceLimits
-from repro.workload.config import backend_name
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -82,13 +81,12 @@ def test_readme_tables_match_their_source(name, render):
 
 
 # Every flag of every subcommand, with its default, as the knob table
-# replaced the hand-written engine flags.  ``--backend`` defaults to
-# the REPRO_BACKEND selection; None stands in for it below.
+# replaced the hand-written engine flags.
 EXPECTED_FLAGS = {
     "bench": {
-        "--arrival": "burst", "--backend": None, "--batch-size": None,
+        "--arrival": "burst", "--batch-size": None,
         "--dim": 2, "--eps": None, "--eps-per-d": 100, "--format": "text",
-        "--fragment-cache": None, "--insert-fraction": 5 / 6,
+        "--insert-fraction": 5 / 6,
         "--minpts": 10, "--n": 2000, "--query-freq": 0.05, "--rho": 0.001,
         "--scenario": "mixed", "--seed": 42, "--semi": False,
         "--shard-call-timeout": None, "--shard-executor": "serial",
@@ -98,7 +96,7 @@ EXPECTED_FLAGS = {
     },
     "serve": {
         "--algorithm": "full", "--allow-shutdown-op": False,
-        "--backend": None, "--dim": 2, "--drain-timeout": 30.0,
+        "--dim": 2, "--drain-timeout": 30.0,
         "--eps": None, "--eps-per-d": 100, "--host": "127.0.0.1",
         "--max-inflight": 256, "--max-sessions": 64,
         "--max-write-buffer": 1 << 20, "--minpts": 10, "--port": 7171,
@@ -130,21 +128,14 @@ def test_subcommand_flags_and_defaults_are_pinned(command):
         for a in parser._actions
         if not isinstance(a, argparse._HelpAction)
     }
-    expected = dict(EXPECTED_FLAGS[command])
-    if "--backend" in expected:
-        expected["--backend"] = backend_name()
-    assert got == expected
+    assert got == EXPECTED_FLAGS[command]
     # Every flag is documented in --help.
     text = parser.format_help()
     for option in got:
         assert option in text
 
 
-# REPRO_BACKEND is read once, by repro.kernels at import
-# (tests/test_kernels.py covers it in a fresh interpreter).
-@pytest.mark.parametrize(
-    "name", [n for n, row in KNOBS.items() if row.env and n != "backend"]
-)
+@pytest.mark.parametrize("name", [n for n, row in KNOBS.items() if row.env])
 def test_bad_environment_value_names_its_variable(monkeypatch, name):
     row = KNOBS[name]
     monkeypatch.setenv(row.env, "%no such value%")

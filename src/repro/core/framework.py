@@ -401,22 +401,30 @@ class GridClusterer(SequentialBulkMixin):
         probes: List[Tuple[int, Cell]] = []
         cc_cache: Dict[Cell, Hashable] = {}
         key_of = self._cc_id if key is None else key
+
+        def cc(gcell: Cell) -> Hashable:
+            cid = cc_cache.get(gcell)
+            if cid is None:
+                cid = cc_cache[gcell] = key_of(gcell)
+            return cid
+
         for cell, idxs in bucket_by_cell(arr, self._grid.side):
             data = self._cells[cell]
             cell_ids = pid_arr[idxs]
             cacheable = len(cell_ids) == len(data.points)  # type: ignore[attr-defined]
             frag = cache.lookup_membership(cell) if cacheable else None
             if frag is None:
+                # A partial bucket is never cached, so when its result
+                # is keyed by component it may skip a probe against a
+                # component its point already holds.
                 frag = self._resolve_cell_fragment(
-                    cell, data, cell_ids, arr[idxs], trust
+                    cell, data, cell_ids, lambda idxs=idxs: arr[idxs], trust,
+                    cc if key is None and not cacheable else None,
                 )
                 if cacheable:
                     cache.store_membership(cell, frag)
             for gcell, member_ids in frag.members.items():
-                cid = cc_cache.get(gcell)
-                if cid is None:
-                    cid = cc_cache[gcell] = key_of(gcell)
-                group_parts.setdefault(cid, []).append(member_ids)
+                group_parts.setdefault(cc(gcell), []).append(member_ids)
             noise.extend(frag.noise)
             probes.extend(frag.probes)
         return group_parts, noise, probes
@@ -426,16 +434,23 @@ class GridClusterer(SequentialBulkMixin):
         cell: Cell,
         data: object,
         cell_ids: np.ndarray,
-        cell_coords: np.ndarray,
+        cell_coords: Callable[[], np.ndarray],
         trust: Optional[Callable[[Cell], bool]],
+        cc: Optional[Callable[[Cell], Hashable]] = None,
     ) -> CellFragment:
         """Resolve one cell bucket into a granting-cell-keyed fragment.
 
-        The per-cell core of the batched query engine.  Every close
-        trusted core cell is probed (no same-component skip): a fragment
-        must be complete per *cell* so it stays valid while the global
+        The per-cell core of the batched query engine.  ``cell_coords``
+        returns the coordinates of ``cell_ids`` row for row; it is only
+        called when some queried point is non-core.  Without ``cc``
+        every close trusted core cell is probed: a cached fragment must
+        be complete per *cell* so it stays valid while the global
         component structure drifts around it, and so the shard merge can
-        apply its own global components to it.
+        apply its own global components to it.  With ``cc`` (the
+        component of a core cell) a point skips the probe against a cell
+        whose component it already holds; the fragment is then complete
+        only per component, which is all an uncached, component-keyed
+        result needs.
         """
         core_set = data.core  # type: ignore[attr-defined]
         if len(core_set) == len(data.points):  # type: ignore[attr-defined]
@@ -461,12 +476,18 @@ class GridClusterer(SequentialBulkMixin):
                 if core_set
                 else {pid: set() for pid in noncore_q}
             )
-            q_arr = (
-                cell_coords
-                if len(noncore_q) == len(cell_pids)
-                else cell_coords[
+            q_arr = cell_coords()
+            if len(noncore_q) < len(cell_pids):
+                q_arr = q_arr[
                     [k for k, pid in enumerate(cell_pids) if pid not in core_set]
                 ]
+            # Components each point already holds (only with ``cc``).
+            held: Dict[int, Set[Hashable]] = (
+                {}
+                if cc is None
+                else {
+                    pid: {cc(cell)} if core_set else set() for pid in noncore_q
+                }
             )
             for other in sorted(data.neighbors):  # type: ignore[attr-defined]
                 if trust is not None and not trust(other):
@@ -480,10 +501,24 @@ class GridClusterer(SequentialBulkMixin):
                 odata = self._cells[other]
                 if not odata.core:  # type: ignore[attr-defined]
                     continue
-                proofs = odata.emptiness.empty_many(q_arr)  # type: ignore[attr-defined]
-                for pid, proof in zip(noncore_q, proofs):
+                todo_pids, todo_arr = noncore_q, q_arr
+                if cc is not None:
+                    ocid = cc(other)
+                    rows = [
+                        k for k, pid in enumerate(noncore_q)
+                        if ocid not in held[pid]
+                    ]
+                    if not rows:
+                        continue
+                    if len(rows) < len(noncore_q):
+                        todo_pids = [noncore_q[k] for k in rows]
+                        todo_arr = q_arr[rows]
+                proofs = odata.emptiness.empty_many(todo_arr)  # type: ignore[attr-defined]
+                for pid, proof in zip(todo_pids, proofs):
                     if proof is not None:
                         membership[pid].add(other)
+                        if cc is not None:
+                            held[pid].add(ocid)
             for pid in noncore_q:
                 granting = membership[pid]
                 if not granting:
@@ -690,7 +725,7 @@ class GridClusterer(SequentialBulkMixin):
                 )
                 coords = np.array(list(pts.values()), dtype=float)
                 frag = self._resolve_cell_fragment(
-                    cell, data, cell_ids, coords, None
+                    cell, data, cell_ids, lambda: coords, None
                 )
                 cache.store_membership(cell, frag)
             for gcell, member_ids in frag.members.items():
@@ -762,6 +797,28 @@ class GridClusterer(SequentialBulkMixin):
             self._points[self._next_id] = pt
             self._next_id += 1
         return base, arr, tuples
+
+    def _stored_coords(self, pids: Sequence[int]) -> np.ndarray:
+        """Coordinates of live ids as an ``(n, dim)`` array."""
+        points = self._points
+        return np.array(
+            [points[pid] for pid in pids], dtype=float
+        ).reshape(-1, self.dim)
+
+    def _batch_coords(
+        self, pids: np.ndarray, base: int, arr: np.ndarray
+    ) -> np.ndarray:
+        """Coordinates of ``pids`` while the batch ``arr`` is being applied.
+
+        ``arr`` was registered from id ``base`` on (see
+        :meth:`_register_batch`), so its ids are sliced from it; only
+        older ids are looked up in the point store.
+        """
+        new = pids >= base
+        out = np.empty((len(pids), self.dim), dtype=float)
+        out[new] = arr[pids[new] - base]
+        out[~new] = self._stored_coords(pids[~new].tolist())
+        return out
 
     def _cell_coords(
         self, cell: Cell, cache: Dict[Cell, np.ndarray]

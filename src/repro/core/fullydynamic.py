@@ -11,6 +11,15 @@ witness pair.  The CC structure is pluggable — Holm–de Lichtenberg–Thorup
 dynamic connectivity by default (the paper's choice), or the naive BFS
 structure for ablation.
 
+Updates move core points in batches of one cell: ``_promote_many`` and
+``_demote_many`` are the only promote and demote paths (the sequential
+``insert`` / ``delete`` pass one-element or per-cell batches).  Each
+appends to or removes from the cell's flat emptiness store once and
+notifies each aBCP instance of the cell once, so a bulk update repairs an
+instance at most once per cell, not once per point.  ``delete_many``
+groups its batch by cell with one vectorized floor and reuses that
+grouping for the fragment-cache invalidation.
+
 Exact DBSCAN is the ``rho = 0`` instantiation — ``full_exact_2d`` below is
 the paper's *2d-Full-Exact*, and ``double_approx`` the paper's
 *Double-Approx*.
@@ -123,35 +132,46 @@ class FullyDynamicClusterer(GridClusterer):
     # Updates
     # ------------------------------------------------------------------
 
-    def insert(self, point: Sequence[float]) -> int:
-        pid, pt = self._register_point(point)
-        cell = self._grid.cell_of(pt)
+    def _cell_for(self, cell: Cell) -> _FullCell:
+        """The state of ``cell``, registered and neighbor-linked if new."""
         data: Optional[_FullCell] = self._cells.get(cell)  # type: ignore[assignment]
         if data is None:
             data = _FullCell(self.dim, self.eps, self.rho)
             data.neighbors = self._discover_neighbors(cell)
             self._cells[cell] = data
+        return data
+
+    def insert(self, point: Sequence[float]) -> int:
+        pid, pt = self._register_point(point)
+        cell = self._grid.cell_of(pt)
+        data = self._cell_for(cell)
         data.points[pid] = pt
         data.counter.insert(pid, pt)
         data.noncore.add(pid)
 
-        if len(data.points) >= self.minpts or self._approx_count(pt, data) >= self.minpts:
-            self._promote(pid, cell, data)
+        minpts = self.minpts
+        if len(data.points) >= minpts or self._approx_count(pt, data) >= minpts:
+            self._promote_many([pid], [pt], cell, data)
 
         # The insertion can only create core points nearby; recheck them.
+        # A promotion changes no count, so each cell promotes in one batch.
         for other in (cell, *data.neighbors):
             odata: _FullCell = self._cells[other]  # type: ignore[assignment]
             if not odata.noncore:
                 continue
-            if len(odata.points) >= self.minpts:
-                for q in list(odata.noncore):
-                    self._promote(q, other, odata)
+            if len(odata.points) >= minpts:
+                chosen = sorted(odata.noncore)
             else:
-                for q in list(odata.noncore):
-                    if q == pid:
-                        continue
-                    if self._approx_count(odata.points[q], odata) >= self.minpts:
-                        self._promote(q, other, odata)
+                chosen = sorted(
+                    q
+                    for q in odata.noncore
+                    if q != pid
+                    and self._approx_count(odata.points[q], odata) >= minpts
+                )
+            if chosen:
+                self._promote_many(
+                    chosen, [odata.points[q] for q in chosen], other, odata
+                )
         # After linking: promotions reach one closeness step out at most,
         # so touching the insertion cell covers every changed cell.
         self._touch_cells((cell,))
@@ -164,11 +184,12 @@ class FullyDynamicClusterer(GridClusterer):
         first; core status is then decided in one pass over the affected
         cell-neighborhoods from exact numpy ball counts (a legal
         instantiation of the approximate range-count contract, and with
-        ``rho = 0`` identical to it).  Promotions replay through
-        ``_promote`` in deterministic order, which keeps the aBCP
-        instances and the CC structure exactly as maintained by the
-        sequential path.  Insertions only create core points, so one
-        final pass reaches the sequential fixpoint.
+        ``rho = 0`` identical to it).  Each cell promotes its new core
+        points in one ``_promote_many`` (cells in lexicographic order,
+        ids ascending), which keeps the aBCP instances and the CC
+        structure exactly as maintained by the sequential path.
+        Insertions only create core points, so one final pass reaches
+        the sequential fixpoint.
         """
         base, arr, tuples = self._register_batch(points)
         if not tuples:
@@ -177,15 +198,10 @@ class FullyDynamicClusterer(GridClusterer):
 
         buckets = bucket_by_cell(arr, self._grid.side)
         for cell, idxs in buckets:
-            data: Optional[_FullCell] = self._cells.get(cell)  # type: ignore[assignment]
-            if data is None:
-                data = _FullCell(self.dim, self.eps, self.rho)
-                data.neighbors = self._discover_neighbors(cell)
-                self._cells[cell] = data
+            data = self._cell_for(cell)
             items = [(base + i, tuples[i]) for i in idxs.tolist()]
-            for pid, pt in items:
-                data.points[pid] = pt
-                data.noncore.add(pid)
+            data.points.update(items)
+            data.noncore.update(pid for pid, _ in items)
             data.counter.insert_many(items)
 
         # The batch can only create core points in the affected cells and
@@ -198,33 +214,31 @@ class FullyDynamicClusterer(GridClusterer):
             data = self._cells[cell]  # type: ignore[assignment]
             if not data.noncore:
                 continue
-            if len(data.points) >= minpts:
-                self._promote_many(sorted(data.noncore), cell, data)
-                continue
-            noncore = sorted(data.noncore)
-            q_arr = np.array([data.points[pid] for pid in noncore])
-            counts = ball_counts(
-                q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
-            )
-            chosen = [
-                pid
-                for pid, count in zip(noncore, counts.tolist())
-                if count >= minpts
-            ]
-            if chosen:
-                self._promote_many(chosen, cell, data)
+            noncore = np.array(sorted(data.noncore), dtype=np.int64)
+            q_arr = self._batch_coords(noncore, base, arr)
+            if len(data.points) < minpts:
+                counts = ball_counts(
+                    q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
+                )
+                chosen = counts >= minpts
+                if not chosen.any():
+                    continue
+                noncore, q_arr = noncore[chosen], q_arr[chosen]
+            self._promote_many(noncore.tolist(), q_arr, cell, data)
         self._touch_cells([cell for cell, _ in buckets])
         return list(range(base, base + len(tuples)))
 
     def delete_many(self, pids: Iterable[int]) -> None:
         """Vectorized bulk deletion, equivalent to sequential ``delete``.
 
-        All points leave the registries and counters first (cores demote
-        through ``_demote``, maintaining aBCP and connectivity); survivor
-        core status is then rechecked in one pass over the affected
-        cell-neighborhoods with exact numpy ball counts.  Deletions only
-        destroy core points, so one final pass reaches the sequential
-        fixpoint.
+        The batch is grouped by cell once (one vectorized floor); each
+        cell's points leave its registries and counter, and its core
+        points demote in one ``_demote_many``, so every aBCP instance
+        is repaired at most once per cell.  Survivor core status is then
+        rechecked in one pass over the affected cell-neighborhoods with
+        exact numpy ball counts, again demoting per cell.  Deletions
+        only destroy core points, so one final pass reaches the
+        sequential fixpoint.
         """
         pid_list = list(pids)
         if not pid_list:
@@ -237,22 +251,24 @@ class FullyDynamicClusterer(GridClusterer):
                 f"point id(s) {sorted(set(dead))} are not live; "
                 f"the batch was rejected before deleting anything"
             )
+        pid_arr = np.asarray(pid_list, dtype=np.int64)
+        buckets = bucket_by_cell(self._stored_coords(pid_list), self._grid.side)
+        affected = [cell for cell, _ in buckets]
         # Invalidate before any removal: emptied cells are unlinked below,
         # and the rings need the neighbor links still intact.
-        self._touch_cells(
-            {self._grid.cell_of(self._points[pid]) for pid in pid_list}
-        )
-        affected: Set[Cell] = set()
-        for pid in pid_list:
-            cell = self._grid.cell_of(self._points[pid])
+        self._touch_cells(affected)
+        for cell, idxs in buckets:
             data: _FullCell = self._cells[cell]  # type: ignore[assignment]
-            del data.points[pid]
-            data.counter.delete(pid)
-            if pid in data.core:
-                self._demote(pid, cell, data)
-            else:
-                data.noncore.discard(pid)
-            affected.add(cell)
+            core_gone: List[int] = []
+            for pid in pid_arr[idxs].tolist():
+                del data.points[pid]
+                data.counter.delete(pid)
+                if pid in data.core:
+                    core_gone.append(pid)
+                else:
+                    data.noncore.discard(pid)
+            if core_gone:
+                self._demote_many(core_gone, cell, data)
 
         # The batch can only destroy core points in the affected cells
         # and their close cells; recheck every core point there.
@@ -265,16 +281,18 @@ class FullyDynamicClusterer(GridClusterer):
             data = self._cells[cell]  # type: ignore[assignment]
             if len(data.points) >= minpts or not data.core:
                 continue
-            core = sorted(data.core)
-            q_arr = np.array([data.points[pid] for pid in core])
+            assert data.emptiness is not None
+            core_ids, core_coords = data.emptiness.arrays()
             counts = ball_counts(
-                q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
+                core_coords,
+                self._neighborhood_coords(cell, coords_cache),
+                self._sq_eps,
             )
-            for pid, count in zip(core, counts.tolist()):
-                if count < minpts:
-                    self._demote(pid, cell, data)
+            doomed = core_ids[counts < minpts]
+            if len(doomed):
+                self._demote_many(doomed.tolist(), cell, data)
 
-        for cell in sorted(affected):
+        for cell in affected:
             if not self._cells[cell].points:  # type: ignore[attr-defined]
                 self._unlink_cell(cell)
         for pid in pid_list:
@@ -288,22 +306,27 @@ class FullyDynamicClusterer(GridClusterer):
         # Invalidate before any removal (the cell may be unlinked below).
         self._touch_cells((cell,))
         data: _FullCell = self._cells[cell]  # type: ignore[assignment]
-        was_core = pid in data.core
         del data.points[pid]
         data.counter.delete(pid)
-        if was_core:
-            self._demote(pid, cell, data)
+        if pid in data.core:
+            self._demote_many([pid], cell, data)
         else:
             data.noncore.discard(pid)
 
         # The deletion can only destroy core points nearby; recheck them.
+        # A demotion changes no count, so each cell demotes in one batch.
+        minpts = self.minpts
         for other in (cell, *data.neighbors):
             odata: _FullCell = self._cells[other]  # type: ignore[assignment]
-            if len(odata.points) >= self.minpts or not odata.core:
+            if len(odata.points) >= minpts or not odata.core:
                 continue
-            for q in list(odata.core):
-                if self._approx_count(odata.points[q], odata) < self.minpts:
-                    self._demote(q, other, odata)
+            doomed = sorted(
+                q
+                for q in odata.core
+                if self._approx_count(odata.points[q], odata) < minpts
+            )
+            if doomed:
+                self._demote_many(doomed, other, odata)
 
         if not data.points:
             self._unlink_cell(cell)
@@ -316,61 +339,37 @@ class FullyDynamicClusterer(GridClusterer):
     def _coords(self, pid: int) -> Point:
         return self._points[pid]
 
-    def _promote(self, pid: int, cell: Cell, data: _FullCell) -> None:
-        """Non-core -> core transition."""
-        data.noncore.discard(pid)
-        data.core.add(pid)
-        pt = data.points[pid]
-        if data.emptiness is None:
-            data.emptiness = EmptinessStructure(self.dim, self.eps, self.rho)
-        data.emptiness.insert(pid, pt)
-        data.core_log.append(pid)
-        if len(data.core) == 1:
-            # The cell just became a core cell: join the grid graph and
-            # open an aBCP instance against every close core cell.
-            self._conn.add_vertex(cell)
-            for other in data.neighbors:
-                odata: _FullCell = self._cells[other]  # type: ignore[assignment]
-                if not odata.core:
-                    continue
-                assert odata.emptiness is not None
-                instance = self._make_bcp(data, odata)
-                data.abcp[other] = (instance, SIDE_A)
-                odata.abcp[cell] = (instance, SIDE_B)
-                if instance.has_witness:
-                    self._conn.insert_edge(cell, other)
-        else:
-            for other, (instance, side) in data.abcp.items():
-                had = instance.has_witness
-                instance.insert(pid, side)
-                if instance.has_witness and not had:
-                    self._conn.insert_edge(cell, other)
+    def _promote_many(
+        self,
+        pids: List[int],
+        coords: Sequence[Sequence[float]],
+        cell: Cell,
+        data: _FullCell,
+    ) -> None:
+        """Non-core -> core for a batch of one cell's points.
 
-    def _promote_many(self, pids: Sequence[int], cell: Cell, data: _FullCell) -> None:
-        """Promote a whole batch of one cell's points at once.
-
-        Equivalent to calling :meth:`_promote` on each pid in order, but
-        the emptiness structure takes one buffered bulk insert instead of
-        per-point tree descents, and when the cell just became a core
-        cell its aBCP instances are opened once over the full batch (the
-        instance constructor's initial scan subsumes the per-point
-        ``insert`` notifications).
+        ``coords`` holds the points' coordinates row for row (an array
+        or a list of points).  The emptiness structure takes one bulk
+        append.  When the cell just became a core cell, its aBCP
+        instances are opened over the full batch (the constructor's
+        initial scan covers every new point); otherwise each instance is
+        notified once for the whole batch.
         """
         if data.emptiness is None:
             data.emptiness = EmptinessStructure(self.dim, self.eps, self.rho)
         was_core = bool(data.core)
-        for pid in pids:
-            data.noncore.discard(pid)
-            data.core.add(pid)
-        data.emptiness.insert_many([(pid, data.points[pid]) for pid in pids])
+        data.noncore.difference_update(pids)
+        data.core.update(pids)
+        data.emptiness.insert_many(pids, coords)
         data.core_log.extend(pids)
         if not was_core:
+            # The cell just became a core cell: join the grid graph and
+            # open an aBCP instance against every close core cell.
             self._conn.add_vertex(cell)
             for other in sorted(data.neighbors):
                 odata: _FullCell = self._cells[other]  # type: ignore[assignment]
                 if not odata.core:
                     continue
-                assert odata.emptiness is not None
                 instance = self._make_bcp(data, odata)
                 data.abcp[other] = (instance, SIDE_A)
                 odata.abcp[cell] = (instance, SIDE_B)
@@ -379,22 +378,27 @@ class FullyDynamicClusterer(GridClusterer):
         else:
             for other, (instance, side) in data.abcp.items():
                 had = instance.has_witness
-                for pid in pids:
-                    instance.insert(pid, side)
+                instance.insert_many(pids, side)
                 if instance.has_witness and not had:
                     self._conn.insert_edge(cell, other)
 
-    def _demote(self, pid: int, cell: Cell, data: _FullCell) -> None:
-        """Core -> non-core transition (or core point leaving entirely)."""
-        data.core.discard(pid)
-        if pid in data.points:
-            data.noncore.add(pid)
+    def _demote_many(self, pids: List[int], cell: Cell, data: _FullCell) -> None:
+        """Core -> non-core (or leaving entirely) for a batch of one cell.
+
+        Points still in the cell become non-core.  The emptiness
+        structure drops the batch at once; then each aBCP instance is
+        repaired once, or, if the cell lost its last core point, torn
+        down.
+        """
+        data.core.difference_update(pids)
+        points = data.points
+        data.noncore.update(pid for pid in pids if pid in points)
         assert data.emptiness is not None
-        data.emptiness.delete(pid)
+        data.emptiness.delete_many(pids)
         if data.core:
             for other, (instance, side) in data.abcp.items():
                 had = instance.has_witness
-                instance.delete(pid, side)
+                instance.delete_many(pids, side)
                 if had and not instance.has_witness:
                     self._conn.delete_edge(cell, other)
         else:

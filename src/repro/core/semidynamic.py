@@ -190,25 +190,24 @@ class SemiDynamicClusterer(GridClusterer):
         # then add GUM edges with one vectorized witness check per close
         # core-cell pair (the exact eps test — a legal instantiation of
         # the approximate emptiness contract).
+        new_core_of: Dict[Cell, np.ndarray] = {}
         for cell in sorted(promote_by_cell):
             data = self._cells[cell]  # type: ignore[assignment]
-            pids = promote_by_cell[cell] = sorted(promote_by_cell[cell])
+            pids = sorted(promote_by_cell[cell])
             if data.emptiness is None:
                 data.emptiness = EmptinessStructure(self.dim, self.eps, self.rho)
             had_core = bool(data.core)
+            data.noncore.difference_update(pids)
+            data.core.update(pids)
             for pid in pids:
-                data.noncore.discard(pid)
-                data.core.add(pid)
                 vincnt.pop(pid, None)
-            data.emptiness.insert_many([(pid, data.points[pid]) for pid in pids])
+            pid_arr = np.asarray(pids, dtype=np.int64)
+            new_core = new_core_of[cell] = self._batch_coords(pid_arr, base, arr)
+            data.emptiness.insert_many(pid_arr, new_core)
             if not had_core:
                 self._uf.add(cell)
-        core_cache: Dict[Cell, np.ndarray] = {}
-        for cell in sorted(promote_by_cell):
+        for cell, new_core in new_core_of.items():
             data = self._cells[cell]  # type: ignore[assignment]
-            new_core = np.array(
-                [data.points[pid] for pid in promote_by_cell[cell]]
-            )
             cell_lo, cell_hi = (np.array(b) for b in self._grid.cell_box(cell))
             for other in sorted(data.neighbors):
                 odata: _SemiCell = self._cells[other]  # type: ignore[assignment]
@@ -227,11 +226,7 @@ class SemiDynamicClusterer(GridClusterer):
                 ]
                 if not len(near_new):
                     continue
-                other_core = core_cache.get(other)
-                if other_core is None:
-                    other_core = core_cache[other] = np.array(
-                        [odata.points[pid] for pid in sorted(odata.core)]
-                    )
+                _ids, other_core = odata.emptiness.arrays()
                 near_other = other_core[
                     box_sq_dists(other_core, cell_lo, cell_hi) <= sq_eps
                 ]

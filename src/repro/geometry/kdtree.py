@@ -1,10 +1,16 @@
 """A dynamic kd-tree with bucket leaves and periodic rebuilding.
 
-This is the workhorse behind the per-cell emptiness structures (Section 4.2
-of the paper) and the approximate range counter (Section 7.3).  The paper
-plugs in the structures of Arya et al. and Mount & Park; we substitute a
+This is the index behind the approximate range counter (Section 7.3),
+where the paper plugs in the structure of Mount & Park; we substitute a
 kd-tree whose query procedures honour exactly the same *approximate
-contracts*, which is all the grid-graph framework requires (see DESIGN.md).
+contract*, which is all the grid-graph framework requires (see DESIGN.md).
+The per-cell emptiness structures of Section 4.2 do not use it: a cell
+holds few points, so they are flat arrays scanned exactly
+(:mod:`repro.geometry.emptiness`).  The bulk update paths never query a
+range counter, so on them the tree is never built; it serves the
+sequential ``insert``/``delete`` paths.  ``find_within`` and
+``find_within_many`` keep the emptiness contract for the tree's own
+tests and the per-layer tracer's hooks.
 
 Key operations:
 
@@ -489,8 +495,8 @@ class DeferredKDTree:
     build.  A buffered point that is deleted before any query never
     touches the tree at all, which is what keeps ingest-then-evict
     batches index-free.  Point-at-a-time ``insert`` stays eager, so
-    sequential update paths behave exactly as before.  Shared base of
-    the per-cell emptiness structure and approximate range counter.
+    sequential update paths behave exactly as before.  Base of the
+    approximate range counter.
     """
 
     def __init__(self, dim: int) -> None:

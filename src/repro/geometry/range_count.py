@@ -31,8 +31,7 @@ from repro.geometry.kdtree import DeferredKDTree
 
 #: At or below this many stored points (with the write-behind buffer
 #: non-empty) ``count`` answers with one exact kernel pass instead of
-#: flushing the buffer into the kd-tree — the counting twin of the
-#: emptiness structure's matrix path.
+#: flushing the buffer into the kd-tree.
 _MATRIX_CUTOFF = 128
 
 

@@ -29,8 +29,9 @@ Kernel contracts
     around the single point ``q``.  Exact.
 
 ``find_within_many(qs, ids, pts, sq_radius) -> list[Optional[int]]``
-    For each query row, ``ids[j]`` of some row ``pts[j]`` within the
-    ball, else ``None``.  Proofs are the lowest-index match
+    For each query row, ``ids[j]`` (as a Python int) of some row
+    ``pts[j]`` within the ball, else ``None``; ``ids`` is a sequence or
+    an int64 array.  Proofs are the lowest-index match
     (deterministic); membership decisions are exact.
 
 ``bucket_by_cell(arr, side) -> list[(cell, indices)]``

@@ -187,19 +187,24 @@ def find_within_many(
     Distances use the exact difference formula (the vectorized twin of
     ``sq_dist``, summing coordinates in the same order), so membership
     decisions are bit-identical to scalar comparisons.  Proofs are the
-    lowest-index match, which makes the output deterministic.
+    lowest-index match, which makes the output deterministic, and come
+    back as Python ints whether ``ids`` is a sequence or an array.
     """
     out: List[Optional[int]] = [None] * len(qs)
     if len(qs) == 0 or len(ids) == 0:
         return out
-    per_row = len(ids) * qs.shape[1]
+    id_arr = np.asarray(ids, dtype=np.int64)
+    per_row = len(id_arr) * qs.shape[1]
     chunk = max(1, interface.max_block_entries() // per_row)
     for start in range(0, len(qs), chunk):
         block = qs[start : start + chunk]
         diff = block[:, None, :] - pts[None, :, :]
         hit = np.einsum("ijk,ijk->ij", diff, diff) <= sq_radius
-        for row in np.nonzero(hit.any(axis=1))[0].tolist():
-            out[start + row] = ids[int(np.argmax(hit[row]))]
+        found = hit.any(axis=1).tolist()
+        proofs = id_arr[hit.argmax(axis=1)].tolist()
+        for row, (ok, proof) in enumerate(zip(found, proofs), start):
+            if ok:
+                out[row] = proof
     return out
 
 

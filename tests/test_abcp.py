@@ -7,7 +7,7 @@ from typing import Dict
 
 import pytest
 
-from repro.core.abcp import ABCPInstance, RescanBCP, SIDE_A, SIDE_B
+from repro.core.abcp import ABCPInstance, RescanBCP, SuffixABCP, SIDE_A, SIDE_B
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import sq_dist
 
@@ -227,3 +227,82 @@ class TestRandomizedContract:
                 inst.insert(pid, side)
                 inserts += 1
             assert len(inst._pending) <= inserts
+
+
+class TestBatchUpdates:
+    """``insert_many`` / ``delete_many``: one repair per batch, and the
+    witness exists exactly while a pair within eps does (rho = 0)."""
+
+    def _make(self, h: Harness, cls, logs):
+        if cls is SuffixABCP:
+            return cls(h.empt[0], h.empt[1], h.coords.__getitem__, *logs)
+        return h.make(cls)
+
+    @pytest.mark.parametrize("cls", [ABCPInstance, SuffixABCP, RescanBCP])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_batches_track_exact_pair_existence(self, cls, seed):
+        rng = random.Random(seed)
+        h = Harness(eps=1.0, rho=0.0)
+        logs = ([], [])
+        for _ in range(rng.randrange(8)):
+            side = rng.randrange(2)
+            x = rng.uniform(0, 1) if side == SIDE_A else rng.uniform(1.2, 2.2)
+            logs[side].append(h.add(side, (x, rng.uniform(0, 2))))
+        inst = self._make(h, cls, logs)
+        assert inst.has_witness == h.exists_tight_pair()
+        for _ in range(120):
+            side = rng.randrange(2)
+            mine = [pid for pid, s in h.side_of.items() if s == side]
+            if mine and rng.random() < 0.5:
+                gone = rng.sample(mine, rng.randint(1, len(mine)))
+                for pid in gone:
+                    h.remove(pid)
+                inst.delete_many(gone, side)
+            else:
+                new = []
+                for _ in range(rng.randint(1, 5)):
+                    x = rng.uniform(0, 1) if side == SIDE_A else rng.uniform(1.2, 2.2)
+                    new.append(h.add(side, (x, rng.uniform(0, 2))))
+                logs[side].extend(new)
+                inst.insert_many(new, side)
+            h.check_contract(inst)
+            assert inst.has_witness == h.exists_tight_pair()
+
+    def test_delete_many_repairs_once(self):
+        """Removing the witness and its replacements in one batch costs
+        one emptiness query for the repair, not one per removed point."""
+        h = Harness()
+        a = [h.add(SIDE_A, (0.0, 0.1 * k)) for k in range(4)]
+        h.add(SIDE_B, (0.5, 0.0))
+        inst = h.make()
+        assert inst.witness[SIDE_A] == a[0]
+        calls = []
+        h.empt = (_Counting(h.empt[SIDE_A], calls), h.empt[SIDE_B])
+        inst._empt = h.empt
+        gone = a[:3]
+        for pid in gone:
+            h.remove(pid)
+        inst.delete_many(gone, SIDE_A)
+        assert inst.witness == (a[3], inst.witness[SIDE_B])
+        assert len(calls) == 1
+
+
+class _Counting:
+    """Proxy over an emptiness structure that records ``empty`` calls."""
+
+    def __init__(self, inner, calls):
+        self._inner = inner
+        self._calls = calls
+
+    def empty(self, q):
+        self._calls.append(q)
+        return self._inner.empty(q)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __len__(self):
+        return len(self._inner)
+
+    def __contains__(self, pid):
+        return pid in self._inner

@@ -22,12 +22,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
+from repro.baselines.static_dbscan import dbscan_brute
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.core.semidynamic import SemiDynamicClusterer
+from repro.validation import check_invariants
 from repro.validation.sandwich import check_sandwich
 from repro.workload.workload import batch_ops, generate_workload
 
-from conftest import clustered_points, random_points
+from conftest import assert_matches_static, clustered_points, random_points
 
 Point = Tuple[float, ...]
 
@@ -220,6 +222,55 @@ class TestFullyDynamicBulk:
         bat_new = bat.insert_many(revived)
         assert seq_new == bat_new
         assert _canonical(seq) == _canonical(bat)
+
+
+class TestFullyDynamicBulkVariants:
+    """Every aBCP variant and CC structure through the bulk paths.
+
+    Rounds of ``insert_many`` and ``delete_many`` on one clusterer; after
+    each call the clustering must equal exact DBSCAN (rho = 0) or pass
+    the sandwich check (rho > 0), and the internal invariants hold.  The
+    points are spread thin enough that close core cells often lack a
+    witness, so batches of promotions and demotions must de-list and
+    repair.
+    """
+
+    @pytest.mark.parametrize("rho", (0.0, 0.1))
+    @pytest.mark.parametrize("connectivity", ("hdt", "naive"))
+    @pytest.mark.parametrize("bcp", ("abcp", "rescan", "suffix"))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_bulk_rounds_match_oracle(self, seed, bcp, connectivity, rho):
+        rng = random.Random(seed)
+        points = random_points(240, 2, extent=15.0, seed=3)
+        eps, minpts = 2.0, 3
+        algo = FullyDynamicClusterer(
+            eps, minpts, rho=rho, dim=2, connectivity=connectivity, bcp=bcp
+        )
+        live: Dict[int, Point] = {}
+
+        def check() -> None:
+            assert check_invariants(algo) == []
+            clustering = algo.clusters()
+            if rho == 0.0:
+                keys = sorted(live)
+                idmap = {pid: i for i, pid in enumerate(keys)}
+                ref = dbscan_brute([live[k] for k in keys], eps, minpts)
+                assert_matches_static(clustering, idmap, ref)
+            else:
+                violations = check_sandwich(
+                    live, clustering.clusters, eps, minpts, rho
+                )
+                assert not violations, violations
+
+        for start in range(0, len(points), 60):
+            chunk = points[start : start + 60]
+            live.update(zip(algo.insert_many(chunk), chunk))
+            check()
+            doomed = rng.sample(sorted(live), len(live) // 3)
+            algo.delete_many(doomed)
+            for pid in doomed:
+                del live[pid]
+            check()
 
 
 class TestInterleavedWorkloads:

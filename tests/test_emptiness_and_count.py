@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import sq_dist
@@ -114,8 +115,7 @@ class TestApproximateRangeCounter:
 
 
 class TestEmptyMany:
-    """Batched emptiness: both the matrix path (small structures) and
-    the kd-tree path (large ones) must honour the scalar contract."""
+    """Batched emptiness must honour the scalar contract at every size."""
 
     def _filled(self, n, rho, seed=0, dim=2):
         import random as _random
@@ -131,7 +131,7 @@ class TestEmptyMany:
 
     @pytest.mark.parametrize("n", (5, 60, 400))
     def test_exact_mode_matches_scalar(self, n):
-        """rho = 0 crosses the matrix cutoff at n=400: all paths exact."""
+        """rho = 0: every answer is exact, small and large cells alike."""
         import numpy as np
 
         s, pts, rng = self._filled(n, rho=0.0, seed=n)
@@ -158,16 +158,20 @@ class TestEmptyMany:
                 assert sq_dist(pts[proof], tuple(q)) <= sq_relaxed + 1e-12
 
     def test_matrix_path_sees_buffer_without_flushing(self):
-        """Small-structure batched queries answer over buffered points
-        while leaving the write-behind buffer unindexed."""
+        """A bulk append is visible to the very next batched and scalar
+        query, with ids and coordinates stored row for row."""
         import numpy as np
 
         s = EmptinessStructure(2, 1.0, 0.0)
-        s.insert_many([(1, (0.0, 0.0)), (2, (4.0, 4.0))])
-        assert s._pending  # still buffered
-        proofs = s.empty_many(np.array([[0.5, 0.0], [4.0, 4.5], [2.0, 2.0]]))
+        s.insert_many(
+            np.array([1, 2], dtype=np.int64), np.array([[0.0, 0.0], [4.0, 4.0]])
+        )
+        assert len(s) == 2 and list(s.ids()) == [1, 2]
+        queries = np.array([[0.5, 0.0], [4.0, 4.5], [2.0, 2.0]])
+        proofs = s.empty_many(queries)
         assert proofs == [1, 2, None]
-        assert s._pending  # the batched matrix query did not flush
+        assert [s.empty(q) for q in queries.tolist()] == proofs
+        assert s.point(2) == (4.0, 4.0)
 
     def test_empty_inputs(self):
         import numpy as np
@@ -248,3 +252,93 @@ class TestCounterMatrixPath:
             eager.insert(pid, p)
         for q in pts[:25]:
             assert buffered.count(q) == eager.count(q)
+
+
+_COORD = st.integers(-8, 8).map(lambda v: v / 4)  # exact squares: ties hit
+_POINT = st.tuples(_COORD, _COORD)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _POINT),
+        st.tuples(st.just("insert_many"), st.lists(_POINT, max_size=6)),
+        st.tuples(st.just("delete"), st.integers(0, 99)),
+        st.tuples(st.just("delete_many"), st.lists(st.integers(0, 99), max_size=5)),
+        st.tuples(st.just("contains"), st.integers(0, 99)),
+    ),
+    max_size=30,
+)
+
+
+class TestFlatStoreProperties:
+    """Random interleavings of the flat store's updates against a dict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=_OPS,
+        queries=st.lists(_POINT, min_size=1, max_size=6),
+        rho=st.sampled_from([0.0, 0.5]),
+    )
+    def test_interleavings_match_brute_force(self, ops, queries, rho):
+        import numpy as np
+
+        eps = 1.0
+        s = EmptinessStructure(2, eps, rho)
+        live = {}
+        next_id = 100  # ids unrelated to rows
+        qs = np.array(queries, dtype=float)
+        for kind, arg in ops:
+            if kind == "insert":
+                s.insert(next_id, arg)
+                live[next_id] = arg
+                next_id += 3
+            elif kind == "insert_many":
+                pids = list(range(next_id, next_id + 3 * len(arg), 3))
+                s.insert_many(
+                    np.array(pids, dtype=np.int64),
+                    np.array(arg, dtype=float).reshape(-1, 2),
+                )
+                live.update(zip(pids, arg))
+                next_id += 3 * len(arg)
+            elif kind == "contains":
+                assert (arg in s) == (arg in live)
+            elif live:
+                keys = sorted(live)
+                picks = [arg] if kind == "delete" else arg
+                gone = sorted({keys[i % len(keys)] for i in picks})
+                if kind == "delete":
+                    s.delete(gone[0])
+                else:
+                    s.delete_many(gone)
+                for pid in gone:
+                    del live[pid]
+            # Ids and coordinates stay aligned row for row.
+            ids, coords = s.arrays()
+            assert len(s) == len(live) == len(ids)
+            assert sorted(ids.tolist()) == sorted(live)
+            for pid, row in zip(ids.tolist(), coords.tolist()):
+                assert tuple(row) == live[pid] == s.point(pid)
+            # Both radii of the contract, scalar and batched.
+            proofs = s.empty_many(qs)
+            for q, proof in zip(queries, proofs):
+                assert proof == s.empty(q)
+                if any(sq_dist(p, q) <= eps * eps for p in live.values()):
+                    assert proof is not None
+                if proof is None:
+                    continue
+                assert proof in live
+                assert sq_dist(live[proof], q) <= (eps * (1 + rho)) ** 2
+
+    def test_ids_checked_once_the_map_exists(self):
+        import numpy as np
+
+        s = EmptinessStructure(2, 1.0, 0.0)
+        s.insert(1, (0.0, 0.0))
+        assert 1 in s  # builds the id map
+        with pytest.raises(KeyError):
+            s.insert(1, (2.0, 2.0))
+        with pytest.raises(KeyError):
+            s.insert_many(np.array([5, 5]), np.zeros((2, 2)))
+        with pytest.raises(KeyError):
+            s.delete_many([1, 1])
+        with pytest.raises(KeyError):
+            s.delete(9)
+        assert list(s.ids()) == [1] and s.empty((0.5, 0.0)) == 1

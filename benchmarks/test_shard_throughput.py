@@ -4,26 +4,23 @@ Not a paper figure: this benchmark records what horizontal scale-out
 buys on the paper's own data distribution.  A 2d seed-spreader stream
 of ``REPRO_BENCH_N`` points (default 50000) is ingested in chunks
 through sharded deployments of 1, 2 and 4 shards — the serial executor
-(pure routing + replication overhead) and the process executor under
-**both** transports, ``pickle`` (whole messages through the pipe) and
-``shm`` (bulk arrays through pooled shared memory).  Every scenario is
-timed best-of-``REPEATS``: one-shot numbers on shared-host machines mix
-the code's cost with the host's steal-time epochs, and it is the code
-we are benchmarking.
+(pure routing + replication overhead) and the process executor, whose
+spawned workers take bulk arrays as raw frames over the socket shard
+wire.  Every scenario is timed best-of-``REPEATS``: one-shot numbers on
+shared-host machines mix the code's cost with the host's steal-time
+epochs, and it is the code we are benchmarking.
 
 Two regression tripwires guard the transport, sized to what the machine
 can physically show:
 
 * **Transport tax** (no cpu gate — meaningful even on a 1-cpu
-  container): 4 process shards under ``shm`` may cost at most
-  ``MAX_TRANSPORT_TAX`` times 4 *serial* shards — same routing, same
-  engines, same compute, so the ratio is purely what crossing the
-  process boundary costs.  The pickle transport intermittently blows
-  this up several-fold (160KB messages through 64KB pipes, blocking
-  writes ping-ponging across time-sliced workers — the negative-scaling
-  bug); the shm payload plane holds it near 1x.
+  container): 4 process shards may cost at most ``MAX_TRANSPORT_TAX``
+  times 4 *serial* shards — same routing, same engines, same compute,
+  so the ratio is purely what crossing the process boundary costs.
+  Pickling every batch through a pipe once blew this up several-fold
+  (the negative-scaling bug); raw array frames hold it near 1x.
 * **Parallel scaling** (needs >= 2 cpus for 4 shards to overlap at
-  all): ``shm`` 4-shard ingest must be >= 1.0x 1-shard from
+  all): 4-shard process ingest must be >= 1.0x 1-shard from
   ``TRIPWIRE_N`` up, and >= 1.5x from ``ASSERT_FLOOR_N`` up on >= 4
   cpus.  On a single cpu the same-transport ratio is bounded by halo
   replication plus scheduler latency (~0.9x is the physical ceiling),
@@ -64,15 +61,15 @@ REPEATS = 2
 ASSERT_FLOOR_N = 10000
 #: The scaling tripwires arm from here up.
 TRIPWIRE_N = 20000
-#: Ceiling on process-x4 (shm) wall vs serial-x4 wall — the pure cost
-#: of the process boundary under the zero-copy transport.
+#: Ceiling on process-x4 wall vs serial-x4 wall — the pure cost of the
+#: process boundary.
 MAX_TRANSPORT_TAX = 1.6
 CPUS = os.cpu_count() or 1
 
 _collected = {}
 
 
-def _one_run(shards: int, executor: str, transport: str | None) -> float:
+def _one_run(shards: int, executor: str) -> float:
     points = seed_spreader(N, DIM, seed=42)
     engine = repro.api.open(
         algorithm="semi",
@@ -83,7 +80,6 @@ def _one_run(shards: int, executor: str, transport: str | None) -> float:
         shards=shards,
         shard_block=SHARD_BLOCK,
         shard_executor=executor,
-        shard_transport=transport,
     )
     try:
         # Pending collector debt from earlier runs must not be paid
@@ -107,14 +103,12 @@ def _one_run(shards: int, executor: str, transport: str | None) -> float:
     return elapsed, replication
 
 
-def _ingest_run(shards: int, executor: str, transport: str | None = None):
+def _ingest_run(shards: int, executor: str):
     elapsed, replication = min(
-        (_one_run(shards, executor, transport) for _ in range(REPEATS)),
+        (_one_run(shards, executor) for _ in range(REPEATS)),
         key=lambda pair: pair[0],
     )
     label = f"{executor} x{shards}"
-    if transport is not None:
-        label += f" ({transport})"
     _collected[label] = (N, elapsed, N / elapsed if elapsed else 0.0, replication)
     return elapsed
 
@@ -130,41 +124,27 @@ def test_serial_executor_scaling_overhead():
     )
 
 
-def _process_scaling(transport: str) -> float:
-    t1 = _ingest_run(1, "process", transport)
-    _ingest_run(2, "process", transport)
-    t4 = _ingest_run(4, "process", transport)
+def test_process_pool_ingest_scaling():
+    """The headline: 4 process shards vs 1, same routing and merge."""
+    t1 = _ingest_run(1, "process")
+    _ingest_run(2, "process")
+    t4 = _ingest_run(4, "process")
     speedup = t1 / t4 if t4 > 0 else float("inf")
-    _collected[f"speedup: x4 over x1 ({transport})"] = (N, t1, t4, speedup)
+    _collected["speedup: x4 over x1"] = (N, t1, t4, speedup)
     serial4 = _collected.get("serial x4")
+    tax = None
     if serial4 is not None:
         tax = t4 / serial4[1] if serial4[1] else float("inf")
-        _collected[f"transport tax: x4 over serial x4 ({transport})"] = (
+        _collected["transport tax: x4 over serial x4"] = (
             N, serial4[1], t4, tax,
         )
-    return speedup
-
-
-def test_process_pool_ingest_scaling_pickle():
-    """The PR 5 baseline transport, kept measured for the comparison."""
-    speedup = _process_scaling("pickle")
-    # Pickling every batch both ways historically costs more than four
-    # single-core shards recover; only guard against degeneration here.
-    assert speedup > 0.2, f"pickle-transport ingest degenerated: {speedup:.2f}x"
-
-
-def test_process_pool_ingest_scaling_shm():
-    """The headline: 4 shm-transport shards vs 1, same routing and merge."""
-    speedup = _process_scaling("shm")
-    tax_entry = _collected.get("transport tax: x4 over serial x4 (shm)")
-    if N >= TRIPWIRE_N and tax_entry is not None:
+    if N >= TRIPWIRE_N and tax is not None:
         # No cpu gate: the process boundary may cost scheduling, never
         # payload serialization.  This is the tripwire that catches the
         # negative-scaling bug class even on a 1-cpu container, where
         # parallel speedups are physically impossible to observe.
-        tax = tax_entry[3]
         assert tax <= MAX_TRANSPORT_TAX, (
-            f"shm transport tax regressed: process x4 ran {tax:.2f}x the "
+            f"transport tax regressed: process x4 ran {tax:.2f}x the "
             f"wall of serial x4 at N={N} (allowed <= {MAX_TRANSPORT_TAX}x) "
             f"— the transport is eating the scale-out again"
         )
@@ -172,12 +152,12 @@ def test_process_pool_ingest_scaling_shm():
         # With real parallelism available, scaling 1 -> 4 shards must
         # never lose throughput.
         assert speedup >= 1.0, (
-            f"4-shard shm-transport ingest ran slower than 1-shard at "
+            f"4-shard process ingest ran slower than 1-shard at "
             f"N={N} on {CPUS} cpus: {speedup:.2f}x"
         )
     if N >= ASSERT_FLOOR_N and CPUS >= 4:
         assert speedup >= 1.5, (
-            f"4-shard process ingest (shm) must be >= 1.5x a 1-shard "
+            f"4-shard process ingest must be >= 1.5x a 1-shard "
             f"deployment at N={N} on {CPUS} cpus, got {speedup:.2f}x"
         )
     if N < TRIPWIRE_N:
@@ -194,21 +174,19 @@ def test_zz_write_results():
     # speedup rows read reference/x4 (higher is better); tax rows read
     # x4/reference (lower is better) — the row names say which.
     speed_lines = ["comparison\tn\treference_s\tprocess_x4_s\tratio"]
-    for transport in ("pickle", "shm"):
-        for kind in (f"speedup: x4 over x1 ({transport})",
-                     f"transport tax: x4 over serial x4 ({transport})"):
-            entry = _collected.get(kind)
-            if entry is not None:
-                n, base, cont, ratio = entry
-                speed_lines.append(
-                    f"{kind}\t{n}\t{base:.4f}\t{cont:.4f}\t{ratio:.2f}"
-                )
+    for kind in ("speedup: x4 over x1", "transport tax: x4 over serial x4"):
+        entry = _collected.get(kind)
+        if entry is not None:
+            n, base, cont, ratio = entry
+            speed_lines.append(
+                f"{kind}\t{n}\t{base:.4f}\t{cont:.4f}\t{ratio:.2f}"
+            )
     write_results(
         "shard_throughput.txt",
         f"Sharded ingest throughput: d={DIM}, eps={EPS}, MinPts={MINPTS}, "
         f"rho=0, semi family, chunk={CHUNK}, shard_block={SHARD_BLOCK}, "
         f"best of {REPEATS}, cpus={CPUS}, restarts=0 asserted per run, "
-        f"seed-spreader data (shm "
+        f"seed-spreader data ("
         f"transport-tax tripwire <= {MAX_TRANSPORT_TAX}x at N>={TRIPWIRE_N}; "
         f">=1.0x scaling at cpus>=2; >=1.5x floor at N>={ASSERT_FLOOR_N} "
         f"and cpus>=4)",

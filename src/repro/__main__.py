@@ -76,7 +76,7 @@ def _add_engine_flags(parser, command: str, **cli_defaults) -> None:
         parser.add_argument(
             flag(row.name),
             type={int: int, float: float}.get(row.kind),
-            choices=row.options(),
+            choices=row.choices,
             default=cli_defaults.get(row.name, default),
             help=text,
         )

@@ -33,8 +33,6 @@ from repro.api.config import (
     DEFAULT_FLUSH_THRESHOLD,
     DEFAULT_SHARD_BLOCK,
     SHARD_EXECUTOR_CHOICES,
-    SHARD_START_METHOD_CHOICES,
-    SHARD_TRANSPORT_CHOICES,
     EngineConfig,
 )
 from repro.api.engine import Engine, EngineStats, QueryOutcome, Snapshot
@@ -83,8 +81,6 @@ __all__ = [
     "DEFAULT_FLUSH_THRESHOLD",
     "DEFAULT_SHARD_BLOCK",
     "SHARD_EXECUTOR_CHOICES",
-    "SHARD_START_METHOD_CHOICES",
-    "SHARD_TRANSPORT_CHOICES",
     "ConfigError",
     "Engine",
     "EngineConfig",

@@ -12,7 +12,6 @@ resolution behind the ``resolved_*`` properties, the ``bench`` /
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -45,13 +44,10 @@ _EXACT_ONLY = ("incdbscan", "recompute")
 UNSHARDEABLE_ALGORITHMS = ("incdbscan", "recompute")
 
 SHARD_EXECUTOR_CHOICES = ("serial", "process", "tcp")
-SHARD_TRANSPORT_CHOICES = ("pickle", "shm")
-SHARD_START_METHOD_CHOICES = ("fork", "spawn", "forkserver")
 
 # Defaults of the knobs of the same name; their rows say why.
 DEFAULT_FLUSH_THRESHOLD = 4096
 DEFAULT_SHARD_BLOCK = 16
-DEFAULT_SHARD_START_METHOD = "spawn"
 DEFAULT_SHARD_CALL_TIMEOUT = 60.0
 DEFAULT_SHARD_MAX_RESTARTS = 3
 DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY = 512
@@ -70,7 +66,7 @@ class Knob:
     """One row of the knob table.
 
     ``default`` is what an unset knob resolves to; ``nullable`` knobs
-    accept None; ``choices`` is a tuple or a callable giving one;
+    accept None; ``choices`` is a tuple of the legal values;
     ``low`` is a lower bound, exclusive when ``strict``; ``requires``
     names the shard executors the knob needs (it then needs ``shards``
     too); ``check`` validates further; ``cli`` lists the commands that
@@ -83,16 +79,13 @@ class Knob:
     required: bool = False
     nullable: bool = False
     env: Optional[str] = None
-    choices: Any = None
+    choices: Optional[Tuple[str, ...]] = None
     low: Optional[float] = None
     strict: bool = False
     requires: Tuple[str, ...] = ()
     check: Optional[Callable[[Any], Any]] = None
     cli: Tuple[str, ...] = ()
     name: str = ""
-
-    def options(self) -> Optional[Tuple[str, ...]]:
-        return self.choices() if callable(self.choices) else self.choices
 
     def range_text(self) -> str:
         if self.low is None:
@@ -106,12 +99,11 @@ class Knob:
     def validate(self, value: Any) -> Any:
         """``value`` if legal for this knob (sequences become tuples),
         else a :class:`ConfigError` naming the knob."""
-        options = self.options()
         what, accepted = _KINDS[self.kind]
-        if options is not None and value not in options:
+        if self.choices is not None and value not in self.choices:
             raise ConfigError(
                 f"unknown {self.name} {value!r}; choices: "
-                f"{', '.join(options)}"
+                f"{', '.join(self.choices)}"
             )
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(
@@ -165,12 +157,6 @@ def _knob(kind: type, doc: str, **spec: Any) -> Any:
     unset = None if row.env or row.requires else row.default
     row = replace(row, nullable=row.nullable or unset is None)
     return field(default=unset, metadata={"knob": row})
-
-
-def _start_methods() -> Tuple[str, ...]:
-    """The start methods this platform supports (fork is POSIX-only)."""
-    available = multiprocessing.get_all_start_methods()
-    return tuple(m for m in SHARD_START_METHOD_CHOICES if m in available)
 
 
 def _check_fault_plan(plan: str) -> None:
@@ -247,20 +233,11 @@ class EngineConfig:
         "replicate fewer halo points but balance coarser",
         default=DEFAULT_SHARD_BLOCK, low=1, requires=_SHARDED)
     shard_executor: Optional[str] = _knob(
-        str, "where shard engines live: in-process (serial), a worker "
-        "process each (process), or a remote 'python -m repro "
-        "shard-worker' each (tcp)", default="serial",
+        str, "where shard engines live: in-process (serial), a spawned "
+        "worker process each (process), or a remote 'python -m repro "
+        "shard-worker' each (tcp); both worker kinds speak one socket "
+        "wire", default="serial",
         choices=SHARD_EXECUTOR_CHOICES, requires=_SHARDED, cli=_BOTH)
-    shard_transport: Optional[str] = _knob(
-        str, "process-executor payload plane: whole pickled messages, or "
-        "bulk arrays through pooled shared memory", default="shm",
-        env="REPRO_SHARD_TRANSPORT", choices=SHARD_TRANSPORT_CHOICES,
-        requires=("process",), cli=_BOTH)
-    shard_start_method: Optional[str] = _knob(
-        str, "start method of process workers; spawn starts each worker "
-        "from a fresh interpreter instead of a copy of the parent",
-        default=DEFAULT_SHARD_START_METHOD, env="REPRO_SHARD_START_METHOD",
-        choices=_start_methods, requires=_SHARDED)
     shard_call_timeout: Optional[float] = _knob(
         float, "deadline in seconds on every shard-worker reply; a hung "
         "worker fails with ShardTimeoutError and is restarted",
@@ -355,7 +332,6 @@ class EngineConfig:
 
     resolved_shard_block = _resolved("shard_block")
     resolved_shard_executor = _resolved("shard_executor")
-    resolved_shard_start_method = _resolved("shard_start_method")
     resolved_shard_call_timeout = _resolved("shard_call_timeout")
     resolved_shard_max_restarts = _resolved("shard_max_restarts")
     resolved_shard_journal_snapshot_every = _resolved(
@@ -363,11 +339,11 @@ class EngineConfig:
 
     @property
     def resolved_shard_transport(self) -> str:
-        """What the executor moves calls on: ``inline`` (serial),
-        ``tcp``, or the process executor's ``shard_transport``."""
-        if self.resolved_shard_executor != "process":
-            return "tcp" if self.resolved_shard_executor == "tcp" else "inline"
-        return KNOBS["shard_transport"].resolve(self.shard_transport)
+        """What the executor moves calls on: ``inline`` for the serial
+        executor, the ``socket`` shard wire for process and tcp."""
+        if self.resolved_shard_executor in _WORKERS:
+            return "socket"
+        return "inline"
 
     @property
     def resolved_shard_fault_plan(self) -> Optional[str]:

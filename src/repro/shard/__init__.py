@@ -21,8 +21,9 @@ Open one through the front door with the ``shards`` knob::
 
 Layering: :class:`ShardTopology` (versioned ownership/halo geometry) →
 :class:`ShardBackend` (one engine behind its trust predicate) →
-executors (in-process serial, one worker process per shard, or one
-remote TCP worker per shard via :class:`TcpShardExecutor`) →
+executors (in-process serial, or one worker per shard over the one
+socket wire: spawned locally by :class:`ProcessShardExecutor`, remote
+behind :class:`TcpShardExecutor`) →
 :class:`ShardSupervisor` (per-shard journal with snapshot truncation,
 deadline-bounded calls, restart/reconnect with exact replay) →
 :class:`ShardRouter` (global id space, routing, boundary merge, online

@@ -17,14 +17,14 @@ it is constructed from ``(config, shard_index, shard_count)`` alone and
 all its method arguments and results are plain data.  Bulk payloads —
 point batches, id arrays, the fragment frontiers — are numpy arrays,
 and :data:`BULK_CALLS` declares exactly which calls carry them, so the
-shared-memory transport (:mod:`repro.shard.transport`) frames them
-without guessing and the pickle transport ships them as array buffers
-rather than per-element python objects.
+shard wire (:mod:`repro.shard.transport`) streams them as raw array
+frames without guessing, never as per-element python objects.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,9 +34,23 @@ from repro.api.engine import Engine
 from repro.core.bulk import GumEdgeFragment, MembershipFragments
 from repro.errors import ReproError, UnknownPointError
 from repro.shard.topology import ShardTopology
-from repro.shard.transport import BulkSpec
 
-#: The transport contract of the executor call surface: which calls
+
+@dataclass(frozen=True)
+class BulkSpec:
+    """Where one executor call's bulk numpy payloads are declared to live.
+
+    ``arg_positions`` names the positional arguments that may hold (or
+    contain) bulk arrays; ``bulk_result`` declares the same for the
+    call's result.  Everything undeclared is control metadata and is
+    pickled untouched — the framer never guesses.
+    """
+
+    arg_positions: Tuple[int, ...] = ()
+    bulk_result: bool = False
+
+
+#: The wire contract of the executor call surface: which calls
 #: carry bulk numpy payloads, and where.  ``ingest`` takes an ``(n,
 #: dim)`` float64 point batch and returns an int64 local-id array;
 #: ``delete_many`` takes an int64 local-id array; ``merge_state`` takes
@@ -85,8 +99,6 @@ class ShardBackend:
             shards=None,
             shard_block=None,
             shard_executor=None,
-            shard_transport=None,
-            shard_start_method=None,
             shard_call_timeout=None,
             shard_max_restarts=None,
             shard_fault_plan=None,
@@ -129,7 +141,7 @@ class ShardBackend:
         """Bulk-insert this shard's slice of a batch.
 
         Returns the assigned local ids as an int64 array — the declared
-        bulk-result form, identical under every executor and transport.
+        bulk-result form, identical under every executor.
         ``version`` is the router's ownership-table stamp (checked
         against this shard's table; ``None`` skips the check).
         """
@@ -299,10 +311,10 @@ class ShardBackend:
     def runtime_info(self) -> dict:
         """Where and in what state this backend actually runs.
 
-        The regression surface for worker isolation: under the default
-        ``spawn`` start method a worker reports its own pid and a fresh
-        (un-inherited) module sentinel, proving the backend was rebuilt
-        in-process rather than forked with the parent's state.
+        The regression surface for worker isolation: a spawned worker
+        reports its own pid and a fresh (un-inherited) module sentinel,
+        proving the backend was rebuilt in-process rather than forked
+        with the parent's state.
         """
         from repro.shard import executors
 
@@ -321,6 +333,12 @@ class ShardBackend:
             )
             exc.payload = lambda: None  # defeats pickle at relay time
             raise exc
+        # The connection-failure types, relayed: they must not read as
+        # a lost or hung worker on the parent's side.
+        if kind == "eof":
+            raise EOFError("injected fault")
+        if kind == "timeout":
+            raise TimeoutError("injected fault")
         raise ReproError("injected fault")
 
     # ------------------------------------------------------------------

@@ -94,21 +94,17 @@ class ShardedEngine:
                 f"engine"
             )
         executor_kind = config.resolved_shard_executor
-        if executor_kind == "process":
-            # Worker processes can die or hang: supervise them with the
-            # journal/restart/replay layer (invisible to the router;
-            # shard_max_restarts=0 makes every failure fatal again).
-            executor = ShardSupervisor(
-                ProcessShardExecutor(config, config.shards), config
-            )
-        elif executor_kind == "tcp":
-            # Remote workers fail in the same ways local ones do (plus
-            # the network); the same supervisor reconnects and replays.
-            executor = ShardSupervisor(
-                TcpShardExecutor(config, config.shards), config
-            )
-        else:
+        if executor_kind == "serial":
             executor = SerialShardExecutor(config, config.shards)
+        else:
+            # Workers, local or remote, can die or hang: supervise them
+            # with the journal/restart/replay layer (invisible to the
+            # router; shard_max_restarts=0 makes every failure fatal).
+            workers = (
+                TcpShardExecutor if executor_kind == "tcp"
+                else ProcessShardExecutor
+            )
+            executor = ShardSupervisor(workers(config, config.shards), config)
         return cls(
             config,
             ShardRouter(config, executor),

@@ -8,47 +8,39 @@ merge path:
 * :class:`SerialShardExecutor` holds the backends in-process and runs
   calls inline — deterministic, debuggable, zero transport cost; the
   default, and what the differential-testing harness drives.
-* :class:`ProcessShardExecutor` hosts one backend per worker process
-  behind a pipe, overlapping the per-shard work of every fan-out
-  (:meth:`map` writes all requests before reading any reply).  Workers
-  rebuild their backend from ``(config, index, count)`` under a pinned,
-  configurable start method (default ``spawn``: nothing of the parent's
-  kernel-registry or jit state is inherited), so nothing but plain data
-  ever crosses the pipe.
+* :class:`ProcessShardExecutor` spawns one worker process per shard
+  (multiprocessing ``spawn``: nothing of the parent's interpreter
+  state is inherited) and talks to it over its end of a
+  ``socket.socketpair()``.  :class:`repro.shard.rpc.TcpShardExecutor`
+  is the same executor with the workers behind TCP addresses instead.
 
-Calls cross the pipe through a :mod:`repro.shard.transport` channel
-pair.  Under the ``shm`` transport (the default for this executor) the
-channels frame each call: control metadata is pickled over the pipe,
-bulk numpy payloads move through pooled shared-memory segments and are
-rebuilt as read-only views — array bytes are never pickled in either
-direction.  Under the ``pickle`` transport the channels degrade to
-whole-message pickling, kept selectable so the two transports stay
-measurable side by side.
+Both worker executors speak the one shard wire of
+:mod:`repro.shard.transport`, and every worker runs the one worker
+loop, :func:`serve_session`: a hello builds a fresh backend, then calls
+are served until goodbye or EOF.  :meth:`ProcessShardExecutor.map`
+writes every request before reading any reply, so the per-shard work
+of a fan-out overlaps.
 
-**Failure surface.**  Every reply wait carries a ``poll``-based
-deadline (``EngineConfig.shard_call_timeout``), so a hung worker
-raises :class:`repro.errors.ShardTimeoutError` instead of hanging the
-parent, and a dead worker raises :class:`ShardWorkerLost` — both
-within bounded time, never a hang.  After either failure the shard's
-channel is *poisoned* (a late reply from a timed-out worker would
-desynchronize the request/reply alternation), and
-:meth:`ProcessShardExecutor.restart_worker` is the recovery primitive:
-kill the straggler (terminate, then SIGKILL if it does not land),
-respawn the worker on a fresh pipe under the pinned start method with
-a bumped *incarnation* number, and fail fast on its liveness ping.
-The :class:`repro.shard.supervisor.ShardSupervisor` drives it and
-replays the shard's journal to rebuild state exactly.
+**Failure surface.**  Every reply wait carries a deadline
+(``EngineConfig.shard_call_timeout``), so a hung worker raises
+:class:`repro.errors.ShardTimeoutError` instead of hanging the parent,
+and a dead worker raises :class:`ShardWorkerLost` — both within
+bounded time.  After either failure the shard's channel is *poisoned*
+(a late reply from a timed-out worker would desynchronize the
+request/reply alternation), and :meth:`ProcessShardExecutor.restart_worker`
+is the recovery primitive: drop the connection, reap the straggler
+(terminate, then SIGKILL) and spawn a fresh worker with a bumped
+*incarnation* number — for tcp, reconnect instead — and fail fast on
+its liveness ping.  The :class:`repro.shard.supervisor.ShardSupervisor`
+drives it and replays the shard's journal to rebuild state exactly.
 
 Exceptions raised inside a backend propagate to the caller unchanged
 when they pickle; an exception that defeats pickling is relayed as a
 :class:`repro.errors.ReproError` carrying its ``repr`` and traceback
-text (instead of killing the send and surfacing as a fake worker
-death).  ``close()`` is idempotent — safe after double-close and after
-worker death, escalates terminate → kill on stragglers, releases every
-``Process`` object, and is guaranteed to unlink every shared-memory
-segment (they are all parent-owned).  Calls on a closed executor raise
-a clear :class:`ReproError` instead of tripping over torn-down
-internals.
+text.  ``close()`` is idempotent — safe after double-close and after
+worker death — escalates terminate → kill on stragglers and releases
+every ``Process`` object.  Calls on a closed executor raise a clear
+:class:`ReproError`.
 
 Fault injection (:mod:`repro.shard.faults`): when the config resolves
 a fault plan, each worker consults a per-incarnation injector before
@@ -60,17 +52,14 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-from typing import Any, List, Optional, Sequence, Tuple
+import socket
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.api.config import EngineConfig
 from repro.errors import ReproError, ShardTimeoutError
-from repro.shard.backend import BULK_CALLS, ShardBackend
+from repro.shard.backend import ShardBackend
 from repro.shard.faults import injector_for
-from repro.shard.transport import (
-    ParentChannel,
-    SegmentPool,
-    WorkerChannel,
-)
+from repro.shard.transport import ParentChannel, WorkerChannel
 
 #: One fan-out request: ``(method name, argument tuple)`` or ``None``
 #: for "this shard sits the round out".
@@ -78,31 +67,33 @@ Call = Optional[Tuple[str, Tuple[Any, ...]]]
 
 #: Worker-isolation sentinel: workers report this through
 #: ``runtime_info``.  A parent that mutates it before opening a
-#: process executor must *not* see the mutation reflected back under
-#: the default ``spawn`` start method — the regression test that
-#: backends are rebuilt fresh in-worker.
+#: process executor must *not* see the mutation reflected back — the
+#: regression test that backends are rebuilt fresh in spawned workers.
 WORKER_SENTINEL = "fresh"
 
-#: Floor (seconds) on the deadline of a worker's *first* reply — the
-#: liveness ping after a spawn or respawn.  A cold ``spawn`` start
-#: imports the whole package in the child, which can dwarf a tight
-#: ``shard_call_timeout`` tuned for steady-state calls; startup still
-#: fails in bounded time, just against a realistic bound.
+#: Floor (seconds) on the deadline of a worker's *first* replies — the
+#: hello and liveness ping after a spawn, respawn or reconnect.  A cold
+#: ``spawn`` start imports the whole package in the child, which can
+#: dwarf a tight ``shard_call_timeout`` tuned for steady-state calls;
+#: startup still fails in bounded time, just against a realistic bound.
 STARTUP_TIMEOUT_FLOOR = 60.0
 
 #: How long (seconds) each escalation step of a worker teardown waits:
-#: graceful join after the shutdown sentinel, join after terminate,
-#: join after kill.
+#: graceful join after the goodbye, join after terminate, join after
+#: kill.
 REAP_TIMEOUT = 5.0
+
+#: Process workers always start from a fresh interpreter.
+_SPAWN = mp.get_context("spawn")
 
 
 class ShardWorkerLost(ReproError):
-    """A shard worker process died or its channel is unusable.
+    """A shard worker died or its channel is unusable.
 
     Distinct from a *relayed* backend exception (the worker survives
-    those): this is the executor diagnosing the worker itself — pipe
-    closed on send, EOF mid-reply, or a poisoned channel after an
-    earlier timeout.  Together with
+    those): this is the executor diagnosing the worker itself —
+    connection closed on send, EOF mid-reply, or a poisoned channel
+    after an earlier timeout.  Together with
     :class:`repro.errors.ShardTimeoutError` it is exactly the failure
     set the supervisor treats as recoverable by restart-and-replay.
     """
@@ -173,88 +164,112 @@ class SerialShardExecutor:
         self._backends = []
 
 
-def _shard_worker(
-    conn,
-    config: EngineConfig,
-    index: int,
-    count: int,
-    transport: str,
-    fault_spec: Optional[str] = None,
-    incarnation: int = 0,
-) -> None:
-    """Worker loop: build the backend, then serve calls until ``None``.
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
 
-    ``incarnation`` counts respawns of this shard's worker (0 for the
-    original); the fault injector uses it so a plan's rules arm, by
-    default, only in the incarnation that has not yet crashed — which
-    is what keeps journal replay from re-triggering the fault it is
-    recovering from.
+
+class SessionAborted(Exception):
+    """An injected ``crash`` that ends only the serving session."""
+
+
+def abort_session() -> None:
+    """``on_crash`` hook of a worker that outlives its sessions."""
+    raise SessionAborted()
+
+
+def serve_session(
+    sock: socket.socket, on_crash: Optional[Callable[[], None]] = None
+) -> None:
+    """Serve one executor session: hello, then calls until goodbye/EOF.
+
+    The hello builds a fresh backend; ending the session discards it,
+    which is exactly the "worker restarted, state empty" contract the
+    supervisor's snapshot-plus-replay recovery is built for.  An
+    injected ``crash`` calls ``on_crash`` — by default none, so the
+    process exits the way a segfault would; a tcp worker passes
+    :func:`abort_session` and lives on to serve the recovery session.
     """
-    backend = ShardBackend(config, index, count)
-    channel = WorkerChannel(conn, BULK_CALLS, shm_enabled=(transport == "shm"))
-    injector = injector_for(fault_spec, index, incarnation)
-    while True:
+    channel = WorkerChannel(sock)
+    request = channel.recv_call()
+    if request is None:
+        return
+    method, args = request
+    try:
+        if method != "hello":
+            raise ReproError(f"expected a hello call, got {method!r}")
+        config, index, count, incarnation, fault_spec = args
+        backend = ShardBackend(config, index, count)
+        injector = injector_for(fault_spec, index, incarnation)
+    except BaseException as exc:  # noqa: BLE001 - relayed to the parent
         try:
+            channel.send_error(exc)
+        except OSError:
+            pass
+        return
+    try:
+        channel.send_ok(method, index)
+        while True:
             request = channel.recv_call()
-        except EOFError:
-            break
-        if request is None:
-            break
-        method, args = request
-        if injector is not None:
+            if request is None:
+                return
+            method, args = request
             try:
-                injector.fire(method)
-            except BaseException as exc:  # noqa: BLE001 - injected 'error'
-                try:
-                    channel.send_error(exc)
-                except (BrokenPipeError, OSError):
-                    break
-                continue
-        try:
-            result = getattr(backend, method)(*args)
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            try:
+                if injector is not None:
+                    injector.fire(method, on_crash=on_crash)
+                result = getattr(backend, method)(*args)
+            except SessionAborted:
+                # No reply: the parent sees EOF and the state dies
+                # with the session.
+                return
+            except BaseException as exc:  # noqa: BLE001 - relayed
                 channel.send_error(exc)
-            except (BrokenPipeError, OSError):
-                break
-            continue
-        try:
-            channel.send_ok(method, result)
-        except (BrokenPipeError, OSError, EOFError):
-            break
-        except Exception as exc:  # noqa: BLE001 - reply framing failed
+                continue
             try:
+                channel.send_ok(method, result)
+            except OSError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - reply framing failed
                 channel.send_error(
                     ReproError(
                         f"shard {index} failed to frame a reply for "
                         f"{method!r}: {exc!r}"
                     )
                 )
-            except (BrokenPipeError, OSError):
-                break
-    # Release the last request's payload views before detaching: a view
-    # is an exported pointer into the segment mmap, and the mmap cannot
-    # close underneath one.
-    request = args = result = None  # noqa: F841
-    channel.close()
-    backend.close()
-    conn.close()
+    except OSError:
+        return
+    finally:
+        backend.close()
+
+
+def _process_worker(sock: socket.socket) -> None:
+    """Entry point of a spawned worker: one session on ``sock``."""
+    try:
+        serve_session(sock)
+    finally:
+        sock.close()
+
+
+# ----------------------------------------------------------------------
+# Parent side
+# ----------------------------------------------------------------------
 
 
 class ProcessShardExecutor:
-    """One dedicated worker process per shard, fan-outs overlapped."""
+    """One worker per shard over the shard wire, fan-outs overlapped.
+
+    This class owns deadlines, channel poisoning, ``call`` / ``map`` /
+    ``map_scatter``, restart and close for every worker executor.  It
+    spawns its workers; :class:`repro.shard.rpc.TcpShardExecutor`
+    overrides only :meth:`_connect` to reach remote ones instead.
+    """
 
     def __init__(self, config: EngineConfig, shard_count: int) -> None:
         self.shard_count = shard_count
         self.transport = config.resolved_shard_transport
-        self.start_method = config.resolved_shard_start_method
         self.call_timeout = config.resolved_shard_call_timeout
         self._fault_spec = config.resolved_shard_fault_plan
         self._config = config
-        self._ctx = mp.get_context(self.start_method)
-        self._pool: Optional[SegmentPool] = (
-            SegmentPool() if self.transport == "shm" else None
-        )
         self._channels: List[Optional[ParentChannel]] = [None] * shard_count
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * shard_count
         self._incarnations: List[int] = [0] * shard_count
@@ -264,61 +279,86 @@ class ProcessShardExecutor:
         self._poisoned: List[bool] = [False] * shard_count
         self._closed = False
         atexit.register(self.close)
-        # Fail construction fast (bad config, import error in a worker)
-        # instead of on the first routed batch — and if it does fail,
-        # tear down whatever was already started: without the close()
-        # here, the started workers and the segment pool would leak
-        # until interpreter exit.
+        # Fail construction fast (bad config, unreachable or dying
+        # worker) instead of on the first routed batch — and if it does
+        # fail, tear down whatever was already started.
         try:
             for index in range(shard_count):
-                self._spawn(index)
+                self._open(index)
             for index in range(shard_count):
-                self._send(index, "ping", ())
-            for index in range(shard_count):
-                self._recv(index, timeout=self._startup_timeout())
+                self._await_ready(index)
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------
-    # Worker lifecycle
+    # Connections
     # ------------------------------------------------------------------
 
     def _startup_timeout(self) -> float:
         return max(self.call_timeout, STARTUP_TIMEOUT_FLOOR)
 
-    def _spawn(self, index: int) -> None:
-        """Start shard ``index``'s worker on a fresh pipe."""
-        parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(
-                child,
-                self._config,
-                index,
-                self.shard_count,
-                self.transport,
-                self._fault_spec,
-                self._incarnations[index],
-            ),
+    def _connect(self, index: int) -> socket.socket:
+        """Spawn shard ``index``'s worker; return the parent's socket end."""
+        parent, child = socket.socketpair()
+        proc = _SPAWN.Process(
+            target=_process_worker,
+            args=(child,),
             daemon=True,
             name=f"repro-shard-{index}",
         )
-        proc.start()
-        child.close()
-        self._channels[index] = ParentChannel(parent, self._pool, BULK_CALLS)
+        try:
+            proc.start()
+        except BaseException:
+            parent.close()
+            raise
+        finally:
+            child.close()
         self._procs[index] = proc
+        return parent
+
+    def _open(self, index: int) -> None:
+        """Open shard ``index``'s session: connect, then send the hello
+        and the liveness ping without waiting (see :meth:`_await_ready`)."""
+        self._channels[index] = ParentChannel(self._connect(index))
         self._poisoned[index] = False
+        self._send(
+            index,
+            "hello",
+            (
+                self._config,
+                index,
+                self.shard_count,
+                self._incarnations[index],
+                self._fault_spec,
+            ),
+        )
+        self._send(index, "ping", ())
 
-    def _reap(self, proc, graceful: bool) -> None:
-        """Make one worker process fully gone and release its handle.
+    def _await_ready(self, index: int) -> None:
+        """The hello's and the ping's replies, within the startup deadline."""
+        self._recv(index, timeout=self._startup_timeout())
+        self._recv(index, timeout=self._startup_timeout())
 
-        ``graceful`` first waits for a clean exit (the shutdown
-        sentinel was sent); then terminate, then — for a worker that
-        ignores SIGTERM, e.g. one that is SIGSTOP'd — SIGKILL.  The
-        final ``proc.close()`` releases the ``Process`` object so a
+    def _drop(self, index: int, graceful: bool) -> None:
+        """Close shard ``index``'s channel (with a goodbye when
+        ``graceful``), leaving its worker to :meth:`_reap`."""
+        channel = self._channels[index]
+        self._channels[index] = None
+        if channel is not None:
+            channel.close(bye=graceful)
+
+    def _reap(self, index: int, graceful: bool) -> None:
+        """Make shard ``index``'s worker process fully gone, if any.
+
+        ``graceful`` first waits for a clean exit (the goodbye was
+        sent); then terminate, then — for a worker that ignores
+        SIGTERM, e.g. one that is SIGSTOP'd — SIGKILL.  The final
+        ``proc.close()`` releases the ``Process`` object so a
         long-lived parent opening many executors leaks nothing.
         """
+        proc = self._procs[index]
+        self._procs[index] = None
         if proc is None:
             return
         if graceful:
@@ -335,35 +375,24 @@ class ProcessShardExecutor:
             pass
 
     def restart_worker(self, index: int) -> None:
-        """Kill shard ``index``'s worker and respawn it, state empty.
+        """Replace shard ``index``'s worker with a fresh, empty one.
 
         The recovery primitive the supervisor drives after a death or
-        timeout: the straggler is reaped (terminate, then kill), its
-        channel's segment leases return to the pool, and a fresh
-        worker starts on a fresh pipe with a bumped incarnation
-        number.  Fails fast — within the startup deadline — if the
-        respawned worker does not answer its liveness ping.  The new
-        worker's backend is *empty*; rebuilding its state is the
-        caller's job (the supervisor replays its journal).
+        timeout: the connection is dropped, the straggler reaped, and a
+        new session opened with a bumped incarnation number.  Fails
+        fast — within the startup deadline — if the new worker does not
+        answer its liveness ping.  Rebuilding the new backend's state
+        is the caller's job (the supervisor replays its journal).
         """
         self._ensure_open()
-        self._reap(self._procs[index], graceful=False)
-        self._procs[index] = None
-        channel = self._channels[index]
-        if channel is not None:
-            try:
-                channel.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            channel.release_leases()
-            self._channels[index] = None
+        self._drop(index, graceful=False)
+        self._reap(index, graceful=False)
         self._incarnations[index] += 1
-        self._spawn(index)
-        self._send(index, "ping", ())
-        self._recv(index, timeout=self._startup_timeout())
+        self._open(index)
+        self._await_ready(index)
 
     def restart_count(self, index: int) -> int:
-        """How many times shard ``index``'s worker has been respawned."""
+        """How many times shard ``index``'s worker has been replaced."""
         return self._incarnations[index]
 
     # ------------------------------------------------------------------
@@ -373,8 +402,8 @@ class ProcessShardExecutor:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ReproError(
-                "this process shard executor is closed; calls after "
-                "close() are a lifecycle bug in the caller"
+                f"this {type(self).__name__} is closed; calls after "
+                f"close() are a lifecycle bug in the caller"
             )
 
     def _send(self, shard_index: int, method: str, args: Tuple) -> None:
@@ -385,23 +414,33 @@ class ProcessShardExecutor:
                 f"before it can serve calls again"
             )
         try:
-            self._channels[shard_index].send_call(method, args)
-        except (BrokenPipeError, OSError) as exc:
+            self._channels[shard_index].send_call(
+                method, args, self.call_timeout
+            )
+        except socket.timeout as exc:
+            self._poisoned[shard_index] = True
+            raise ShardTimeoutError(
+                f"shard worker {shard_index} did not accept a call within "
+                f"{self.call_timeout:g}s (shard_call_timeout)"
+            ) from exc
+        except OSError as exc:
             self._poisoned[shard_index] = True
             raise ShardWorkerLost(
-                f"shard worker {shard_index} is gone (pipe closed)"
+                f"shard worker {shard_index} is gone (connection closed)"
             ) from exc
 
     def _recv(self, shard_index: int, timeout: Optional[float] = None) -> Any:
         if timeout is None:
             timeout = self.call_timeout
         try:
-            return self._channels[shard_index].recv_reply(timeout=timeout)
+            ok, value = self._channels[shard_index].recv_reply(timeout)
         except EOFError as exc:
             self._poisoned[shard_index] = True
             raise ShardWorkerLost(
                 f"shard worker {shard_index} died mid-call"
             ) from exc
+        # ShardTimeoutError subclasses TimeoutError (an OSError), so it
+        # must be told apart before the generic connection failures.
         except ShardTimeoutError as exc:
             self._poisoned[shard_index] = True
             raise ShardTimeoutError(
@@ -409,6 +448,14 @@ class ProcessShardExecutor:
                 f"{timeout:g}s (shard_call_timeout); the worker is hung "
                 f"and must be restarted before it can serve calls again"
             ) from exc
+        except OSError as exc:
+            self._poisoned[shard_index] = True
+            raise ShardWorkerLost(
+                f"shard worker {shard_index}'s connection failed mid-call"
+            ) from exc
+        if not ok:
+            raise value
+        return value
 
     def call(self, shard_index: int, method: str, *args) -> Any:
         self._ensure_open()
@@ -419,8 +466,8 @@ class ProcessShardExecutor:
         """One outcome per shard: results and *failures*, never a raise.
 
         The supervised fan-out primitive: every involved shard's reply
-        is drained (leaving one in a pipe would desynchronize the next
-        round), and a shard's failure comes back as the exception
+        is drained (leaving one on a connection would desynchronize the
+        next round), and a shard's failure comes back as the exception
         object in its slot instead of aborting the whole round — so
         the supervisor can recover exactly the shards that failed and
         keep every healthy shard's result.
@@ -462,13 +509,11 @@ class ProcessShardExecutor:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down workers and unlink every segment; idempotent.
+        """End every session and reap every spawned worker; idempotent.
 
-        Healthy workers get the shutdown sentinel and a graceful join;
-        stragglers are escalated terminate → kill, and every
-        ``Process`` object is released (``proc.close()``) so nothing
-        leaks in long-lived parents — even after worker crashes or
-        hangs.
+        Healthy workers get a goodbye and a graceful join; stragglers
+        are escalated terminate → kill, and every ``Process`` object is
+        released, even after worker crashes or hangs.
         """
         if self._closed:
             return
@@ -476,30 +521,13 @@ class ProcessShardExecutor:
         # Drop the atexit reference so closed executors can be GC'd in
         # long-lived processes that open many sharded engines.
         atexit.unregister(self.close)
-        for index, channel in enumerate(self._channels):
-            if channel is None or self._poisoned[index]:
-                continue
-            try:
-                channel.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for index, proc in enumerate(self._procs):
-            # A poisoned shard's worker is hung or dead: skip the
-            # graceful wait and go straight to terminate/kill.
-            self._reap(proc, graceful=not self._poisoned[index])
-            self._procs[index] = None
-        for index, channel in enumerate(self._channels):
-            if channel is None:
-                continue
-            try:
-                channel.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._channels[index] = None
-        # Last: every segment is parent-owned, so this unlinks the whole
-        # payload plane even if workers crashed mid-call.
-        if self._pool is not None:
-            self._pool.close()
+        # A poisoned shard's worker is hung or dead: no goodbye and no
+        # graceful wait, straight to terminate/kill.
+        healthy = [not poisoned for poisoned in self._poisoned]
+        for index in range(self.shard_count):
+            self._drop(index, graceful=healthy[index])
+        for index in range(self.shard_count):
+            self._reap(index, graceful=healthy[index])
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

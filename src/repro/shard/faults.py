@@ -3,7 +3,7 @@
 The chaos half of the fault-tolerance layer: a **fault plan** is a
 declarative schedule of failures — *crash this worker at its 2nd
 ``ingest`` call*, *hang ``merge_state`` on shard 1* — that workers
-consult inside :func:`repro.shard.executors._shard_worker`.  Plans make
+consult inside :func:`repro.shard.executors.serve_session`.  Plans make
 worker failure a first-class, reproducible test input, so the recovery
 machinery (deadline-bounded calls, supervised restart, journal replay)
 is proven against *injected* deaths and hangs rather than hand-rolled
@@ -18,7 +18,7 @@ A plan is a ``;``-separated list of rules, each::
 
   - ``crash``  — the worker process exits immediately
     (``os._exit``), simulating a segfault/OOM kill; the parent sees
-    EOF on the pipe.
+    EOF on the socket.  A tcp worker ends only the session instead.
   - ``hang``   — the worker sleeps (default: effectively forever),
     simulating a deadlock; the parent sees a
     :class:`repro.errors.ShardTimeoutError` once the call deadline

@@ -1,10 +1,11 @@
 """Supervised worker recovery: journal, restart, exact replay.
 
-A single worker death used to brick the whole sharded engine, and a
-hung worker hung the parent with it.  The
-:class:`ShardSupervisor` sits between the router and the
-:class:`repro.shard.executors.ProcessShardExecutor` and turns both
-failures into a bounded, provably-exact recovery:
+Unsupervised, a single worker death would brick the whole sharded
+engine, and a hung worker would hang the parent with it.  The
+:class:`ShardSupervisor` sits between the router and a worker executor
+(:class:`repro.shard.executors.ProcessShardExecutor` or its tcp
+subclass) and turns both failures into a bounded, provably-exact
+recovery:
 
 * **Journal.**  Every state-mutating call
   (:data:`repro.shard.backend.MUTATING_CALLS` — ``ingest`` /
@@ -16,8 +17,8 @@ failures into a bounded, provably-exact recovery:
 * **Recovery.**  When a call fails with a recoverable failure
   (:class:`repro.shard.executors.ShardWorkerLost` — the worker died —
   or :class:`repro.errors.ShardTimeoutError` — it hung), the
-  supervisor has the executor kill the straggler and respawn the
-  worker (fresh pipe, bumped incarnation), replays the shard's
+  supervisor has the executor replace the worker (respawn a local one,
+  reconnect to a remote one; bumped incarnation), replays the shard's
   journal against the empty backend, and retries the in-flight call.
   Replay rebuilds state *exactly*: at ``rho = 0`` the recovered
   deployment's query and snapshot sequences are bit-identical to an
@@ -42,12 +43,10 @@ worker survived them, nothing needs rebuilding.
   with update history — a leak in any long-lived deployment.  Instead,
   after every ``shard_journal_snapshot_every`` journaled mutations on
   a shard the supervisor drains that worker's state through
-  ``export_state`` (points + local ids + epoch + ownership table,
-  deep-copied out of the transport's buffers), stores it as the
-  shard's *snapshot*, and truncates the journal.  The drain is
-  deferred to the shard's *next* dispatch: right after a call the
-  caller still holds that reply's transport views, and an immediate
-  ``export_state`` on the same channel would overwrite them in place.  Recovery then seeds
+  ``export_state`` (points + local ids + epoch + ownership table),
+  stores it as the shard's *snapshot*, and truncates the journal —
+  right after the journaled call, since every reply owns its receive
+  buffers and no later call can overwrite them.  Recovery then seeds
   the fresh worker with ``restore_state`` and replays only the journal
   suffix.  At ``rho = 0`` the clustering is a pure function of the
   live point set and local ids survive the restore via the backend's
@@ -56,16 +55,14 @@ worker survived them, nothing needs rebuilding.
   by the knob, regardless of history length.
 
 The journal/replay contract is executor-agnostic: the supervisor
-drives :class:`repro.shard.executors.ProcessShardExecutor` (respawn a
-local worker process) and :class:`repro.shard.rpc.TcpShardExecutor`
-(reconnect a remote worker's session) identically.
+drives the process and tcp executors, and the serial one in tests,
+through the same ``restart_worker`` / ``call`` / ``map_scatter``
+surface.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.errors import ReproError
@@ -93,7 +90,6 @@ class ShardSupervisor:
         self._snapshots: List[Optional[Dict[str, Any]]] = [
             None
         ] * executor.shard_count
-        self._snapshot_due = [False] * executor.shard_count
         self._restarts = [0] * executor.shard_count
 
     # ------------------------------------------------------------------
@@ -110,11 +106,6 @@ class ShardSupervisor:
         return self._executor.transport
 
     @property
-    def start_method(self) -> Optional[str]:
-        # The tcp executor never spawns processes, so it has none.
-        return getattr(self._executor, "start_method", None)
-
-    @property
     def restarts(self) -> int:
         """Worker restarts performed over this deployment's lifetime."""
         return sum(self._restarts)
@@ -126,10 +117,8 @@ class ShardSupervisor:
     def journal_size(self, shard_index: int) -> int:
         """Journaled mutating calls held for one shard (test surface).
 
-        Bounded by ``snapshot_every``: reaching it schedules a
-        snapshot that truncates the journal back to empty at the
-        shard's next dispatch (deferred so the caller's live reply
-        views are never clobbered).
+        Stays below ``snapshot_every``: reaching it takes a snapshot
+        that truncates the journal back to empty.
         """
         return len(self._journal[shard_index])
 
@@ -210,33 +199,18 @@ class ShardSupervisor:
         if call[0] in MUTATING_CALLS:
             self._journal[shard_index].append((call[0], call[1]))
             if len(self._journal[shard_index]) >= self.snapshot_every:
-                # Do NOT snapshot here: the caller still holds the
-                # reply views of the call just recorded, and issuing
-                # export_state on the same channel would overwrite
-                # them in place.  Defer to the next dispatch, when the
-                # transport contract says those views are dead.
-                self._snapshot_due[shard_index] = True
-
-    def _flush_due_snapshot(self, shard_index: int) -> None:
-        if self._snapshot_due[shard_index]:
-            self._snapshot_due[shard_index] = False
-            self._take_snapshot(shard_index)
+                self._take_snapshot(shard_index)
 
     def _take_snapshot(self, shard_index: int) -> None:
         """Drain one shard's state and truncate its journal.
 
-        The exported arrays can be transport views (shm pages, receive
-        buffers) valid only until the next call on that shard's
-        channel, so everything is deep-copied into parent-owned memory
-        before the journal lets go of the history it summarizes.
+        ``export_state`` builds its arrays and ownership table afresh,
+        and a worker's reply owns its receive buffers, so the snapshot
+        is kept as returned: no later call can change it.
         """
-        state = self._attempt(shard_index, "export_state", ())
-        self._snapshots[shard_index] = {
-            key: np.array(value, copy=True)
-            if isinstance(value, np.ndarray)
-            else (dict(value) if isinstance(value, dict) else value)
-            for key, value in state.items()
-        }
+        self._snapshots[shard_index] = self._attempt(
+            shard_index, "export_state", ()
+        )
         self._journal[shard_index] = []
 
     # ------------------------------------------------------------------
@@ -244,7 +218,6 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def call(self, shard_index: int, method: str, *args) -> Any:
-        self._flush_due_snapshot(shard_index)
         result = self._attempt(shard_index, method, args)
         self._record(shard_index, (method, args))
         return result
@@ -258,9 +231,6 @@ class ShardSupervisor:
         budget (or a relayed backend exception) surfaces — first in
         shard order, matching the executor's own ``map``.
         """
-        for index, call in enumerate(calls):
-            if call is not None:
-                self._flush_due_snapshot(index)
         outcomes = self._executor.map_scatter(calls)
         failure = None
         for index, call in enumerate(calls):

@@ -1,110 +1,60 @@
-"""Zero-copy shared-memory payload plane for the process shard executor.
+"""The shard wire: one framing for every worker executor.
 
-PR 5 proved the sharded router bit-identical to a single engine, but its
-process executor pickled every routed batch — point arrays, id arrays,
-fragment frontiers — through a pipe, in both directions.  At scale the
-transport dominated the engines it was feeding (``process x4`` ingest
-ran *slower* than ``process x1``).  This module applies the paper's
-"pay only for what changed" discipline to the transport itself: ship
-only the bytes that must move, and ship them without copies.
+Every shard worker — a spawned local process on its end of a
+``socket.socketpair()``, or a ``python -m repro shard-worker`` behind a
+TCP address — speaks this protocol over one stream socket, in strict
+request/reply alternation.  Each message is one length-prefixed
+(8-byte big-endian) pickled *control frame* followed by one raw
+*payload frame* per bulk numpy array::
 
-Every executor call ``(method, args)`` is **framed** into two planes:
-
-* **control** — method name, scalars, small python structure — pickled
-  over the existing pipe exactly as before;
-* **bulk payloads** — numpy arrays (point batches, id arrays, frontier
-  core coordinates) — written once into a pooled
-  :mod:`multiprocessing.shared_memory` segment and rebuilt on the other
-  side as read-only *views* into the same pages.  Array bytes cross the
-  process boundary exactly once (the write into the segment) and are
-  never pickled, replies included.
-
-Which calls carry bulk payloads is **declared**
-(:data:`repro.shard.backend.BULK_CALLS`), never guessed: framing walks
-only declared argument positions and results, substituting a
-:class:`_Ref` placeholder for each ndarray it finds.  Tuples, dicts and
-the fragment dataclasses are walked; lists are always control data.
-
-Segment ownership and lifetime:
-
-* Segments are created and owned *exclusively by the parent process*;
-  workers only ever attach.  No segment's lifetime depends on a worker
-  staying alive, so :meth:`SegmentPool.close` (called from executor
-  close, and from ``atexit``) deterministically unlinks every segment —
-  including after a worker crash.
-* The pool leases segments with ref-counts and geometric sizing; a
-  released segment returns to the free list for reuse, so a long-lived
-  channel re-leases at most O(log payload) times.
-* Payload views are valid until the **next call on the same shard
-  channel**.  The router consumes every reply inside the merge (or
-  routing pass) that requested it, so the contract holds by
-  construction; views are handed out read-only so a violation cannot
-  silently corrupt a segment.
-
-Wire protocol (one pipe per shard, strict request/reply alternation;
-``desc`` is ``None`` or ``(segment_name, [(offset, dtype, shape), ...])``)::
-
-    parent -> worker:  ("call", method, control, desc)
-                       ("segment", name, size)          # grow response
-                       None                             # shutdown
-    worker -> parent:  ("ok", control, desc)
+    parent -> worker:  ("call", "hello", (config, index, count,
+                                          incarnation, fault_spec))
+                       ("call", method, control)
+                       ("bye",)
+    worker -> parent:  ("ok", control)
                        ("error", exception)
-                       ("grow", nbytes)                 # reply won't fit
 
-The same framing is deliberately transport-agnostic at the call sites:
-with the ``pickle`` transport the channels degrade to the PR 5 wire
-format (whole messages through the pipe), which is what keeps the two
-transports differentiable side by side and leaves the framing reusable
-by the ROADMAP's RPC/distributed executor.
+The hello opens a session: the worker builds a fresh backend from it
+and answers ``("ok", index)``.
+
+Which calls carry bulk payloads is declared
+(:data:`repro.shard.backend.BULK_CALLS`), never guessed: framing walks
+only the declared argument positions and results, substitutes a
+:class:`_Ref` placeholder for each ndarray it finds, and the control
+frame carries each array's ``(dtype, shape)``.  The array bytes are
+streamed raw — never pickled — and rebuilt on receipt as read-only
+arrays over their own receive buffers, so a reply stays valid for as
+long as the caller holds it.
+
+:func:`payload_bytes` and :func:`read_payloads` are looked up through
+this module's globals on every send and receive, so a tracer that
+replaces them sees every payload byte.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
+import pickle
+import socket
+import struct
 import time
 import traceback
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from dataclasses import replace as dataclass_replace
-from multiprocessing import shared_memory
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError, ShardTimeoutError
+from repro.shard.backend import BULK_CALLS
 
-#: Process-executor transports: ``pickle`` ships whole messages through
-#: the pipe (the PR 5 baseline), ``shm`` moves bulk arrays through
-#: pooled shared-memory segments and pickles only control metadata.
-TRANSPORT_CHOICES = ("pickle", "shm")
+_LENGTH = struct.Struct(">Q")
 
-#: Payload offsets are aligned so every reconstructed view starts on a
-#: cache line, keeping vectorized kernels over the views well-behaved.
-_ALIGN = 64
-
-#: Smallest segment the pool creates.  Together with power-of-two
-#: growth this bounds a channel's lifetime lease count at O(log bytes).
-MIN_SEGMENT_BYTES = 1 << 20
-
-_segment_counter = itertools.count()
-
-
-@dataclass(frozen=True)
-class BulkSpec:
-    """Where one executor call's bulk numpy payloads are declared to live.
-
-    ``arg_positions`` names the positional arguments that may hold (or
-    contain) bulk arrays; ``bulk_result`` declares the same for the
-    call's result.  Everything undeclared is control metadata and is
-    pickled untouched — the framer never guesses.
-    """
-
-    arg_positions: Tuple[int, ...] = ()
-    bulk_result: bool = False
+#: How long a goodbye may block before the parent gives up on it.
+BYE_TIMEOUT = 1.0
 
 
 class _Ref:
-    """Control-plane placeholder for one extracted bulk array."""
+    """Control-frame placeholder for one extracted bulk array."""
 
     __slots__ = ("index",)
 
@@ -123,8 +73,8 @@ def _extract(obj: Any, arrays: List[np.ndarray]) -> Any:
 
     Walks tuples, dict *values* and dataclass fields; lists (and dict
     keys) are control data by convention and are left untouched.  The
-    collected arrays are made C-contiguous here, so the writer can copy
-    them into a segment with one ``memcpy`` each.
+    collected arrays are made C-contiguous, so each is written with
+    one ``sendall``.
     """
     if isinstance(obj, np.ndarray):
         arrays.append(np.ascontiguousarray(obj))
@@ -145,7 +95,7 @@ def _extract(obj: Any, arrays: List[np.ndarray]) -> Any:
 
 
 def _plant(obj: Any, views: List[np.ndarray]) -> Any:
-    """Inverse of :func:`_extract`: substitute views for placeholders."""
+    """Inverse of :func:`_extract`: substitute arrays for placeholders."""
     if isinstance(obj, _Ref):
         return views[obj.index]
     if isinstance(obj, tuple):
@@ -160,334 +110,215 @@ def _plant(obj: Any, views: List[np.ndarray]) -> Any:
     return obj
 
 
-def _aligned(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
+def _frame_args(method: str, args: Tuple[Any, ...]):
+    """Split call args into (control, arrays) per the declared bulk spec."""
+    spec = BULK_CALLS.get(method)
+    if spec is None or not spec.arg_positions:
+        return args, []
+    arrays: List[np.ndarray] = []
+    control = tuple(
+        _extract(arg, arrays) if i in spec.arg_positions else arg
+        for i, arg in enumerate(args)
+    )
+    return control, arrays
 
 
-def _detach_exported(segment: shared_memory.SharedMemory) -> None:
-    """Detach a segment whose mmap still has exported payload views.
-
-    The mmap cannot close under a live view, and letting
-    ``SharedMemory.__del__`` retry later just fails again (noisily, at
-    interpreter exit).  Dropping the handles instead leaves the mapping
-    referenced only by the surviving views, so it frees itself the
-    moment the last one dies — no retry, no leak beyond view lifetime.
-    """
-    segment._buf = None
-    segment._mmap = None
+def _frame_result(method: str, result: Any):
+    """Split a call result into (control, arrays) per the bulk spec."""
+    spec = BULK_CALLS.get(method)
+    if spec is None or not spec.bulk_result:
+        return result, []
+    arrays: List[np.ndarray] = []
+    return _extract(result, arrays), arrays
 
 
-def payload_bytes(arrays: List[np.ndarray]) -> int:
-    """Total segment capacity the given arrays need, aligned."""
-    return sum(_aligned(arr.nbytes) for arr in arrays) or _ALIGN
+# ----------------------------------------------------------------------
+# Framing
+# ----------------------------------------------------------------------
 
 
-def write_payloads(
-    segment: shared_memory.SharedMemory, arrays: List[np.ndarray]
-) -> List[Tuple[int, str, Tuple[int, ...]]]:
-    """Copy arrays into ``segment``; returns the descriptor entries.
+def payload_bytes(arrays: Sequence[np.ndarray]) -> int:
+    """Bytes the payload frames of ``arrays`` carry (prefixes excluded)."""
+    return sum(arr.nbytes for arr in arrays)
 
-    Each entry is ``(offset, dtype, shape)`` — everything the receiver
-    needs to rebuild the array as a view without touching the bytes.
-    """
-    entries: List[Tuple[int, str, Tuple[int, ...]]] = []
-    offset = 0
-    for arr in arrays:
-        if arr.size:
-            np.frombuffer(
-                segment.buf, dtype=arr.dtype, count=arr.size, offset=offset
-            ).reshape(arr.shape)[...] = arr
-        entries.append((offset, arr.dtype.str, arr.shape))
-        offset += _aligned(arr.nbytes)
-    return entries
+
+def _recv_exact(sock: socket.socket, n: int, deadline: Optional[float]) -> bytearray:
+    """Read exactly ``n`` bytes; EOFError on close, timeout on deadline."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ShardTimeoutError("no reply within the deadline")
+            sock.settimeout(remaining)
+        else:
+            sock.settimeout(None)
+        try:
+            count = sock.recv_into(view[got:])
+        except socket.timeout:
+            raise ShardTimeoutError("no reply within the deadline") from None
+        if count == 0:
+            raise EOFError("connection closed mid-message")
+        got += count
+    return buf
+
+
+def _recv_frame(sock: socket.socket, deadline: Optional[float]) -> bytearray:
+    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size, deadline))
+    return _recv_exact(sock, length, deadline) if length else bytearray()
 
 
 def read_payloads(
-    segment: shared_memory.SharedMemory,
-    entries: List[Tuple[int, str, Tuple[int, ...]]],
+    read_frame: Callable[[], bytearray],
+    desc: Sequence[Tuple[str, Tuple[int, ...]]],
 ) -> List[np.ndarray]:
-    """Rebuild descriptor entries as read-only views into ``segment``."""
+    """The payload frames described by ``desc``, as read-only arrays.
+
+    ``read_frame()`` returns the next frame's bytes; each array views
+    its own frame buffer, so it outlives every later message.
+    """
     views: List[np.ndarray] = []
-    for offset, dtype, shape in entries:
-        dt = np.dtype(dtype)
+    for dtype_str, shape in desc:
+        dtype = np.dtype(dtype_str)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        flat = np.frombuffer(segment.buf, dtype=dt, count=count, offset=offset)
+        buf = read_frame()
+        if len(buf) != count * dtype.itemsize:
+            raise ReproError(
+                f"payload frame of {len(buf)} bytes does not hold a "
+                f"{dtype_str} array of shape {shape}: the stream is out "
+                f"of sync"
+            )
+        flat = np.frombuffer(buf, dtype=dtype, count=count)
         flat.flags.writeable = False
         views.append(flat.reshape(shape))
     return views
 
 
-class SegmentPool:
-    """Parent-owned pool of shared-memory segments with leased reuse.
+def write_message(
+    sock: socket.socket, header: Any, arrays: Sequence[np.ndarray]
+) -> int:
+    """One control frame (pickled, with payload descriptors) + raw arrays.
 
-    ``lease(nbytes)`` hands out a segment of at least ``nbytes``
-    capacity — best-fit from the free list when possible, freshly
-    created (power-of-two sized, named ``repro-shm-<pid>-<seq>``)
-    otherwise.  ``release`` returns a segment to the free list once its
-    lease drops to zero.  ``close`` unlinks every segment the pool ever
-    created, leased or not, and is idempotent — the single guarantee
-    the no-leak tests pin down: after close, nothing of this pool
-    remains under ``/dev/shm``, regardless of worker state.
+    The pickle is built *before* any byte hits the socket, so a
+    pickling failure leaves the stream clean — the error-relay
+    fallback depends on that.  Each array is written straight from its
+    own buffer, uncopied.  Returns the payload bytes sent.
     """
+    desc = [(arr.dtype.str, arr.shape) for arr in arrays]
+    blob = pickle.dumps((header, desc), protocol=pickle.HIGHEST_PROTOCOL)
+    sock.sendall(_LENGTH.pack(len(blob)) + blob)
+    for arr in arrays:
+        sock.sendall(_LENGTH.pack(arr.nbytes))
+        if arr.nbytes:
+            sock.sendall(memoryview(arr).cast("B"))
+    return payload_bytes(arrays)
 
-    def __init__(self) -> None:
-        self._segments: Dict[str, shared_memory.SharedMemory] = {}
-        self._leases: Dict[str, int] = {}
-        self._free: List[str] = []
-        self._closed = False
 
-    def __len__(self) -> int:
-        return len(self._segments)
+def read_message(
+    sock: socket.socket, deadline: Optional[float] = None
+) -> Tuple[Any, List[np.ndarray]]:
+    """One message back: the control header plus read-only arrays."""
+    header, desc = pickle.loads(_recv_frame(sock, deadline))
+    return header, read_payloads(lambda: _recv_frame(sock, deadline), desc)
 
-    def segment_names(self) -> List[str]:
-        """Names of every segment currently owned by the pool."""
-        return sorted(self._segments)
 
-    def get(self, name: str) -> shared_memory.SharedMemory:
-        try:
-            return self._segments[name]
-        except KeyError:
-            raise ReproError(
-                f"shared-memory descriptor references segment {name!r}, "
-                f"which this pool does not own — transport framing is "
-                f"out of sync"
-            ) from None
-
-    def lease(self, nbytes: int) -> shared_memory.SharedMemory:
-        if self._closed:
-            raise ReproError("segment pool is closed")
-        best: Optional[str] = None
-        for name in self._free:
-            size = self._segments[name].size
-            if size >= nbytes and (
-                best is None or size < self._segments[best].size
-            ):
-                best = name
-        if best is not None:
-            self._free.remove(best)
-            self._leases[best] += 1
-            return self._segments[best]
-        capacity = max(MIN_SEGMENT_BYTES, 1 << (max(nbytes, 1) - 1).bit_length())
-        while True:
-            name = f"repro-shm-{os.getpid()}-{next(_segment_counter)}"
-            try:
-                segment = shared_memory.SharedMemory(
-                    name=name, create=True, size=capacity
-                )
-                break
-            except FileExistsError:  # pragma: no cover - pid reuse race
-                continue
-        self._segments[segment.name] = segment
-        self._leases[segment.name] = 1
-        return segment
-
-    def release(self, segment: shared_memory.SharedMemory) -> None:
-        if self._closed or segment.name not in self._segments:
-            return
-        count = self._leases[segment.name] - 1
-        if count < 0:  # pragma: no cover - protocol bug guard
-            raise ReproError(
-                f"segment {segment.name!r} released more times than leased"
-            )
-        self._leases[segment.name] = count
-        if count == 0:
-            self._free.append(segment.name)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for segment in self._segments.values():
-            try:
-                segment.close()
-            except BufferError:
-                _detach_exported(segment)
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-        self._segments.clear()
-        self._leases.clear()
-        self._free.clear()
+# ----------------------------------------------------------------------
+# The two ends of one shard's connection
+# ----------------------------------------------------------------------
 
 
 class ParentChannel:
-    """Parent-side framing endpoint for one shard's pipe.
+    """The parent's end of one shard's connection.
 
-    Owns the channel's current request and reply segment leases (both
-    drawn from the executor's shared :class:`SegmentPool`) and services
-    the worker's ``grow`` requests inline from :meth:`recv_reply`.
-    With ``pool=None`` the channel is the pickle transport: whole
-    messages through the pipe, no segments anywhere.
+    Raises ``EOFError`` when the worker is gone,
+    :class:`repro.errors.ShardTimeoutError` past a deadline and
+    ``OSError`` on a broken connection; the executor maps each to a
+    shard-context error and poisons the channel, since a late reply
+    would break the request/reply alternation.
     """
 
-    def __init__(
-        self,
-        conn,
-        pool: Optional[SegmentPool],
-        schemas: Mapping[str, BulkSpec],
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+
+    def send_call(
+        self, method: str, args: Tuple[Any, ...], timeout: float
     ) -> None:
-        self.conn = conn
-        self._pool = pool
-        self._schemas = schemas
-        self._req: Optional[shared_memory.SharedMemory] = None
-        self._rep: Optional[shared_memory.SharedMemory] = None
+        """Frame and send one call; ``timeout`` bounds the send too, so
+        a worker that stopped reading cannot block the parent."""
+        control, arrays = _frame_args(method, args)
+        self.sock.settimeout(timeout)
+        write_message(self.sock, ("call", method, control), arrays)
 
-    def _swap(
-        self, current: Optional[shared_memory.SharedMemory], nbytes: int
-    ) -> shared_memory.SharedMemory:
-        if current is not None and current.size >= nbytes:
-            return current
-        assert self._pool is not None
-        fresh = self._pool.lease(nbytes)
-        if current is not None:
-            self._pool.release(current)
-        return fresh
+    def recv_reply(self, timeout: float) -> Tuple[bool, Any]:
+        """One reply within ``timeout`` seconds, as ``(ok, value)``.
 
-    def send_call(self, method: str, args: Tuple[Any, ...]) -> None:
-        spec = self._schemas.get(method) if self._pool is not None else None
-        if spec is None or not spec.arg_positions:
-            self.conn.send(("call", method, args, None))
-            return
-        arrays: List[np.ndarray] = []
-        control = tuple(
-            _extract(arg, arrays) if i in spec.arg_positions else arg
-            for i, arg in enumerate(args)
-        )
-        if not arrays:
-            self.conn.send(("call", method, control, None))
-            return
-        self._req = self._swap(self._req, payload_bytes(arrays))
-        entries = write_payloads(self._req, arrays)
-        self.conn.send(("call", method, control, (self._req.name, entries)))
-
-    def recv_reply(self, timeout: Optional[float] = None) -> Any:
-        """One reply; raises relayed exceptions, services grow requests.
-
-        ``timeout`` bounds the whole wait (grow handshakes included)
-        with a ``poll``-based deadline: a worker that never replies —
-        hung, deadlocked, SIGSTOP'd — raises
-        :class:`repro.errors.ShardTimeoutError` instead of blocking
-        the parent forever.  ``None`` waits indefinitely.  May raise
-        ``EOFError`` if the worker died (its pipe end closes, so death
-        surfaces promptly even under a long deadline) — the executor
-        maps both to shard-context errors.
-
-        After a timeout the channel is **desynchronized**: the
-        worker's reply may still arrive later, so the channel must not
-        be reused — the executor poisons it until the worker is
-        restarted on a fresh pipe.
+        A relayed backend exception comes back as ``(False, exc)``, not
+        raised, so the caller can tell it from the connection failures
+        this method raises: a relayed ``EOFError`` or ``OSError`` must
+        not poison a healthy channel.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self.conn.poll(remaining):
-                    raise ShardTimeoutError(
-                        f"no reply within {timeout:g}s"
-                    )
-            message = self.conn.recv()
-            tag = message[0]
-            if tag == "grow":
-                self._rep = self._swap(self._rep, message[1])
-                self.conn.send(("segment", self._rep.name, self._rep.size))
-                continue
-            if tag == "error":
-                raise message[1]
-            _, control, desc = message
-            if desc is None:
-                return control
-            assert self._pool is not None
-            name, entries = desc
-            return _plant(control, read_payloads(self._pool.get(name), entries))
+        header, views = read_message(
+            self.sock, deadline=time.monotonic() + timeout
+        )
+        if header[0] == "error":
+            return False, header[1]
+        return True, _plant(header[1], views)
 
-    def release_leases(self) -> None:
-        """Return this channel's segment leases to the pool."""
-        if self._pool is None:
-            return
-        for segment in (self._req, self._rep):
-            if segment is not None:
-                self._pool.release(segment)
-        self._req = self._rep = None
+    def close(self, bye: bool) -> None:
+        """Close the connection, after a goodbye when ``bye`` is set."""
+        if bye:
+            try:
+                self.sock.settimeout(BYE_TIMEOUT)
+                write_message(self.sock, ("bye",), [])
+            except OSError:
+                pass
+        try:
+            self.sock.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
 
 
 class WorkerChannel:
-    """Worker-side framing endpoint: attach-only, owns no segments.
+    """The worker's end of one session's connection."""
 
-    Reply payloads are written into a parent-owned segment obtained
-    through the ``grow`` handshake; request payloads are read through
-    an attachment cache (segment names are stable until the parent's
-    pool closes, so cached attachments never go stale).
-    """
-
-    def __init__(
-        self, conn, schemas: Mapping[str, BulkSpec], shm_enabled: bool
-    ) -> None:
-        self.conn = conn
-        self._schemas = schemas if shm_enabled else {}
-        self._attached: Dict[str, shared_memory.SharedMemory] = {}
-        self._reply_segment: Optional[shared_memory.SharedMemory] = None
-
-    def _attach(self, name: str) -> shared_memory.SharedMemory:
-        segment = self._attached.get(name)
-        if segment is None:
-            segment = shared_memory.SharedMemory(name=name)
-            self._attached[name] = segment
-        return segment
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
 
     def recv_call(self) -> Optional[Tuple[str, Tuple[Any, ...]]]:
-        """Next ``(method, args)`` request, or ``None`` on shutdown."""
-        message = self.conn.recv()
-        if message is None:
+        """The next ``(method, args)``, or ``None`` on goodbye or EOF."""
+        try:
+            header, views = read_message(self.sock)
+        except (EOFError, OSError, pickle.UnpicklingError):
             return None
-        _, method, control, desc = message
-        if desc is None:
-            return method, control
-        name, entries = desc
-        views = read_payloads(self._attach(name), entries)
+        if not isinstance(header, tuple) or header[0] != "call":
+            return None
+        _, method, control = header
         return method, _plant(control, views)
 
     def send_ok(self, method: str, result: Any) -> None:
-        spec = self._schemas.get(method)
-        if spec is None or not spec.bulk_result:
-            self.conn.send(("ok", result, None))
-            return
-        arrays: List[np.ndarray] = []
-        control = _extract(result, arrays)
-        if not arrays:
-            self.conn.send(("ok", control, None))
-            return
-        need = payload_bytes(arrays)
-        segment = self._reply_segment
-        if segment is None or segment.size < need:
-            self.conn.send(("grow", need))
-            response = self.conn.recv()
-            if response is None or response[0] != "segment":
-                raise EOFError("parent went away during a grow handshake")
-            segment = self._attach(response[1])
-            self._reply_segment = segment
-        entries = write_payloads(segment, arrays)
-        self.conn.send(("ok", control, (segment.name, entries)))
+        control, arrays = _frame_result(method, result)
+        write_message(self.sock, ("ok", control), arrays)
 
     def send_error(self, exc: BaseException) -> None:
-        """Relay an exception; never let the relay itself kill the worker.
+        """Relay an exception; never let the relay itself end the session.
 
-        ``Connection.send`` pickles the full message before writing any
-        bytes, so a pickling failure here leaves the pipe clean — the
-        fallback resends a :class:`ReproError` carrying the original
-        exception's ``repr`` and traceback text instead of crashing the
-        worker (which used to surface as a misleading "worker died
-        mid-call").
+        The pickle is built before any byte is written, so an
+        unpicklable exception falls back to a :class:`ReproError`
+        carrying its repr and traceback text, and the stream stays in
+        sync either way.
         """
         try:
-            self.conn.send(("error", exc))
-        except (BrokenPipeError, OSError):
+            write_message(self.sock, ("error", exc), [])
+        except OSError:
             raise
         except Exception:
             detail = "".join(
                 traceback.format_exception(type(exc), exc, exc.__traceback__)
             )
-            self.conn.send(
+            write_message(
+                self.sock,
                 (
                     "error",
                     ReproError(
@@ -495,14 +326,6 @@ class WorkerChannel:
                         f"be relayed across the process boundary: {exc!r}\n"
                         f"--- original traceback ---\n{detail}"
                     ),
-                )
+                ),
+                [],
             )
-
-    def close(self) -> None:
-        for segment in self._attached.values():
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - caller kept a view
-                _detach_exported(segment)
-        self._attached.clear()
-        self._reply_segment = None

@@ -100,7 +100,7 @@ class RunResult:
     produced the run, ``shards`` how many engine shards served it
     (1 for a single engine) and ``transport`` how routed batches
     reached those shards (``"inline"`` for the serial executor,
-    ``"pickle"``/``"shm"`` for the process executor, ``""`` for an
+    ``"socket"`` for the process and tcp executors, ``""`` for an
     unsharded run), so benchmark files and reports can attribute
     numbers to the compute substrate and deployment shape that
     generated them.  ``restarts`` counts supervised shard-worker

@@ -20,8 +20,6 @@ EXPECTED_API_ALL = [
     "DEFAULT_FLUSH_THRESHOLD",
     "DEFAULT_SHARD_BLOCK",
     "SHARD_EXECUTOR_CHOICES",
-    "SHARD_START_METHOD_CHOICES",
-    "SHARD_TRANSPORT_CHOICES",
     "ConfigError",
     "Engine",
     "EngineConfig",

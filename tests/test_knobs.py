@@ -32,8 +32,7 @@ def engine_knob_table() -> str:
         "| --- | --- | --- | --- | --- | --- | --- |",
     ]
     for row in KNOBS.values():
-        options = row.options()
-        values = " / ".join(options) if options else ", ".join(
+        values = " / ".join(row.choices) if row.choices else ", ".join(
             filter(None, [row.kind.__name__, row.range_text()]))
         default = "required" if row.required else (
             "unset" if row.default is None else f"`{row.default}`")
@@ -90,7 +89,7 @@ EXPECTED_FLAGS = {
         "--minpts": 10, "--n": 2000, "--query-freq": 0.05, "--rho": 0.001,
         "--scenario": "mixed", "--seed": 42, "--semi": False,
         "--shard-call-timeout": None, "--shard-executor": "serial",
-        "--shard-transport": None, "--shard-workers": None,
+        "--shard-workers": None,
         "--shards": None, "--window-capacity": None,
         "algorithms": ["double-approx", "incdbscan"],
     },
@@ -101,7 +100,7 @@ EXPECTED_FLAGS = {
         "--max-inflight": 256, "--max-sessions": 64,
         "--max-write-buffer": 1 << 20, "--minpts": 10, "--port": 7171,
         "--queue-depth": 32, "--rho": 0.001, "--shard-call-timeout": None,
-        "--shard-executor": "serial", "--shard-transport": None,
+        "--shard-executor": "serial",
         "--shard-workers": None, "--shards": None,
         "--window-capacity": None,
     },

@@ -97,7 +97,6 @@ def _open_sharded(
     shard_count: int,
     executor: str = "serial",
     block: int = 1,
-    transport: str | None = None,
 ):
     return api.open(
         algorithm=algorithm,
@@ -108,7 +107,6 @@ def _open_sharded(
         shards=shard_count,
         shard_block=block,
         shard_executor=executor,
-        shard_transport=transport,
     )
 
 
@@ -301,18 +299,15 @@ def test_rebalance_mid_workload_differential(shard_count):
     assert sorted(got_snap.noise) == sorted(want_snap.noise)
 
 
-@pytest.mark.parametrize("transport", ("pickle", "shm"))
-def test_process_executor_differential(transport):
-    """Both worker-process transports merge bit-identically too."""
+def test_process_executor_differential():
+    """Spawned worker processes merge bit-identically too."""
     workload = _workload(2, insert_only=False)
-    engine = _open_sharded(
-        "full", 2, 0.0, 3, executor="process", transport=transport
-    )
+    engine = _open_sharded("full", 2, 0.0, 3, executor="process")
     try:
         got = _replay(engine, workload)
         want_queries, want_snap, _ = _reference("full", 2, 0.0, workload)
         _assert_identical_runs(
-            f"process executor ({transport})", got, (want_queries, want_snap)
+            "process executor", got, (want_queries, want_snap)
         )
     finally:
         engine.close()

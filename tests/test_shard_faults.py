@@ -19,12 +19,8 @@ hand-rolled monkeypatching:
   deployment either recovers and applies the flush exactly, or fails
   loudly on every later merge — never a silent half-application;
 * injected backend *errors* relay without any restart, ``delay``
-  faults inside the deadline are invisible, and no shared-memory
-  segment outlives ``close()`` even after crashes.
-
-Transport note: tests that do not pin ``shard_transport`` follow
-``REPRO_SHARD_TRANSPORT``, which is how the CI chaos leg sweeps the
-pickle and shm transports over this whole file.
+  faults inside the deadline are invisible, and no worker process
+  outlives ``close()`` even after crashes and recovery.
 """
 
 from __future__ import annotations
@@ -438,23 +434,28 @@ def test_session_exit_on_error_discards_instead_of_flushing():
 # ----------------------------------------------------------------------
 
 
-def test_no_shm_leftovers_after_crash_recovery_and_close():
-    sharded = _open_sharded(
-        shard_transport="shm", shard_fault_plan="crash:ingest:2"
-    )
+def test_no_worker_process_left_after_crash_recovery_and_close():
+    sharded = _open_sharded(shard_fault_plan="crash:ingest:2")
+    executor = sharded.raw.executor.executor
+    pids = set()
     try:
+        pids.update(proc.pid for proc in executor._procs)
         sharded.ingest(_points(80))
         sharded.ingest(_points(80, seed=1))  # crash + recovery
         assert sharded.restarts >= 1
+        pids.update(proc.pid for proc in executor._procs)
         sharded.ingest(_points(80, seed=2))  # recovered workers serve on
     finally:
         sharded.close()
-    leftover = [
-        entry
-        for entry in os.listdir("/dev/shm")
-        if entry.startswith(f"repro-shm-{os.getpid()}-")
-    ]
-    assert leftover == []
+    assert len(pids) > 2  # the crashed workers were replaced
+    survivors = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        survivors.append(pid)
+    assert survivors == []
 
 
 def test_timeouts_and_restarts_default_to_off_path_config():

@@ -1,18 +1,21 @@
-"""The distributed TCP executor: wire framing, chaos, bounded journals.
+"""The shard wire and the distributed TCP executor.
 
-Three layers of proof for :mod:`repro.shard.rpc`:
+Four layers of proof for :mod:`repro.shard.transport` and
+:mod:`repro.shard.rpc` (the executor-level failure modes of both
+worker executors live in ``tests/test_shard_executors.py``):
 
 * **Framing units** — the length-prefixed control/payload split round-
   trips arbitrary dtypes and shapes over a real socket pair, arrays are
-  never pickled, and received views are read-only buffers that outlive
-  the next call (unlike shm views).
+  never pickled, and received arrays are read-only buffers that outlive
+  the next call.
+* **Local worker launching** — a parent that imported ``repro`` only
+  through ``sys.path`` launches workers that find it too, and a worker
+  that cannot start says why.
 * **Chaos over real sockets** — an injected crash aborts only the
   serving session and the supervisor reconnects + replays to a
   bit-identical deployment; a genuinely killed worker process is
   respawned *on the same port* and recovered the same way; a hung
-  worker surfaces as :class:`ShardTimeoutError` and recovers; a call
-  routed under a stale ownership-table version is rejected with
-  :class:`StaleOwnershipError` end-to-end through the socket.
+  worker surfaces as :class:`ShardTimeoutError` and recovers.
 * **The journal bound** — under a long update stream the supervisor's
   per-shard journal never reaches ``shard_journal_snapshot_every``:
   truncation snapshots drain it, and snapshot-plus-suffix recovery is
@@ -27,6 +30,11 @@ from __future__ import annotations
 
 import os
 import socket
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,12 +51,13 @@ from repro.shard.executors import SerialShardExecutor, ShardWorkerLost
 from repro.shard.rpc import (
     TcpShardExecutor,
     local_workers,
-    read_message,
     spawn_worker_process,
     terminate_worker_process,
-    write_message,
 )
 from repro.shard.supervisor import ShardSupervisor
+from repro.shard.transport import read_message, write_message
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE = dict(algorithm="full", eps=3.0, minpts=5, dim=2)
 
@@ -102,6 +111,35 @@ def test_wire_roundtrip_over_socketpair():
         right.close()
 
 
+def test_wire_carries_many_arrays_and_payloads_beyond_the_socket_buffer():
+    # Many small frames, then one frame larger than the socket buffer,
+    # written with a timeout set (as every executor send is), so the
+    # writer must block on a reader that drains the stream concurrently.
+    left, right = socket.socketpair()
+    left.settimeout(30)
+    try:
+        rng = np.random.default_rng(0)
+        arrays = [np.arange(i % 7, dtype=np.int64) for i in range(1500)]
+        arrays.append(rng.uniform(size=(400_000, 3)))
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(read_message(right))
+        )
+        reader.start()
+        assert write_message(left, ("ok", None), arrays) == sum(
+            arr.nbytes for arr in arrays
+        )
+        reader.join(timeout=30)
+        (header, views), = received
+        assert header == ("ok", None)
+        assert len(views) == len(arrays)
+        for view, arr in zip(views, arrays):
+            assert np.array_equal(view, arr)
+    finally:
+        left.close()
+        right.close()
+
+
 def test_wire_eof_mid_message_raises_eoferror():
     left, right = socket.socketpair()
     try:
@@ -118,7 +156,7 @@ def test_wire_eof_mid_message_raises_eoferror():
 def test_connect_failure_names_the_entry_point(monkeypatch):
     """An unreachable worker fails within the startup deadline with a
     message telling the operator what to launch."""
-    monkeypatch.setattr("repro.shard.rpc.STARTUP_TIMEOUT_FLOOR", 0.3)
+    monkeypatch.setattr("repro.shard.executors.STARTUP_TIMEOUT_FLOOR", 0.3)
     # Bind-and-close to get a localhost port that refuses connections.
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -162,6 +200,49 @@ def test_stale_version_rejected_by_backend():
             )
     finally:
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# Local worker launching
+# ----------------------------------------------------------------------
+
+
+def test_local_workers_launch_from_a_sys_path_import(tmp_path):
+    """A parent that found ``repro`` through ``sys.path`` alone (no
+    ``PYTHONPATH``, nothing installed) launches workers that find it."""
+    script = tmp_path / "launch.py"
+    script.write_text(textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(SRC)!r})
+        import repro.api as api
+        from repro.shard.rpc import local_workers
+
+        with local_workers(1) as addresses:
+            engine = api.open(
+                algorithm="full", eps=3.0, minpts=5, dim=2, shards=1,
+                shard_executor="tcp", shard_workers=addresses,
+            )
+            print(engine.ingest([[0.0, 0.0], [1.0, 0.0]]))
+            engine.close()
+    """))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "[0, 1]"
+
+
+def test_worker_launch_failure_carries_the_workers_output():
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", 0))
+    blocker.listen(1)
+    try:
+        with pytest.raises(ReproError, match="Address already in use"):
+            spawn_worker_process(port=blocker.getsockname()[1])
+    finally:
+        blocker.close()
 
 
 # ----------------------------------------------------------------------
@@ -267,25 +348,6 @@ def test_hung_tcp_worker_times_out_and_recovers():
         finally:
             sharded.close()
             single.close()
-
-
-def test_stale_version_rejected_over_the_wire():
-    """StaleOwnershipError relays through the socket as a backend
-    error: no recovery, no poisoning, the session keeps serving."""
-    with local_workers(1) as addresses:
-        sharded = _open_tcp(addresses)
-        try:
-            sharded.ingest(_points(30))
-            executor = sharded.raw.executor
-            with pytest.raises(StaleOwnershipError, match="version"):
-                executor.call(
-                    0, "merge_state", None, sharded.ownership_version + 1
-                )
-            # The session survived the rejection.
-            assert executor.call(0, "ping") == 0
-            assert sharded.restarts == 0
-        finally:
-            sharded.close()
 
 
 def test_rebalance_over_tcp_is_bit_identical():

@@ -16,7 +16,8 @@ Run: python examples/moving_objects.py
 import math
 import random
 
-from repro.analysis import SlidingWindowClusterer
+import repro.api as api
+from repro.analysis import WindowedEngine
 
 VEHICLES_PER_CONVOY = 25
 WINDOW = 150  # reports kept in the window
@@ -31,18 +32,23 @@ def convoy_position(t, phase):
 
 def main():
     rng = random.Random(13)
-    window = SlidingWindowClusterer(WINDOW, eps=1.5, minpts=4, rho=0.001, dim=2)
+    engine = api.open(algorithm="double-approx", eps=1.5, minpts=4, rho=0.001, dim=2)
+    window = WindowedEngine(engine, WINDOW)
 
     print(f"{2 * VEHICLES_PER_CONVOY} vehicles, window of {WINDOW} reports\n")
     merged_spans = []
     state = None
     for t in range(STEPS):
+        reports = []
         for phase in (-1, +1):
             cx, cy = convoy_position(t, phase)
             for _ in range(VEHICLES_PER_CONVOY // 5):
-                window.append((cx + rng.gauss(0, 0.6), cy + rng.gauss(0, 0.6)))
+                reports.append((cx + rng.gauss(0, 0.6), cy + rng.gauss(0, 0.6)))
+        # One bulk insert per time step; the reports pushed past the
+        # window's capacity expire in one bulk delete.
+        window.append_many(reports)
 
-        clusters = window.clusters()
+        clusters = window.snapshot()
         big = sum(1 for c in clusters.clusters if len(c) >= 10)
         new_state = "merged" if big <= 1 else "separate"
         if new_state != state:
@@ -59,6 +65,7 @@ def main():
     assert any(s == "merged" for _, s in merged_spans), "convoys never merged"
     assert any(s == "separate" for _, s in merged_spans), "convoys never separated"
     print("The window clustering tracked merge and split events dynamically.")
+    window.close()
 
 
 if __name__ == "__main__":

@@ -5,19 +5,17 @@
   behind narratives like the paper's Figure 1.
 * :func:`cluster_stats` — size distribution and noise summary of one
   clustering.
-* :class:`SlidingWindowClusterer` / :class:`WindowedEngine` — sliding
-  windows over the fully-dynamic path: the per-point wrapper over a
-  bare clusterer, and the engine-native bulk window the streaming
-  service and the ``sliding-window`` bench scenario drive.
+* :class:`WindowedEngine` — the sliding window over an engine's
+  fully-dynamic path, which the streaming service and the
+  ``sliding-window`` bench scenario drive.
 """
 
 from repro.analysis.tracker import ClusterEvent, ClusterTracker, cluster_stats
-from repro.analysis.window import SlidingWindowClusterer, WindowedEngine
+from repro.analysis.window import WindowedEngine
 
 __all__ = [
     "ClusterEvent",
     "ClusterTracker",
-    "SlidingWindowClusterer",
     "WindowedEngine",
     "cluster_stats",
 ]

@@ -5,18 +5,13 @@ A common deployment of dynamic clustering (and the paper's motivating
 expiring the oldest on every arrival.  Each arrival is one insertion plus
 at most one deletion — a perfectly balanced fully-dynamic workload.
 
-Two layers live here:
-
-* :class:`SlidingWindowClusterer` — the original per-point wrapper over
-  a bare :class:`FullyDynamicClusterer` (one insert + at most one
-  delete per arrival);
-* :class:`WindowedEngine` — the engine-native sliding window: batches
-  of arrivals land through the vectorized ``ingest`` path of a
-  :class:`repro.api.Engine` (or :class:`repro.shard.ShardedEngine`) and
-  every point evicted by the capacity bound is expired in one bulk
-  ``delete_many`` through the fully-dynamic path.  This is the layer
-  the streaming service (:mod:`repro.service`) and the
-  ``bench --scenario sliding-window`` CLI drive.
+:class:`WindowedEngine` is the sliding window: batches of arrivals
+(or single points) land through the vectorized ``ingest`` path of a
+:class:`repro.api.Engine` (or :class:`repro.shard.ShardedEngine`) and
+every point evicted by the capacity bound is expired in one bulk
+``delete_many`` through the fully-dynamic path.  The streaming service
+(:mod:`repro.service`) and the ``bench --scenario sliding-window`` CLI
+drive it.
 
 Expiry through ``WindowedEngine`` is *defined* to be equivalent to an
 explicit ``delete_many`` of the same (oldest-first) ids issued by the
@@ -29,73 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.framework import CGroupByResult, Clustering
-from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.errors import ConfigError, UnsupportedOperationError
-
-
-class SlidingWindowClusterer:
-    """FIFO window of the last ``capacity`` points, clustered dynamically."""
-
-    def __init__(
-        self,
-        capacity: int,
-        eps: float,
-        minpts: int,
-        rho: float = 0.001,
-        dim: int = 2,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._algo = FullyDynamicClusterer(eps, minpts, rho=rho, dim=dim)
-        self._window: Deque[int] = deque()
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    @property
-    def clusterer(self) -> FullyDynamicClusterer:
-        """The underlying fully-dynamic clusterer (read-only use)."""
-        return self._algo
-
-    def append(self, point: Sequence[float]) -> int:
-        """Insert a new point, expiring the oldest if over capacity.
-
-        Returns the new point's id.
-        """
-        pid = self._algo.insert(point)
-        self._window.append(pid)
-        if len(self._window) > self.capacity:
-            self._algo.delete(self._window.popleft())
-        return pid
-
-    def extend(self, points: Iterable[Sequence[float]]) -> None:
-        for p in points:
-            self.append(p)
-
-    def oldest(self) -> Optional[int]:
-        return self._window[0] if self._window else None
-
-    def newest(self) -> Optional[int]:
-        return self._window[-1] if self._window else None
-
-    def ids(self):
-        """Live point ids, oldest first."""
-        return iter(self._window)
-
-    def cgroup_by(self, pids) -> CGroupByResult:
-        return self._algo.cgroup_by(pids)
-
-    def cgroup_by_many(self, pids) -> CGroupByResult:
-        """Batched C-group-by through the underlying vectorized engine."""
-        return self._algo.cgroup_by_many(pids)
-
-    def clusters(self) -> Clustering:
-        return self._algo.clusters()
-
-    def same_cluster(self, pid_a: int, pid_b: int) -> bool:
-        return self._algo.same_cluster(pid_a, pid_b)
 
 
 class WindowedEngine:

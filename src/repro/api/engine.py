@@ -183,16 +183,21 @@ class Engine:
         self._epoch += 1
         return pid
 
-    def ingest(self, points: Iterable[Sequence[float]]) -> List[int]:
+    def ingest(self, points: Iterable[Sequence[float]], ids=None) -> List[int]:
         """Bulk-insert a batch; returns the assigned ids in batch order.
 
         One vectorized ``insert_many`` call on the underlying clusterer
         — the engine adds nothing on this hot path beyond the epoch
-        stamp.
+        stamp.  ``ids`` (grid algorithms only) gives the batch fresh,
+        strictly ascending int64 ids instead of the next contiguous
+        ones: a shard engine keeps every point under its global id.
         """
         batch = points if isinstance(points, list) else list(points)
         try:
-            pids = self._clusterer.insert_many(batch)
+            if ids is None:
+                pids = self._clusterer.insert_many(batch)
+            else:
+                pids = self._clusterer.insert_many(batch, ids)
         finally:
             # Epoch must never under-count: the sequential-fallback
             # baselines can leave a failed batch partially applied, so

@@ -1,14 +1,11 @@
 """Bulk-update surface shared by every clusterer (sequential fallbacks).
 
-The numeric primitives that used to live here (cell bucketing, ball
-counts, witness searches, box pruning) are now owned by the kernel
-layer — see :mod:`repro.kernels` for the dispatchers and
-:mod:`repro.kernels.numpy_backend` for the implementations.
-This module keeps the batch *API* glue: the sequential fallback mixins
-that give every clusterer (baselines included) the ``insert_many`` /
+The numeric primitives (cell bucketing, ball counts, witness searches,
+box pruning) live in the kernel layer, :mod:`repro.kernels`.  This
+module keeps the batch *API* glue: the sequential fallback mixins that
+give every clusterer (baselines included) the ``insert_many`` /
 ``delete_many`` / ``cgroup_by_many`` surface the batched workload
-runner drives, plus backward-compatible re-exports of the kernel
-dispatchers under their historical names.
+runner drives, and the fragment records the shard merge exchanges.
 
 Equivalence contract (maintained by the clusterers' vectorized paths):
 batch updates replay promotions (and demotions) in a deterministic
@@ -27,28 +24,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-# Historical home of these primitives — re-exported so existing callers
-# (and external code) keep working; they dispatch through the kernel
-# table like every other kernel call.
-from repro.kernels import (  # noqa: F401
-    any_within,
-    as_point_array,
-    ball_counts,
-    box_sq_dists,
-    bucket_by_cell,
-)
-
 Cell = Tuple[int, ...]
 
 __all__ = [
     "Cell",
     "GumEdgeFragment",
     "MembershipFragments",
-    "any_within",
-    "as_point_array",
-    "ball_counts",
-    "box_sq_dists",
-    "bucket_by_cell",
     "SequentialBulkMixin",
     "SequentialQueryMixin",
 ]

@@ -782,21 +782,52 @@ class GridClusterer(SequentialBulkMixin):
             self._cells[other].neighbors.discard(cell)  # type: ignore[attr-defined]
 
     def _register_batch(
-        self, points: Iterable[Sequence[float]]
-    ) -> Tuple[int, np.ndarray, List[Point]]:
+        self, points: Iterable[Sequence[float]], ids=None
+    ) -> Tuple[np.ndarray, np.ndarray, List[Point]]:
         """Validate and store a whole batch of points at once.
 
-        Returns ``(base, arr, tuples)``: the batch occupies the contiguous
-        id range ``[base, base + len(arr))`` in batch order, exactly the
-        ids sequential ``insert`` calls would have assigned.
+        Returns ``(ids, arr, tuples)``: ``ids`` is the batch's strictly
+        ascending int64 id array, in batch order.  Without explicit
+        ``ids`` the batch takes the contiguous range from ``_next_id``
+        on, exactly the ids sequential ``insert`` calls would have
+        assigned.  Explicit ``ids`` must be strictly ascending and not
+        live, but may be older than ids already held (a shard receiving
+        a rebalance transfer), so batch membership is decided by
+        :meth:`_batch_rows`.
         """
         arr = as_point_array(list(points), self.dim)
-        base = self._next_id
+        n = len(arr)
+        if ids is None:
+            ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.shape != (n,):
+                raise ValueError(
+                    f"got {ids.size} ids for a batch of {n} points"
+                )
+            if n > 1 and not (ids[1:] > ids[:-1]).all():
+                raise ValueError("batch ids must be strictly ascending")
+            if n and ids[0] < self._next_id:
+                live = [pid for pid in ids.tolist() if pid in self._points]
+                if live:
+                    raise ValueError(f"point id(s) {live} are already live")
         tuples: List[Point] = [tuple(row) for row in arr.tolist()]
-        for pt in tuples:
-            self._points[self._next_id] = pt
-            self._next_id += 1
-        return base, arr, tuples
+        self._points.update(zip(ids.tolist(), tuples))
+        if n:
+            self._next_id = max(self._next_id, int(ids[-1]) + 1)
+        return ids, arr, tuples
+
+    @staticmethod
+    def _batch_rows(ids: np.ndarray, pids: np.ndarray) -> np.ndarray:
+        """Row of each of ``pids`` in the batch ``ids``; -1 if not in it.
+
+        The one batch-membership rule of the bulk insert paths: the
+        batch's ids are strictly ascending (:meth:`_register_batch`),
+        so one binary search per id decides membership.
+        """
+        rows = np.searchsorted(ids, pids)
+        rows[rows == len(ids)] = 0
+        return np.where(ids[rows] == pids, rows, -1)
 
     def _stored_coords(self, pids: Sequence[int]) -> np.ndarray:
         """Coordinates of live ids as an ``(n, dim)`` array."""
@@ -806,17 +837,17 @@ class GridClusterer(SequentialBulkMixin):
         ).reshape(-1, self.dim)
 
     def _batch_coords(
-        self, pids: np.ndarray, base: int, arr: np.ndarray
+        self, pids: np.ndarray, ids: np.ndarray, arr: np.ndarray
     ) -> np.ndarray:
         """Coordinates of ``pids`` while the batch ``arr`` is being applied.
 
-        ``arr`` was registered from id ``base`` on (see
-        :meth:`_register_batch`), so its ids are sliced from it; only
-        older ids are looked up in the point store.
+        Batch members (ids ``ids``, see :meth:`_batch_rows`) are sliced
+        from ``arr``; only the others are looked up in the point store.
         """
-        new = pids >= base
+        rows = self._batch_rows(ids, pids)
+        new = rows >= 0
         out = np.empty((len(pids), self.dim), dtype=float)
-        out[new] = arr[pids[new] - base]
+        out[new] = arr[rows[new]]
         out[~new] = self._stored_coords(pids[~new].tolist())
         return out
 

@@ -177,7 +177,9 @@ class FullyDynamicClusterer(GridClusterer):
         self._touch_cells((cell,))
         return pid
 
-    def insert_many(self, points: Iterable[Sequence[float]]) -> List[int]:
+    def insert_many(
+        self, points: Iterable[Sequence[float]], ids=None
+    ) -> List[int]:
         """Vectorized bulk insertion, equivalent to sequential ``insert``.
 
         All batch points enter the cell registries and range counters
@@ -190,16 +192,21 @@ class FullyDynamicClusterer(GridClusterer):
         structure exactly as maintained by the sequential path.
         Insertions only create core points, so one final pass reaches
         the sequential fixpoint.
+
+        ``ids`` optionally gives the batch fresh, strictly ascending
+        int64 ids (a shard keeps points under their global ids; see
+        :meth:`_register_batch`).
         """
-        base, arr, tuples = self._register_batch(points)
+        ids, arr, tuples = self._register_batch(points, ids)
         if not tuples:
             return []
+        id_list = ids.tolist()
         minpts = self.minpts
 
         buckets = bucket_by_cell(arr, self._grid.side)
         for cell, idxs in buckets:
             data = self._cell_for(cell)
-            items = [(base + i, tuples[i]) for i in idxs.tolist()]
+            items = [(id_list[i], tuples[i]) for i in idxs.tolist()]
             data.points.update(items)
             data.noncore.update(pid for pid, _ in items)
             data.counter.insert_many(items)
@@ -215,7 +222,7 @@ class FullyDynamicClusterer(GridClusterer):
             if not data.noncore:
                 continue
             noncore = np.array(sorted(data.noncore), dtype=np.int64)
-            q_arr = self._batch_coords(noncore, base, arr)
+            q_arr = self._batch_coords(noncore, ids, arr)
             if len(data.points) < minpts:
                 counts = ball_counts(
                     q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
@@ -226,7 +233,7 @@ class FullyDynamicClusterer(GridClusterer):
                 noncore, q_arr = noncore[chosen], q_arr[chosen]
             self._promote_many(noncore.tolist(), q_arr, cell, data)
         self._touch_cells([cell for cell, _ in buckets])
-        return list(range(base, base + len(tuples)))
+        return id_list
 
     def delete_many(self, pids: Iterable[int]) -> None:
         """Vectorized bulk deletion, equivalent to sequential ``delete``.

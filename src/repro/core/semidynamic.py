@@ -99,7 +99,9 @@ class SemiDynamicClusterer(GridClusterer):
         self._touch_cells((cell,))
         return pid
 
-    def insert_many(self, points: Iterable[Sequence[float]]) -> List[int]:
+    def insert_many(
+        self, points: Iterable[Sequence[float]], ids=None
+    ) -> List[int]:
         """Vectorized bulk insertion, equivalent to sequential ``insert``.
 
         The batch is bucketed into cells with one vectorized floor; ball
@@ -110,10 +112,15 @@ class SemiDynamicClusterer(GridClusterer):
         counts reaches the same state as point-at-a-time processing: with
         ``rho = 0`` the clustering is *identical* to the sequential path,
         with ``rho > 0`` both are legal under the sandwich guarantee.
+
+        ``ids`` optionally gives the batch fresh, strictly ascending
+        int64 ids (a shard keeps points under their global ids; see
+        :meth:`_register_batch`).
         """
-        base, arr, tuples = self._register_batch(points)
+        ids, arr, tuples = self._register_batch(points, ids)
         if not tuples:
             return []
+        id_list = ids.tolist()
         minpts = self.minpts
         sq_eps = self._sq_eps
         vincnt = self._vincnt
@@ -129,7 +136,7 @@ class SemiDynamicClusterer(GridClusterer):
                 data.neighbors = self._discover_neighbors(cell)
                 self._cells[cell] = data
             for i in idxs.tolist():
-                pid = base + i
+                pid = id_list[i]
                 data.points[pid] = tuples[i]
                 data.noncore.add(pid)
             new_in_cell[cell] = idxs
@@ -151,9 +158,9 @@ class SemiDynamicClusterer(GridClusterer):
             chosen: List[int] = []
             for i, count in zip(idxs.tolist(), counts.tolist()):
                 if count >= minpts:
-                    chosen.append(base + i)
+                    chosen.append(id_list[i])
                 else:
-                    vincnt[base + i] = count
+                    vincnt[id_list[i]] = count
             if chosen:
                 promote_by_cell[cell] = chosen
 
@@ -167,7 +174,8 @@ class SemiDynamicClusterer(GridClusterer):
             data = self._cells[cell]  # type: ignore[assignment]
             if len(data.points) >= minpts:
                 continue
-            old_noncore = sorted(pid for pid in data.noncore if pid < base)
+            noncore = np.array(sorted(data.noncore), dtype=np.int64)
+            old_noncore = noncore[self._batch_rows(ids, noncore) < 0].tolist()
             if not old_noncore:
                 continue
             near_idxs = [
@@ -202,7 +210,7 @@ class SemiDynamicClusterer(GridClusterer):
             for pid in pids:
                 vincnt.pop(pid, None)
             pid_arr = np.asarray(pids, dtype=np.int64)
-            new_core = new_core_of[cell] = self._batch_coords(pid_arr, base, arr)
+            new_core = new_core_of[cell] = self._batch_coords(pid_arr, ids, arr)
             data.emptiness.insert_many(pid_arr, new_core)
             if not had_core:
                 self._uf.add(cell)
@@ -233,7 +241,7 @@ class SemiDynamicClusterer(GridClusterer):
                 if len(near_other) and any_within(near_new, near_other, sq_eps):
                     self._uf.union(cell, other)
         self._touch_cells(new_in_cell)
-        return list(range(base, base + len(tuples)))
+        return id_list
 
     def delete(self, pid: int) -> None:
         raise NotImplementedError(

@@ -12,6 +12,12 @@ restricted by the ownership predicate, and anything touching foreign
 territory comes back as probes/candidates for the router's boundary
 merge.
 
+A shard has no id space of its own: ``ingest`` ships each slice's
+global ids with its points and the engine stores every point under
+its global id, so deletes, ``is_core``, membership fragments and
+probes all speak global ids, and a snapshot restore re-ingests the
+live set under the same ids.
+
 The backend is the unit the executors move across process boundaries:
 it is constructed from ``(config, shard_index, shard_count)`` alone and
 all its method arguments and results are plain data.  Bulk payloads —
@@ -25,14 +31,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.api.engine import Engine
 from repro.core.bulk import GumEdgeFragment, MembershipFragments
-from repro.errors import ReproError, UnknownPointError
+from repro.errors import ReproError
 from repro.shard.topology import ShardTopology
 
 
@@ -51,19 +57,20 @@ class BulkSpec:
 
 
 #: The wire contract of the executor call surface: which calls
-#: carry bulk numpy payloads, and where.  ``ingest`` takes an ``(n,
-#: dim)`` float64 point batch and returns an int64 local-id array;
-#: ``delete_many`` takes an int64 local-id array; ``merge_state`` takes
-#: an optional int64 local-id array and returns fragments whose
-#: frontier coordinate arrays are the bulk of every merge.  Everything
-#: else (``ping``, ``stats``, ``is_core``, ...) is control-plane only.
+#: carry bulk numpy payloads, and where.  Every id on the wire is a
+#: global id: ``ingest`` takes an ``(n, dim)`` float64 point batch and
+#: the batch's int64 global-id array, and replies with nothing bulk;
+#: ``delete_many`` takes an int64 id array; ``merge_state`` takes an
+#: optional int64 id array and returns fragments whose frontier
+#: coordinate arrays are the bulk of every merge.  Everything else
+#: (``ping``, ``stats``, ``is_core``, ...) is control-plane only.
 BULK_CALLS = {
-    "ingest": BulkSpec(arg_positions=(0,), bulk_result=True),
+    "ingest": BulkSpec(arg_positions=(0, 2)),
     "delete_many": BulkSpec(arg_positions=(0,)),
     "merge_state": BulkSpec(arg_positions=(0,), bulk_result=True),
     # Journal truncation: the supervisor drains a shard's live state
-    # (point batch + local-id array) and re-seeds a fresh worker with
-    # it before replaying the journal suffix.
+    # (point batch + id array) and re-seeds a fresh worker with it
+    # before replaying the journal suffix.
     "export_state": BulkSpec(arg_positions=(), bulk_result=True),
     "restore_state": BulkSpec(arg_positions=(0, 1)),
 }
@@ -80,11 +87,11 @@ MUTATING_CALLS = frozenset({"ingest", "delete_many", "set_ownership"})
 IdBatch = Union[Sequence[int], np.ndarray]
 
 
-def _id_list(local_pids: IdBatch) -> List[int]:
+def _id_list(pids: IdBatch) -> List[int]:
     """Normalize an id payload (array or list) to plain python ints."""
-    if isinstance(local_pids, np.ndarray):
-        return local_pids.tolist()
-    return [int(pid) for pid in local_pids]
+    if isinstance(pids, np.ndarray):
+        return pids.tolist()
+    return [int(pid) for pid in pids]
 
 
 class ShardBackend:
@@ -115,55 +122,32 @@ class ShardBackend:
         )
         self._trust = self.topology.trust(shard_index)
         self.engine = Engine.open(self.config)
-        # Local-id indirection.  The router addresses this shard by
-        # *local* ids; normally those coincide with the engine's own
-        # sequential pids.  After a snapshot restore the fresh engine
-        # re-numbers from zero, so the backend keeps a bidirectional
-        # map and translates at the call boundary — local ids (and
-        # therefore everything the router ever sees) survive recovery
-        # unchanged.  ``_identity`` short-circuits the translation on
-        # the hot paths until the first restore makes it necessary.
-        self._identity = True
-        self._local_to_engine: dict = {}
-        self._engine_to_local: dict = {}
-        self._next_local = 0
         self._epoch_offset = 0
 
     # ------------------------------------------------------------------
-    # Updates (local ids; the router owns the global id space)
+    # Updates (global ids: the router owns the id space)
     # ------------------------------------------------------------------
 
     def ingest(
         self,
         points: Union[Sequence[Sequence[float]], np.ndarray],
         version: Optional[int] = None,
-    ) -> np.ndarray:
-        """Bulk-insert this shard's slice of a batch.
+        ids: Optional[IdBatch] = None,
+    ) -> None:
+        """Bulk-insert this shard's slice of a batch under its global ids.
 
-        Returns the assigned local ids as an int64 array — the declared
-        bulk-result form, identical under every executor.
+        ``ids`` are the slice's fresh, strictly ascending global ids
+        (``None`` continues the engine's own contiguous numbering).
         ``version`` is the router's ownership-table stamp (checked
         against this shard's table; ``None`` skips the check).
         """
         self.topology.check_version(version)
-        engine_pids = self.engine.ingest(points)
-        start = self._next_local
-        self._next_local += len(engine_pids)
-        local = np.arange(start, self._next_local, dtype=np.int64)
-        self._local_to_engine.update(zip(local.tolist(), engine_pids))
-        self._engine_to_local.update(zip(engine_pids, local.tolist()))
-        return local
+        self.engine.ingest(points, ids)
 
-    def delete_many(
-        self, local_pids: IdBatch, version: Optional[int] = None
-    ) -> None:
-        """Bulk-delete by local ids (router pre-validated the batch)."""
+    def delete_many(self, pids: IdBatch, version: Optional[int] = None) -> None:
+        """Bulk-delete by global ids (router pre-validated the batch)."""
         self.topology.check_version(version)
-        ids = _id_list(local_pids)
-        self.engine.delete_many([self._engine_id(i) for i in ids])
-        for i in ids:
-            engine_pid = self._local_to_engine.pop(i)
-            del self._engine_to_local[engine_pid]
+        self.engine.delete_many(_id_list(pids))
 
     # ------------------------------------------------------------------
     # Merge inputs
@@ -171,12 +155,12 @@ class ShardBackend:
 
     def merge_state(
         self,
-        local_pids: Optional[IdBatch],
+        pids: Optional[IdBatch],
         version: Optional[int] = None,
     ) -> Tuple[Optional[MembershipFragments], GumEdgeFragment, int]:
         """Everything the router needs from this shard for one merge.
 
-        Membership fragments for the queried local ids (``None`` when the
+        Membership fragments for the queried ids (``None`` when the
         query touches no point owned here), this shard's GUM edge
         fragment over its owned core cells, and the backend epoch — the
         consistency token the router checks against the update count it
@@ -185,33 +169,14 @@ class ShardBackend:
         """
         self.topology.check_version(version)
         fragments = None
-        if local_pids is not None:
-            ids = _id_list(local_pids)
-            if not self._identity:
-                ids = [self._engine_id(i) for i in ids]
+        if pids is not None:
             fragments = self.engine.membership_fragments(
-                ids, trust=self._trust
+                _id_list(pids), trust=self._trust
             )
-            if not self._identity:
-                fragments = self._fragments_to_local(fragments)
         return (
             fragments,
             self.engine.gum_edge_fragment(trust=self._trust),
             self.epoch(),
-        )
-
-    def _fragments_to_local(
-        self, fragments: MembershipFragments
-    ) -> MembershipFragments:
-        """Rewrite a fragment set from engine pids back to local ids."""
-        to_local = self._engine_to_local
-        return MembershipFragments(
-            fragments={
-                cell: [to_local[pid] for pid in members]
-                for cell, members in fragments.fragments.items()
-            },
-            unmatched=[to_local[pid] for pid in fragments.unmatched],
-            probes=[(to_local[pid], cell) for pid, cell in fragments.probes],
         )
 
     # ------------------------------------------------------------------
@@ -232,21 +197,19 @@ class ShardBackend:
         """This shard's full recoverable state, as plain bulk data.
 
         The supervisor's journal-truncation path: the live point batch
-        (sorted by local id) plus everything needed to re-seed a fresh
-        worker — local ids, the id allocator cursor, the epoch, and the
+        and its global ids (ascending), plus the epoch and the
         ownership table.  At rho=0 the clustering is a pure function of
         the live point set, so ``restore_state`` of this payload plus a
         replay of the journal suffix is bit-identical to the original
         history.
         """
-        local_ids = sorted(self._local_to_engine)
-        points = np.empty((len(local_ids), self.config.dim), dtype=np.float64)
-        for row, local in enumerate(local_ids):
-            points[row] = self.engine.point(self._local_to_engine[local])
+        ids = sorted(self.engine.raw.ids())
+        points = np.array(
+            [self.engine.point(pid) for pid in ids], dtype=np.float64
+        ).reshape(len(ids), self.config.dim)
         return {
             "points": points,
-            "local_ids": np.asarray(local_ids, dtype=np.int64),
-            "next_local": self._next_local,
+            "ids": np.asarray(ids, dtype=np.int64),
             "epoch": self.epoch(),
             "version": self.topology.version,
             "overrides": self.topology.ownership_overrides,
@@ -255,8 +218,7 @@ class ShardBackend:
     def restore_state(
         self,
         points: np.ndarray,
-        local_ids: np.ndarray,
-        next_local: int,
+        ids: np.ndarray,
         epoch: int,
         version: int,
         overrides: dict,
@@ -264,17 +226,11 @@ class ShardBackend:
         """Re-seed a fresh backend from an exported snapshot.
 
         Only the supervisor calls this (never journaled): the engine
-        re-ingests the live set in local-id order, the id maps pin the
-        original local ids onto the fresh engine pids, and the epoch
-        offset keeps the consistency token counting from the snapshot
-        epoch rather than from zero.
+        re-ingests the live set under its original global ids, and the
+        epoch offset keeps the consistency token counting from the
+        snapshot epoch rather than from zero.
         """
-        engine_pids = self.engine.ingest(np.asarray(points, dtype=np.float64))
-        ids = np.asarray(local_ids, dtype=np.int64).tolist()
-        self._identity = False
-        self._local_to_engine = dict(zip(ids, engine_pids))
-        self._engine_to_local = dict(zip(engine_pids, ids))
-        self._next_local = int(next_local)
+        self.engine.ingest(np.asarray(points, dtype=np.float64), ids)
         self._epoch_offset = int(epoch) - self.engine.epoch
         self.topology.apply_ownership(version, overrides)
 
@@ -289,17 +245,8 @@ class ShardBackend:
         """Live points held by this shard (owned plus halo replicas)."""
         return len(self.engine)
 
-    def is_core(self, local_pid: int) -> bool:
-        if not self._identity:
-            local_pid = self._engine_id(local_pid)
-        return self.engine.is_core(local_pid)
-
-    def _engine_id(self, local_pid: int) -> int:
-        """Translate one local id to the live engine pid behind it."""
-        try:
-            return self._local_to_engine[int(local_pid)]
-        except KeyError:
-            raise UnknownPointError(int(local_pid)) from None
+    def is_core(self, pid: int) -> bool:
+        return self.engine.is_core(pid)
 
     def stats(self):
         return self.engine.stats()

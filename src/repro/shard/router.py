@@ -4,7 +4,11 @@ The router owns everything global about a sharded deployment:
 
 * the **global point registry** and the contiguous global id space
   (``_next_id``), assigned in arrival order exactly like a single
-  engine, with per-shard local-id translation tables on the side;
+  engine.  It is the only id space: every shard engine stores its
+  points under their global ids, so updates, fragments and probes
+  cross the shard wire untranslated.  Per shard the router keeps just
+  the set of ids that shard holds, which routes deletes and filters
+  rebalance transfers;
 * **routing** — one :func:`repro.kernels.bucket_by_cell` pass per
   update batch, then each cell's points go to the owner shard plus its
   halo replicas (:meth:`ShardTopology.replica_shards`), preserving
@@ -92,12 +96,9 @@ class ShardRouter:
         self._points: Dict[int, Point] = {}
         self._next_id = 0
         self._epoch = 0
-        self._global_to_local: List[Dict[int, int]] = [
-            {} for _ in range(self.shard_count)
-        ]
-        self._local_to_global: List[Dict[int, int]] = [
-            {} for _ in range(self.shard_count)
-        ]
+        #: The global ids each shard holds (owned points, halo replicas
+        #: and any copies a rebalance left behind).
+        self._held: List[Set[int]] = [set() for _ in range(self.shard_count)]
         #: Updates routed to each shard — what its engine epoch must read.
         self._routed: List[int] = [0] * self.shard_count
         # Boundary-witness cache (see module docstring).
@@ -157,7 +158,7 @@ class ShardRouter:
             self._dirty_cells.add(cell)
             for shard in replica_shards(cell):
                 member_idxs[shard].append(idxs)
-        orders: List[Optional[np.ndarray]] = [None] * self.shard_count
+        shard_ids: List[Optional[np.ndarray]] = [None] * self.shard_count
         calls = []
         for shard, parts in enumerate(member_idxs):
             if not parts:
@@ -166,38 +167,30 @@ class ShardRouter:
             # Concatenate-and-sort restores arrival order within the
             # shard's slice — the deterministic replay order every
             # engine applies.  The slice ships as an (n, dim) float64
-            # array, the declared bulk form (BULK_CALLS): the shard
-            # wire streams it as one raw frame instead of n python
-            # tuples.
+            # array with its int64 global ids beside it, the declared
+            # bulk form (BULK_CALLS): the shard wire streams both as
+            # raw frames, and the shard engine stores every point
+            # under its global id.
             order = np.sort(np.concatenate(parts))
-            orders[shard] = order
-            calls.append(("ingest", (arr[order], self.topology.version)))
+            ids = shard_ids[shard] = order + base
+            calls.append(("ingest", (arr[order], self.topology.version, ids)))
         try:
-            local_ids = self.executor.map(calls)
+            self.executor.map(calls)
         finally:
             # Mirror Engine.ingest: the epoch over-counts on failure
             # rather than ever under-counting.
             self._epoch += len(tuples)
-        for i, pt in enumerate(tuples):
-            self._points[base + i] = pt
+        new_ids = range(base, base + len(tuples))
+        self._points.update(zip(new_ids, tuples))
         self._next_id = base + len(tuples)
-        for shard, order in enumerate(orders):
-            if order is None:
-                continue
-            g2l = self._global_to_local[shard]
-            l2g = self._local_to_global[shard]
-            # Backends reply with an int64 id array (read-only when it
-            # came over the wire): normalize to python ints here,
-            # where the ids enter long-lived registries.
-            shard_ids = local_ids[shard].tolist()
-            for i, local_pid in zip(order.tolist(), shard_ids):
-                g2l[base + i] = local_pid
-                l2g[local_pid] = base + i
-            self._routed[shard] += len(shard_ids)
-        return list(range(base, base + len(tuples)))
+        for shard, ids in enumerate(shard_ids):
+            if ids is not None:
+                self._held[shard].update(ids.tolist())
+                self._routed[shard] += len(ids)
+        return list(new_ids)
 
     def delete_many(self, pids: Iterable[int]) -> None:
-        """Route one deletion batch to every replica of every id.
+        """Route one deletion batch to every shard holding each id.
 
         Validation happens entirely at the router — duplicates and dead
         ids are rejected with the single engine's exact error types and
@@ -215,35 +208,27 @@ class ShardRouter:
                 f"point id(s) {sorted(set(dead))} are not live; "
                 f"the batch was rejected before deleting anything"
             )
-        per_shard: List[List[int]] = [[] for _ in range(self.shard_count)]
-        replica_shards = self.topology.replica_shards
         cell_of = self._grid.cell_of
         for pid in pid_list:
-            cell = cell_of(self._points[pid])
-            self._dirty_cells.add(cell)
-            for shard in replica_shards(cell):
-                per_shard[shard].append(pid)
-        calls = []
-        for shard, shard_pids in enumerate(per_shard):
-            if not shard_pids:
-                calls.append(None)
-                continue
-            g2l = self._global_to_local[shard]
-            local = np.fromiter(
-                (g2l[pid] for pid in shard_pids),
-                dtype=np.int64,
-                count=len(shard_pids),
-            )
-            calls.append(("delete_many", (local, self.topology.version)))
+            self._dirty_cells.add(cell_of(self._points[pid]))
+        # Every shard holding a copy deletes it: the current replicas,
+        # and a former owner that kept its copies through a rebalance
+        # (so a block rebalanced back finds no dead points there).
+        per_shard = [
+            [pid for pid in pid_list if pid in held] for held in self._held
+        ]
+        calls = [
+            ("delete_many", (np.asarray(ids, dtype=np.int64),
+                             self.topology.version))
+            if ids else None
+            for ids in per_shard
+        ]
         try:
             self.executor.map(calls)
         finally:
             self._epoch += len(pid_list)
         for shard, shard_pids in enumerate(per_shard):
-            g2l = self._global_to_local[shard]
-            l2g = self._local_to_global[shard]
-            for pid in shard_pids:
-                del l2g[g2l.pop(pid)]
+            self._held[shard].difference_update(shard_pids)
             self._routed[shard] += len(shard_pids)
         for pid in pid_list:
             del self._points[pid]
@@ -276,10 +261,7 @@ class ShardRouter:
         """Authoritative core status, answered by the owner shard."""
         if pid not in self._points:
             raise UnknownPointError(f"point id {pid} is not live")
-        shard = self.owner_of(pid)
-        return self.executor.call(
-            shard, "is_core", self._global_to_local[shard][pid]
-        )
+        return self.executor.call(self.owner_of(pid), "is_core", pid)
 
     def shard_stats(self) -> List:
         """Per-shard engine stats (halo replicas included in counts)."""
@@ -312,11 +294,13 @@ class ShardRouter:
         3. **Flip.**  The router installs the same table locally; every
            subsequent call is stamped with the new version.
 
-        The old owner keeps its now-foreign copies: stale halo data is
-        advisory by construction (the trust predicate follows the new
-        table immediately), so it can never leak into owned-core
-        decisions or the boundary merge.  Witness cache entries are
-        dropped wholesale — the flip redraws the boundary itself.
+        The old owner keeps its now-foreign copies, and deletes keep
+        reaching them: foreign halo data is advisory by construction
+        (the trust predicate follows the new table immediately), so it
+        can never leak into owned-core decisions or the boundary merge,
+        and should the block come back its old owner holds exactly the
+        live copies.  Witness cache entries are dropped wholesale — the
+        flip redraws the boundary itself.
         """
         block_t = tuple(int(b) for b in block)
         if len(block_t) != self.config.dim:
@@ -332,28 +316,28 @@ class ShardRouter:
         reach, b = self.topology.reach, self.topology.block
         lo = [blk * b - reach for blk in block_t]
         hi = [(blk + 1) * b - 1 + reach for blk in block_t]
-        g2l = self._global_to_local[dest]
+        held = self._held[dest]
         cell_of = self._grid.cell_of
         transfer = sorted(
             pid
             for pid, pt in self._points.items()
-            if pid not in g2l
+            if pid not in held
             and all(
                 low <= c <= high
                 for low, c, high in zip(lo, cell_of(pt), hi)
             )
         )
         if transfer:
+            # Older global ids than some ``dest`` already holds: the
+            # shard engine accepts any fresh ascending ids.
             arr = np.array(
                 [self._points[pid] for pid in transfer], dtype=np.float64
             )
-            local_ids = self.executor.call(
-                dest, "ingest", arr, self.topology.version
+            self.executor.call(
+                dest, "ingest", arr, self.topology.version,
+                np.asarray(transfer, dtype=np.int64),
             )
-            l2g = self._local_to_global[dest]
-            for pid, local_pid in zip(transfer, local_ids.tolist()):
-                g2l[pid] = local_pid
-                l2g[local_pid] = pid
+            held.update(transfer)
             self._routed[dest] += len(transfer)
         overrides = self.topology.ownership_overrides
         overrides[block_t] = dest
@@ -410,29 +394,19 @@ class ShardRouter:
 
     def _merge(self, query: List[int]) -> CGroupByResult:
         """One overlapped fan-out plus the boundary merge (see module doc)."""
-        per_shard: List[Optional[List[int]]] = [None] * self.shard_count
         points = self._points
         coords = np.array([points[pid] for pid in query])
         cells = np.floor(coords / self._grid.side).astype(np.int64)
         owners = self.topology.owners_of_cells(cells)
-        for pid, shard in zip(query, owners.tolist()):
-            if per_shard[shard] is None:
-                per_shard[shard] = []
-            per_shard[shard].append(self._global_to_local[shard][pid])
-        responses = self.executor.map(
-            [
-                (
-                    "merge_state",
-                    (
-                        None
-                        if locals_ is None
-                        else np.asarray(locals_, dtype=np.int64),
-                        self.topology.version,
-                    ),
-                )
-                for locals_ in per_shard
-            ]
-        )
+        query_ids = np.asarray(query, dtype=np.int64)
+        calls = []
+        for shard in range(self.shard_count):
+            owned = query_ids[owners == shard]
+            calls.append((
+                "merge_state",
+                (owned if len(owned) else None, self.topology.version),
+            ))
+        responses = self.executor.map(calls)
         for shard, (_, _, epoch) in enumerate(responses):
             if epoch != self._routed[shard]:
                 raise ReproError(
@@ -490,19 +464,15 @@ class ShardRouter:
         groups: Dict[Hashable, Set[int]] = {}
         matched: Set[int] = set()
         probes_by_cell: Dict[Cell, List[int]] = {}
-        for shard, (fragments, _, _) in enumerate(responses):
+        for fragments, _, _ in responses:
             if fragments is None:
                 continue
-            l2g = self._local_to_global[shard]
-            for cell, local_members in fragments.fragments.items():
-                members = groups.setdefault(uf.find(cell), set())
-                for local_pid in local_members:
-                    pid = l2g[local_pid]
-                    members.add(pid)
-                    matched.add(pid)
-            for local_pid, cell in fragments.probes:
+            for cell, members in fragments.fragments.items():
+                groups.setdefault(uf.find(cell), set()).update(members)
+                matched.update(members)
+            for pid, cell in fragments.probes:
                 if cell in core_cells:
-                    probes_by_cell.setdefault(cell, []).append(l2g[local_pid])
+                    probes_by_cell.setdefault(cell, []).append(pid)
         for cell in sorted(probes_by_cell):
             coords = frontier.get(cell)
             if coords is None:

@@ -43,15 +43,15 @@ worker survived them, nothing needs rebuilding.
   with update history — a leak in any long-lived deployment.  Instead,
   after every ``shard_journal_snapshot_every`` journaled mutations on
   a shard the supervisor drains that worker's state through
-  ``export_state`` (points + local ids + epoch + ownership table),
+  ``export_state`` (points + global ids + epoch + ownership table),
   stores it as the shard's *snapshot*, and truncates the journal —
   right after the journaled call, since every reply owns its receive
   buffers and no later call can overwrite them.  Recovery then seeds
   the fresh worker with ``restore_state`` and replays only the journal
   suffix.  At ``rho = 0`` the clustering is a pure function of the
-  live point set and local ids survive the restore via the backend's
-  id indirection, so snapshot-plus-suffix recovery stays bit-identical
-  — the chaos suite proves it.  ``journal_size`` is therefore bounded
+  live point set, and the restore re-ingests every point under the
+  global id it was exported with, so snapshot-plus-suffix recovery
+  stays bit-identical — the chaos suite proves it.  ``journal_size`` is therefore bounded
   by the knob, regardless of history length.
 
 The journal/replay contract is executor-agnostic: the supervisor
@@ -164,8 +164,7 @@ class ShardSupervisor:
                         shard_index,
                         "restore_state",
                         snapshot["points"],
-                        snapshot["local_ids"],
-                        snapshot["next_local"],
+                        snapshot["ids"],
                         snapshot["epoch"],
                         snapshot["version"],
                         snapshot["overrides"],

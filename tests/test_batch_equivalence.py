@@ -370,3 +370,57 @@ class TestBatchInputValidation:
                 algo.insert_many([(0.0, 0.0), (bad, 1.0)])
             assert len(algo) == 0
             assert algo.cell_count == 0
+
+
+class TestExplicitIds:
+    """insert_many(points, ids): a shard stores points under global ids,
+    and a rebalance transfer brings ids older than some it holds."""
+
+    @pytest.mark.parametrize("cls", (SemiDynamicClusterer, FullyDynamicClusterer))
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_out_of_order_batches_match_contiguous(self, cls, dim, seed):
+        points = clustered_points(300, dim, seed=seed)
+        want = cls(2.0, 5, dim=dim)
+        want.insert_many(points)
+        # Split the ids into ascending runs and apply them newest-first,
+        # so most batches land below ids the clusterer already holds.
+        rng = random.Random(seed)
+        runs: List[List[int]] = [[] for _ in range(4)]
+        for pid in range(len(points)):
+            runs[rng.randrange(4)].append(pid)
+        got = cls(2.0, 5, dim=dim)
+        for run in reversed(runs):
+            assert got.insert_many([points[i] for i in run], ids=run) == run
+        assert _canonical(got) == _canonical(want)
+        assert all(got.is_core(p) == want.is_core(p) for p in range(len(points)))
+        query = list(range(0, len(points), 3))
+        assert _query_canonical(got.cgroup_by_many(query)) == _query_canonical(
+            want.cgroup_by_many(query)
+        )
+        if cls is FullyDynamicClusterer:
+            doomed = runs[0][::2] + runs[2][1::2]
+            got.delete_many(doomed)
+            want.delete_many(doomed)
+            assert _canonical(got) == _canonical(want)
+            check_invariants(got)
+
+    @pytest.mark.parametrize("cls", (SemiDynamicClusterer, FullyDynamicClusterer))
+    def test_bad_ids_rejected_without_mutation(self, cls):
+        algo = cls(1.0, 3, dim=2)
+        algo.insert_many([(0.0, 0.0), (5.0, 5.0)], ids=[4, 9])
+        bad = [
+            ([(1.0, 1.0), (2.0, 2.0)], [12, 11], "ascending"),
+            ([(1.0, 1.0), (2.0, 2.0)], [12, 12], "ascending"),
+            ([(1.0, 1.0), (2.0, 2.0)], [3], "2 points"),
+            ([(1.0, 1.0), (2.0, 2.0)], [2, 4], "already live"),
+        ]
+        for points, ids, message in bad:
+            with pytest.raises(ValueError, match=message):
+                algo.insert_many(points, ids=ids)
+            assert sorted(algo.ids()) == [4, 9]
+            assert algo.cell_count == 2
+        # Implicit ids continue after the highest id ever given.
+        assert algo.insert_many([(9.0, 9.0)]) == [10]
+        assert algo.insert_many([(9.5, 9.0)], ids=[7]) == [7]
+        assert algo.insert_many([(9.0, 9.5)]) == [11]

@@ -211,7 +211,7 @@ class TestNegativeCoordinateFlooring:
     def test_vectorized_bucketing_matches_cell_of(self):
         import numpy as np
 
-        from repro.core.bulk import bucket_by_cell
+        from repro.kernels import bucket_by_cell
 
         rng = random.Random(7)
         for dim in (1, 2, 3):

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 import repro.api as api
-from repro.analysis.window import SlidingWindowClusterer, WindowedEngine
+from repro.analysis.window import WindowedEngine
 from repro.baselines.static_dbscan import dbscan_brute
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.errors import ConfigError, UnsupportedOperationError
@@ -84,59 +84,70 @@ class TestInvariantAuditor:
 
 
 class TestSlidingWindow:
+    """Per-point sliding-window behaviour, through :class:`WindowedEngine`."""
+
+    @staticmethod
+    def _window(capacity, eps, minpts, rho=0.0, dim=2):
+        engine = api.open(
+            algorithm="full", eps=eps, minpts=minpts, rho=rho, dim=dim
+        )
+        return WindowedEngine(engine, capacity)
+
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindowClusterer(0, 1.0, 3)
+        with api.open(algorithm="full", eps=1.0, minpts=3) as engine:
+            with pytest.raises(ConfigError):
+                WindowedEngine(engine, 0)
 
     def test_respects_capacity(self):
-        win = SlidingWindowClusterer(5, 1.0, 2, rho=0.0, dim=1)
-        for i in range(12):
-            win.append((float(i),))
-        assert len(win) == 5
-        assert len(win.clusterer) == 5
+        with self._window(5, 1.0, 2, dim=1) as win:
+            for i in range(12):
+                win.append((float(i),))
+            assert len(win) == 5
+            assert len(win.engine) == 5
 
     def test_oldest_and_newest(self):
-        win = SlidingWindowClusterer(3, 1.0, 2, rho=0.0, dim=1)
-        ids = [win.append((float(i),)) for i in range(3)]
-        assert win.oldest() == ids[0]
-        assert win.newest() == ids[2]
-        win.append((3.0,))
-        assert win.oldest() == ids[1]
+        with self._window(3, 1.0, 2, dim=1) as win:
+            ids = [win.append((float(i),)) for i in range(3)]
+            assert win.oldest() == ids[0]
+            assert win.newest() == ids[2]
+            win.append((3.0,))
+            assert win.oldest() == ids[1]
 
     def test_empty_window(self):
-        win = SlidingWindowClusterer(3, 1.0, 2)
-        assert win.oldest() is None and win.newest() is None
-        assert len(win) == 0
+        with self._window(3, 1.0, 2) as win:
+            assert win.oldest() is None and win.newest() is None
+            assert len(win) == 0
 
     def test_window_contents_match_static(self):
-        rng = random.Random(9)
         pts = clustered_points(60, 2, seed=9)
-        win = SlidingWindowClusterer(25, 2.0, 4, rho=0.0, dim=2)
-        win.extend(pts)
-        live_ids = list(win.ids())
-        live_pts = [win.clusterer.point(pid) for pid in live_ids]
-        idmap = {pid: i for i, pid in enumerate(live_ids)}
-        assert_matches_static(
-            win.clusters(), idmap, dbscan_brute(live_pts, 2.0, 4)
-        )
+        with self._window(25, 2.0, 4) as win:
+            for p in pts:
+                win.append(p)
+            live_ids = win.ids()
+            live_pts = [win.engine.point(pid) for pid in live_ids]
+            idmap = {pid: i for i, pid in enumerate(live_ids)}
+            assert_matches_static(
+                win.snapshot().clustering, idmap, dbscan_brute(live_pts, 2.0, 4)
+            )
 
     def test_queries_work_through_wrapper(self):
-        win = SlidingWindowClusterer(10, 1.0, 2, rho=0.0, dim=1)
-        a = win.append((0.0,))
-        b = win.append((0.5,))
-        c = win.append((8.0,))
-        result = win.cgroup_by([a, b, c])
-        assert {a, b} in result.group_sets()
-        assert win.same_cluster(a, b)
-        assert not win.same_cluster(a, c)
+        with self._window(10, 1.0, 2, dim=1) as win:
+            a = win.append((0.0,))
+            b = win.append((0.5,))
+            c = win.append((8.0,))
+            result = win.cgroup_by([a, b, c])
+            assert {a, b} in result.group_sets()
+            assert win.engine.raw.same_cluster(a, b)
+            assert not win.engine.raw.same_cluster(a, c)
 
     def test_invariants_hold_through_window_churn(self):
-        win = SlidingWindowClusterer(20, 2.0, 4, rho=0.01, dim=2)
         pts = clustered_points(80, 2, seed=10)
-        for i, p in enumerate(pts):
-            win.append(p)
-            if i % 15 == 14:
-                assert check_invariants(win.clusterer) == []
+        with self._window(20, 2.0, 4, rho=0.01) as win:
+            for i, p in enumerate(pts):
+                win.append(p)
+                if i % 15 == 14:
+                    assert check_invariants(win.engine.raw) == []
+
 
 class TestWindowedEngine:
     """The engine-native sliding window (satellite of the service PR).
@@ -259,25 +270,6 @@ class TestWindowedEngine:
             assert pids[0] not in win
             assert all(p in win for p in [pids[1]] + third)
             assert win.ids() == [pids[1]] + third
-
-    def test_matches_per_point_sliding_window_clusterer(self):
-        """The engine-native window agrees with the per-point wrapper."""
-        pts = clustered_points(60, 2, seed=13)
-        legacy = SlidingWindowClusterer(20, 2.0, 4, rho=0.0, dim=2)
-        with WindowedEngine(
-            self._engine(eps=2.0, minpts=4), 20
-        ) as win:
-            for p in pts:
-                legacy.append(p)
-                win.append(list(p))
-            assert win.ids() == list(legacy.ids())
-            legacy_clusters = sorted(
-                tuple(sorted(c)) for c in legacy.clusters().clusters
-            )
-            win_clusters = sorted(
-                tuple(sorted(c)) for c in win.snapshot().clusters
-            )
-            assert win_clusters == legacy_clusters
 
     def test_close_is_idempotent_and_context_manager(self):
         win = WindowedEngine(self._engine(), 5)

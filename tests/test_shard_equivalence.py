@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
+import numpy as np
 import pytest
 
 import repro.api as api
@@ -297,6 +298,42 @@ def test_rebalance_mid_workload_differential(shard_count):
         map(sorted, want_snap.clusters)
     )
     assert sorted(got_snap.noise) == sorted(want_snap.noise)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_rebalance_away_and_back_after_deletes(shard_count, seed):
+    """A block's old owner keeps its copies through a rebalance; deletes
+    must still reach them, or the block rebalanced back would count
+    dead points in its owner's core decisions."""
+    if shard_count == 1:
+        pytest.skip("rebalancing needs somewhere to move a block")
+    knobs = dict(algorithm="full", eps=3.0, minpts=5, dim=2)
+    engine = api.open(
+        **knobs, shards=shard_count, shard_block=8, shard_executor="serial"
+    )
+    reference = api.open(**knobs)
+    try:
+        points = np.random.default_rng(seed).uniform(0.0, 60.0, size=(600, 2))
+        got_ids, want_ids = engine.ingest(points), reference.ingest(points)
+        router = engine.raw
+        block = router.topology.block_of(
+            router._grid.cell_of(router.point(got_ids[seed]))
+        )
+        owner = router.topology.owner_of_block(block)
+        engine.rebalance(block, (owner + 1) % shard_count)
+        engine.delete_many(got_ids[::2])
+        reference.delete_many(want_ids[::2])
+        engine.rebalance(block, owner)
+        got_q = engine.cgroup_by_many(got_ids[1::6]).result
+        assert got_q == reference.cgroup_by_many(want_ids[1::6]).result
+        got_snap, want_snap = engine.snapshot(), reference.snapshot()
+        assert sorted(map(sorted, got_snap.clusters)) == sorted(
+            map(sorted, want_snap.clusters)
+        )
+        assert sorted(got_snap.noise) == sorted(want_snap.noise)
+    finally:
+        engine.close()
+        reference.close()
 
 
 def test_process_executor_differential():

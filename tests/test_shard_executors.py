@@ -169,10 +169,10 @@ def test_unpicklable_exception_relays_as_repro_error(worker_executor):
 
 
 def test_exception_in_map_still_drains_other_shards(worker_executor):
-    pids = worker_executor.map(
+    worker_executor.map(
         [("ingest", (_points(40),)), ("ingest", (_points(40, seed=1),))]
     )
-    assert all(len(p) == 40 for p in pids)
+    assert worker_executor.map([("size", ()), ("size", ())]) == [40, 40]
     with pytest.raises(ReproError, match="injected fault"):
         worker_executor.map([("fault", ()), ("ping", ())])
     # Shard 1's reply was drained despite shard 0's failure; both
@@ -181,7 +181,10 @@ def test_exception_in_map_still_drains_other_shards(worker_executor):
 
 
 def test_reply_arrays_are_read_only_and_outlive_later_calls(worker_executor):
-    result = worker_executor.call(0, "ingest", _points(64))
+    # The ingest reply carries nothing; export_state's id array is a
+    # bulk reply.
+    assert worker_executor.call(0, "ingest", _points(64)) is None
+    result = worker_executor.call(0, "export_state")["ids"]
     assert isinstance(result, np.ndarray)
     assert result.dtype == np.int64
     assert not result.flags.writeable
@@ -189,9 +192,10 @@ def test_reply_arrays_are_read_only_and_outlive_later_calls(worker_executor):
     assert np.array_equal(result, expected)
     # Each reply owns its receive buffer: later traffic leaves it intact.
     worker_executor.call(0, "ingest", _points(300, seed=1))
+    assert len(worker_executor.call(0, "export_state")["ids"]) == 364
     assert np.array_equal(result, expected)
-    empty = worker_executor.call(0, "ingest", np.empty((0, 2)))
-    assert len(empty) == 0
+    worker_executor.call(0, "ingest", np.empty((0, 2)))
+    assert worker_executor.call(0, "size") == 364
 
 
 # ----------------------------------------------------------------------

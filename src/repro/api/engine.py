@@ -287,13 +287,17 @@ class Engine:
     # Shard-support surface (consumed by repro.shard)
     # ------------------------------------------------------------------
 
-    def membership_fragments(self, pids: Iterable[int], trust=None):
+    def membership_fragments(
+        self, pids: Optional[Iterable[int]] = None, trust=None
+    ):
         """Per-core-cell membership fragments of a query batch.
 
         The cell-keyed decomposition of :meth:`cgroup_by` that the shard
-        router merges across engines; ``trust`` restricts which cells
-        this engine may decide against (memberships toward untrusted
-        cells come back as open probes).  See
+        router merges across engines, as flat arrays; ``pids=None``
+        queries every point of every cell ``trust`` admits, and
+        ``trust`` restricts which cells this engine may decide against
+        (memberships toward untrusted cells come back as open probes).
+        See
         :meth:`repro.core.framework.GridClusterer.membership_fragments`.
         Only the grid-based algorithms expose it.
         """

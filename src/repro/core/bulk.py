@@ -20,7 +20,7 @@ with ``rho > 0`` both are legal under the sandwich guarantee
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,27 +37,45 @@ __all__ = [
 
 @dataclass
 class MembershipFragments:
-    """Per-core-cell membership fragments of one resolved query batch.
+    """Per-core-cell membership fragments of one resolved query, as arrays.
 
     The cell-level decomposition of a C-group-by answer, before any
-    connected-component ids are applied: ``fragments[cell]`` lists the
-    queried ids that belong to the cluster of core cell ``cell`` (a core
-    point appears under its own cell; a non-core point under every close
-    core cell holding a witness).  ``unmatched`` lists queried ids with
-    no membership among the cells the resolver was allowed to decide
-    (*noise*, unless a probe later finds a membership), and ``probes``
-    lists ``(pid, cell)`` pairs the resolver deliberately left open
-    because ``cell`` fell outside its trusted region — the cross-shard
-    boundary merge resolves them against the cell owner's core points.
+    connected-component ids are applied, in a flat form whose size on
+    the shard wire does not grow with the number of cells: one
+    *part* per ``(queried cell, granting core cell)`` pair.
+    ``cells[i]`` (a row of the ``(k, dim)`` int64 array) is the granting
+    core cell of part ``i`` and ``counts[i]`` its length; the parts'
+    ids lie back to back in ``members`` (int64).  A core point appears
+    under its own cell, a non-core point under every close core cell
+    holding a witness, so one cell may head several parts and one id
+    may appear in several parts.  ``unmatched`` (int64) lists queried
+    ids with no membership among the cells the resolver was allowed to
+    decide (*noise*, unless a probe later finds a membership).
+    ``probe_ids[j]`` / ``probe_cells[j]`` are the decisions the
+    resolver deliberately left open because the cell fell outside its
+    trusted region — the cross-shard boundary merge settles them
+    against the cell owner's core points.
 
-    With an unrestricted resolver (``trust=None``) ``probes`` is empty
-    and the fragments are exactly the grouping a single engine reports,
+    With an unrestricted resolver (``trust=None``) there are no probes
+    and the parts are exactly the grouping a single engine reports,
     keyed by cell instead of CC id.
     """
 
-    fragments: Dict[Cell, List[int]] = field(default_factory=dict)
-    unmatched: List[int] = field(default_factory=list)
-    probes: List[Tuple[int, Cell]] = field(default_factory=list)
+    members: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
+    unmatched: np.ndarray
+    probe_ids: np.ndarray
+    probe_cells: np.ndarray
+
+    def parts(self) -> Iterator[Tuple[Cell, np.ndarray]]:
+        """Each part as ``(granting cell, member id slice)``."""
+        ends = np.cumsum(self.counts).tolist()
+        members = self.members
+        start = 0
+        for cell, end in zip(map(tuple, self.cells.tolist()), ends):
+            yield cell, members[start:end]
+            start = end
 
 
 @dataclass

@@ -18,6 +18,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -34,7 +35,13 @@ from repro.core.bulk import (
 )
 from repro.core.fragments import CellFragment, FragmentCache, FragmentCacheStats
 from repro.errors import ConfigError, UnknownPointError
-from repro.kernels import any_within, as_point_array, box_sq_dists, bucket_by_cell
+from repro.kernels import (
+    any_within,
+    as_point_array,
+    box_sq_dists,
+    bucket_by_cell,
+    sorted_unique,
+)
 from repro.core.grid import Cell, Grid
 from repro.geometry.points import Point, sq_dist
 
@@ -111,6 +118,29 @@ def canonical_cgroup_result(
     return CGroupByResult(groups=canon, noise=sorted(set(noise)))
 
 
+def assemble_groups(
+    parts_by_group: Iterable[List[np.ndarray]],
+) -> List[List[int]]:
+    """Canonical groups from per-group lists of id-array parts.
+
+    The array twin of :func:`canonical_cgroup_result` for the batched
+    paths: each group's parts are concatenated, sorted and deduplicated
+    (a border point may be granted by several parts of one group), and
+    the groups come back in lexicographic order.  Sorting each group on
+    its own is far cheaper than one lexicographic sort over
+    ``(group, id)`` pairs at snapshot sizes.
+    """
+    groups = []
+    for parts in parts_by_group:
+        merged = sorted_unique(
+            parts[0] if len(parts) == 1 else np.concatenate(parts)
+        )
+        if len(merged):
+            groups.append(merged.tolist())
+    groups.sort()
+    return groups
+
+
 @dataclass
 class Clustering:
     """Full clustering of the current dataset (``Q = P``)."""
@@ -137,9 +167,10 @@ class GridClusterer(SequentialBulkMixin):
     Queries resolve through the vectorized batch engine
     (:meth:`cgroup_by_many`): ids bucketed by cell, core points split off
     with set operations, non-core points resolved per close core cell via
-    batched emptiness calls.  ``cgroup_by`` and ``clusters()`` are thin
-    wrappers over it; :meth:`cgroup_by_sequential` keeps the point-at-a-
-    time reference.
+    batched emptiness calls.  ``cgroup_by`` is a thin wrapper over it;
+    ``clusters()`` runs the same per-cell resolution over every cell
+    (:meth:`_walk_fragments`); :meth:`cgroup_by_sequential` keeps the
+    point-at-a-time reference.
     """
 
     def __init__(
@@ -329,17 +360,21 @@ class GridClusterer(SequentialBulkMixin):
             return self.cgroup_by_sequential(pid_list)
         # The canonical result is order- and multiplicity-free, so the
         # engine works on the deduplicated ascending id array.
-        pid_arr = np.unique(np.asarray(pid_list, dtype=np.int64))
+        pid_arr = sorted_unique(np.asarray(pid_list, dtype=np.int64))
+        return self._resolve_query(pid_arr, self._query_coords(pid_arr))
+
+    def _query_coords(self, pid_arr: np.ndarray) -> np.ndarray:
+        """Coordinates of queried ids; dead ids fail the whole query."""
         points = self._points
         try:
             coords = [points[pid] for pid in pid_arr.tolist()]
         except KeyError:
-            self._validated_query(pid_list)  # raises with the full dead set
+            self._validated_query(pid_arr.tolist())  # raises: full dead set
             raise
         flat = np.fromiter(
             chain.from_iterable(coords), dtype=float, count=len(coords) * self.dim
         )
-        return self._resolve_query(pid_arr, flat.reshape(-1, self.dim))
+        return flat.reshape(-1, self.dim)
 
     def _resolve_query(
         self, pid_arr: np.ndarray, arr: np.ndarray
@@ -347,87 +382,115 @@ class GridClusterer(SequentialBulkMixin):
         """Resolve pre-validated ``(ids, coords)`` query arrays.
 
         ``pid_arr`` must hold distinct live ids.  Group membership is
-        accumulated as id-array fragments per CC id and flattened once at
-        the end, so fully-core cells (the common case on clustered data)
-        contribute one slice each with no per-point Python work.  The
-        flatten deduplicates: cell fragments grant a border point once
-        per close core cell, so two cells of one component may both
-        contribute it.
+        accumulated as id-array parts per CC id and assembled once at
+        the end (:func:`assemble_groups`), so fully-core cells (the
+        common case on clustered data) contribute one slice each with
+        no per-point Python work.
         """
-        group_parts, noise, _ = self._resolve_memberships(pid_arr, arr)
-        groups = []
-        for parts in group_parts.values():
-            merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            groups.append(np.unique(merged).tolist())
-        groups.sort()
-        return CGroupByResult(groups=groups, noise=sorted(noise))
+        cc = self._memoized_cc()
+        group_parts, noise = self._group_by_component(
+            self._query_fragments(pid_arr, arr, cc=cc), cc
+        )
+        return CGroupByResult(
+            groups=assemble_groups(group_parts.values()), noise=sorted(noise)
+        )
 
-    def _resolve_memberships(
+    def _memoized_cc(self) -> Callable[[Cell], Hashable]:
+        """``_cc_id`` memoized for one query (components are fixed then)."""
+        memo: Dict[Cell, Hashable] = {}
+        cc_of = self._cc_id
+
+        def cc(cell: Cell) -> Hashable:
+            cid = memo.get(cell)
+            if cid is None:
+                cid = memo[cell] = cc_of(cell)
+            return cid
+
+        return cc
+
+    @staticmethod
+    def _group_by_component(
+        frags: Iterable[CellFragment], cc: Callable[[Cell], Hashable]
+    ) -> Tuple[Dict[Hashable, List[np.ndarray]], List[int]]:
+        """Fragment parts keyed by the component of their granting cell."""
+        group_parts: Dict[Hashable, List[np.ndarray]] = {}
+        noise: List[int] = []
+        for frag in frags:
+            for gcell, member_ids in frag.members.items():
+                group_parts.setdefault(cc(gcell), []).append(member_ids)
+            noise.extend(frag.noise)
+        return group_parts, noise
+
+    def _query_fragments(
         self,
         pid_arr: np.ndarray,
         arr: np.ndarray,
-        key: Optional[Callable[[Cell], Hashable]] = None,
         trust: Optional[Callable[[Cell], bool]] = None,
-    ):
-        """The engine behind every batched resolution, keyed by ``key(cell)``.
+        cc: Optional[Callable[[Cell], Hashable]] = None,
+    ) -> Iterator[CellFragment]:
+        """One granting-cell-keyed fragment per cell bucket of a query.
 
-        With the defaults (``key = self._cc_id`` memoized, ``trust``
-        unrestricted) this is exactly the :meth:`cgroup_by_many` engine.
-        ``key`` maps the core cell granting a membership to the group it
-        is accumulated under (identity yields per-cell fragments for the
-        sharding boundary merge); ``trust`` restricts which cells this
-        resolver may decide against — a close cell failing it is not
-        probed, and every non-core query id of the bucket is emitted as a
-        ``(pid, cell)`` probe for the caller to settle against the cell
-        owner's authoritative core set.  Queried ids always live in
-        trusted cells (the shard router routes each id to its owner).
+        The engine behind every batched resolution of an explicit id
+        set (``pid_arr`` distinct and live, ``arr`` their coordinates).
+        ``trust`` restricts which cells this resolver may decide
+        against — a close cell failing it is not probed, and every
+        non-core query id of the bucket is emitted as a ``(pid, cell)``
+        probe for the caller to settle against the cell owner's
+        authoritative core set.  Queried ids always live in trusted
+        cells (the shard router routes each id to its owner).
 
-        Every bucket resolves to a granting-cell-keyed
-        :class:`CellFragment` via :meth:`_resolve_cell_fragment`;
-        *cell-complete* buckets (the query covers every live point of
-        the cell — always true for ``Q = P`` and for the shard merge's
-        owned-cell queries) are served from / stored into the fragment
-        cache, partial buckets recompute and bypass it.
-
-        Returns ``(group_parts, noise, probes)``: id-array fragments per
-        key (a border point may appear in several fragments of one key),
-        ids with no membership among trusted cells, and the open probes
-        (empty when ``trust`` is None).
+        *Cell-complete* buckets (the query covers every live point of
+        the cell) are served from / stored into the fragment cache;
+        partial buckets recompute and bypass it, and when ``cc`` (the
+        memoized component of a core cell) is given they skip probes
+        against components a point already holds.
         """
         cache = self._fragments
         cache.begin(trust)
-        group_parts: Dict[Hashable, List[np.ndarray]] = {}
-        noise: List[int] = []
-        probes: List[Tuple[int, Cell]] = []
-        cc_cache: Dict[Cell, Hashable] = {}
-        key_of = self._cc_id if key is None else key
-
-        def cc(gcell: Cell) -> Hashable:
-            cid = cc_cache.get(gcell)
-            if cid is None:
-                cid = cc_cache[gcell] = key_of(gcell)
-            return cid
-
         for cell, idxs in bucket_by_cell(arr, self._grid.side):
             data = self._cells[cell]
             cell_ids = pid_arr[idxs]
             cacheable = len(cell_ids) == len(data.points)  # type: ignore[attr-defined]
             frag = cache.lookup_membership(cell) if cacheable else None
             if frag is None:
-                # A partial bucket is never cached, so when its result
-                # is keyed by component it may skip a probe against a
-                # component its point already holds.
                 frag = self._resolve_cell_fragment(
                     cell, data, cell_ids, lambda idxs=idxs: arr[idxs], trust,
-                    cc if key is None and not cacheable else None,
+                    None if cacheable else cc,
                 )
                 if cacheable:
                     cache.store_membership(cell, frag)
-            for gcell, member_ids in frag.members.items():
-                group_parts.setdefault(cc(gcell), []).append(member_ids)
-            noise.extend(frag.noise)
-            probes.extend(frag.probes)
-        return group_parts, noise, probes
+            yield frag
+
+    def _walk_fragments(
+        self, trust: Optional[Callable[[Cell], bool]] = None
+    ) -> Iterator[CellFragment]:
+        """The fragment of every trusted cell: a ``Q = P`` query.
+
+        Iterates the cell registry directly — every live point of every
+        walked cell is queried, so there is nothing to deduplicate,
+        look up, bucket or validate, and every cell is cache-eligible.
+        Clean cells splice their memoized fragment; a cell a mutation
+        dirtied since the last barrier recomputes with its ids in
+        ascending order.
+        """
+        cache = self._fragments
+        cache.begin(trust)
+        for cell, data in self._cells.items():
+            if trust is not None and not trust(cell):
+                continue
+            frag = cache.lookup_membership(cell)
+            if frag is None:
+                pts = data.points  # type: ignore[attr-defined]
+                cell_ids = np.fromiter(
+                    pts.keys(), dtype=np.int64, count=len(pts)
+                )
+                order = np.argsort(cell_ids)
+                coords = np.array(list(pts.values()), dtype=float)[order]
+                frag = self._resolve_cell_fragment(
+                    cell, data, cell_ids[order], lambda: coords, trust
+                )
+                cache.store_membership(cell, frag)
+            yield frag
 
     def _resolve_cell_fragment(
         self,
@@ -540,46 +603,66 @@ class GridClusterer(SequentialBulkMixin):
 
     def membership_fragments(
         self,
-        pids: Iterable[int],
+        pids: Optional[Iterable[int]] = None,
         trust: Optional[Callable[[Cell], bool]] = None,
     ) -> MembershipFragments:
         """Resolve queried ids into per-core-cell membership fragments.
 
         The cell-keyed decomposition of :meth:`cgroup_by_many` — what the
-        shard router merges across engines: group fragments keyed by the
+        shard router merges across engines: group parts keyed by the
         core cell granting the membership instead of by CC id, so a
         boundary merge can apply its *global* connected components to
-        them.  ``trust`` restricts which cells this engine may decide
-        against (see :meth:`_resolve_memberships`); memberships against
-        untrusted cells come back as open probes.  Dead ids raise
-        :class:`repro.errors.UnknownPointError` before anything resolves,
-        exactly like the query paths.
+        them.  ``pids=None`` queries every point of every cell ``trust``
+        admits (a shard's share of a ``Q = P`` snapshot) by walking the
+        cells, as :meth:`clusters` does.  ``trust`` restricts which
+        cells this engine may decide against (see
+        :meth:`_query_fragments`); memberships against untrusted cells
+        come back as open probes.  Dead ids raise
+        :class:`repro.errors.UnknownPointError` before anything
+        resolves, exactly like the query paths.
         """
-        pid_list = list(pids)
-        if not pid_list:
-            return MembershipFragments()
-        pid_arr = np.unique(np.asarray(pid_list, dtype=np.int64))
-        points = self._points
-        try:
-            coords = [points[pid] for pid in pid_arr.tolist()]
-        except KeyError:
-            self._validated_query(pid_list)  # raises with the full dead set
-            raise
-        flat = np.fromiter(
-            chain.from_iterable(coords), dtype=float, count=len(coords) * self.dim
+        if pids is None:
+            return self._flat_fragments(self._walk_fragments(trust))
+        pid_arr = sorted_unique(
+            np.asarray(
+                pids if isinstance(pids, np.ndarray) else list(pids),
+                dtype=np.int64,
+            )
         )
-        group_parts, noise, probes = self._resolve_memberships(
-            pid_arr,
-            flat.reshape(-1, self.dim),
-            key=lambda cell: cell,
-            trust=trust,
+        return self._flat_fragments(
+            self._query_fragments(
+                pid_arr, self._query_coords(pid_arr), trust=trust
+            )
         )
-        fragments: Dict[Cell, List[int]] = {}
-        for cell, parts in group_parts.items():
-            merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            fragments[cell] = np.sort(merged).tolist()
+
+    def _flat_fragments(
+        self, frags: Iterable[CellFragment]
+    ) -> MembershipFragments:
+        """Concatenate cell fragments into the flat array record."""
+        parts: List[np.ndarray] = []
+        cells: List[Cell] = []
+        unmatched: List[int] = []
+        probe_ids: List[int] = []
+        probe_cells: List[Cell] = []
+        for frag in frags:
+            cells.extend(frag.members)
+            parts.extend(frag.members.values())
+            unmatched.extend(frag.noise)
+            for pid, cell in frag.probes:
+                probe_ids.append(pid)
+                probe_cells.append(cell)
+        dim = self.dim
         return MembershipFragments(
-            fragments=fragments, unmatched=sorted(noise), probes=sorted(probes)
+            members=(
+                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            ),
+            cells=np.array(cells, dtype=np.int64).reshape(-1, dim),
+            counts=np.fromiter(
+                map(len, parts), dtype=np.int64, count=len(parts)
+            ),
+            unmatched=np.array(unmatched, dtype=np.int64),
+            probe_ids=np.array(probe_ids, dtype=np.int64),
+            probe_cells=np.array(probe_cells, dtype=np.int64).reshape(-1, dim),
         )
 
     def gum_edge_fragment(
@@ -699,57 +782,21 @@ class GridClusterer(SequentialBulkMixin):
     def clusters(self) -> Clustering:
         """Full clustering of the live dataset (a ``Q = P`` query).
 
-        The incremental barrier: iterates the cell registry directly —
-        Q = P queries every live point of every cell, so there is
-        nothing to flatten, bucket or validate, and every cell is
-        cache-eligible.  Clean cells splice their memoized fragment;
-        only cells a mutation dirtied since the last barrier recompute.
-        The cluster list keeps the canonical group order of
-        :meth:`cgroup_by_many` (members ascending and deduplicated,
-        groups lexicographic).
+        The incremental barrier: walks the cell registry
+        (:meth:`_walk_fragments`), so clean cells splice their memoized
+        fragment and only cells a mutation dirtied since the last
+        barrier recompute.  The cluster list keeps the canonical group
+        order of :meth:`cgroup_by_many` (members ascending and
+        deduplicated, groups lexicographic).
         """
         if not self._points:
             return Clustering()
-        cache = self._fragments
-        cache.begin(None)
-        group_parts: Dict[Hashable, List[np.ndarray]] = {}
-        noise: List[int] = []
-        cc_cache: Dict[Cell, Hashable] = {}
-        cc_of = self._cc_id
-        for cell, data in self._cells.items():
-            frag = cache.lookup_membership(cell)
-            if frag is None:
-                pts = data.points  # type: ignore[attr-defined]
-                cell_ids = np.fromiter(
-                    pts.keys(), dtype=np.int64, count=len(pts)
-                )
-                coords = np.array(list(pts.values()), dtype=float)
-                frag = self._resolve_cell_fragment(
-                    cell, data, cell_ids, lambda: coords, None
-                )
-                cache.store_membership(cell, frag)
-            for gcell, member_ids in frag.members.items():
-                cid = cc_cache.get(gcell)
-                if cid is None:
-                    cid = cc_cache[gcell] = cc_of(gcell)
-                group_parts.setdefault(cid, []).append(member_ids)
-            noise.extend(frag.noise)
-        groups = []
-        for parts in group_parts.values():
-            merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            merged = np.sort(merged)
-            if len(parts) > 1:
-                # Fragments of one component may both grant a border
-                # point; a sort + adjacent-difference mask dedups far
-                # cheaper than np.unique's hash path at snapshot sizes.
-                keep = np.empty(len(merged), dtype=bool)
-                keep[0] = True
-                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-                merged = merged[keep]
-            groups.append(merged.tolist())
-        groups.sort()
+        group_parts, noise = self._group_by_component(
+            self._walk_fragments(), self._memoized_cc()
+        )
         return Clustering(
-            clusters=[set(g) for g in groups], noise=set(noise)
+            clusters=[set(g) for g in assemble_groups(group_parts.values())],
+            noise=set(noise),
         )
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:

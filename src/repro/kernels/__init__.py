@@ -41,6 +41,7 @@ __all__ = [
     "pack_cell_keys",
     "box_sq_dists",
     "cell_gap_sq_dists",
+    "sorted_unique",
 ]
 
 
@@ -105,8 +106,24 @@ def cell_gap_sq_dists(deltas: np.ndarray, side: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Shared validation (not a dispatched kernel)
+# Shared helpers (not dispatched kernels)
 # ----------------------------------------------------------------------
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending (``np.unique``).
+
+    A sort plus an adjacent-difference mask: on integer id arrays this
+    is an order of magnitude cheaper than ``np.unique``, whose hash
+    path (numpy >= 2.3) dominates at every size the query paths see.
+    """
+    out = np.sort(values)
+    if len(out) > 1:
+        keep = np.empty(len(out), dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def as_point_array(points: Sequence[Sequence[float]], dim: int) -> np.ndarray:

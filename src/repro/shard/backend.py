@@ -61,8 +61,10 @@ class BulkSpec:
 #: global id: ``ingest`` takes an ``(n, dim)`` float64 point batch and
 #: the batch's int64 global-id array, and replies with nothing bulk;
 #: ``delete_many`` takes an int64 id array; ``merge_state`` takes an
-#: optional int64 id array and returns fragments whose frontier
-#: coordinate arrays are the bulk of every merge.  Everything else
+#: int64 id array (``None`` for a ``Q = P`` snapshot, which ships no
+#: ids) and returns the flat membership-fragment arrays — a fixed
+#: handful of frames however many cells the shard owns — plus the
+#: frontier coordinate arrays, one per frontier cell.  Everything else
 #: (``ping``, ``stats``, ``is_core``, ...) is control-plane only.
 BULK_CALLS = {
     "ingest": BulkSpec(arg_positions=(0, 2)),
@@ -155,26 +157,22 @@ class ShardBackend:
 
     def merge_state(
         self,
-        pids: Optional[IdBatch],
+        pids: Optional[np.ndarray],
         version: Optional[int] = None,
-    ) -> Tuple[Optional[MembershipFragments], GumEdgeFragment, int]:
+    ) -> Tuple[MembershipFragments, GumEdgeFragment, int]:
         """Everything the router needs from this shard for one merge.
 
-        Membership fragments for the queried ids (``None`` when the
-        query touches no point owned here), this shard's GUM edge
-        fragment over its owned core cells, and the backend epoch — the
+        Membership fragments for the queried ids — ``None`` queries
+        every point this shard owns (a ``Q = P`` snapshot walks the
+        owned cells), an empty array none — then this shard's GUM edge
+        fragment over its owned core cells, and the backend epoch: the
         consistency token the router checks against the update count it
         routed here, so a merge can never silently combine shards at
         different dataset versions.
         """
         self.topology.check_version(version)
-        fragments = None
-        if pids is not None:
-            fragments = self.engine.membership_fragments(
-                _id_list(pids), trust=self._trust
-            )
         return (
-            fragments,
+            self.engine.membership_fragments(pids, trust=self._trust),
             self.engine.gum_edge_fragment(trust=self._trust),
             self.epoch(),
         )

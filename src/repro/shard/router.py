@@ -16,18 +16,25 @@ The router owns everything global about a sharded deployment:
 * the **boundary merge** — the only place cross-shard state meets.
 
 The merge collects, in one overlapped fan-out, each shard's membership
-fragments for its owned query ids and its GUM edge fragment
-(:meth:`repro.core.framework.GridClusterer.gum_edge_fragment`).  Owned
-core cells are disjoint and globally complete, so their union is the
-global GUM vertex set; trusted edges union in directly and cross-shard
-candidate pairs are settled with one exact witness test over the two
-frontiers' core coordinates — the same ``(1+rho) eps`` threshold the
-in-shard structures maintain.  Membership probes (a non-core point
-against a foreign core cell) are settled with exact ``eps`` ball tests
-against the owner's frontier.  A union-find over the merged edge set
-turns per-cell fragments into clusters, canonicalized by
-:func:`repro.core.framework.canonical_cgroup_result` — at ``rho = 0``
-every decision involved is exact, which is why a merged result is
+fragments and its GUM edge fragment
+(:meth:`repro.core.framework.GridClusterer.gum_edge_fragment`).  A
+C-group-by ships each shard the query ids it owns; a ``Q = P``
+snapshot ships no ids at all — each shard walks its owned cells,
+splicing cached per-cell fragments.  Fragments come back as flat
+arrays (:class:`repro.core.bulk.MembershipFragments`): member ids, the
+granting core cell and length of each part, the unmatched ids, and the
+open probes.  Owned core cells are disjoint and globally complete, so
+their union is the global GUM vertex set; trusted edges union in
+directly and cross-shard candidate pairs are settled with one exact
+witness test over the two frontiers' core coordinates — the same
+``(1+rho) eps`` threshold the in-shard structures maintain.  Membership
+probes (a non-core point against a foreign core cell) are settled with
+exact ``eps`` ball tests against the owner's frontier.  A union-find
+over the merged cell graph labels every part with its component; each
+component's parts are concatenated, sorted and deduplicated
+(:func:`repro.core.framework.assemble_groups`), and noise is the
+owners' unmatched ids minus the probe hits.  At ``rho = 0`` every
+decision involved is exact, which is why a merged result is
 bit-identical to a single engine's.
 
 Every shard response carries the shard's engine epoch; the router
@@ -62,15 +69,17 @@ import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.connectivity.union_find import UnionFind
-from repro.core.framework import (
-    CGroupByResult,
-    Clustering,
-    canonical_cgroup_result,
-)
+from repro.core.framework import CGroupByResult, Clustering, assemble_groups
 from repro.core.grid import Cell, Grid
 from repro.errors import ConfigError, ReproError, UnknownPointError
 from repro.geometry.points import Point
-from repro.kernels import any_within, as_point_array, ball_counts, bucket_by_cell
+from repro.kernels import (
+    any_within,
+    as_point_array,
+    ball_counts,
+    bucket_by_cell,
+    sorted_unique,
+)
 from repro.shard.topology import ShardTopology
 
 
@@ -248,13 +257,15 @@ class ShardRouter:
                 f"point id(s) {sorted(set(missing))} are not live; "
                 f"the query was rejected before resolving any group"
             )
-        return self._merge(sorted(set(pid_list)))
+        return self._merge(
+            sorted_unique(np.asarray(pid_list, dtype=np.int64))
+        )
 
     def clusters(self) -> Clustering:
         """Full clustering of the live dataset (the ``Q = P`` query)."""
         if not self._points:
             return Clustering()
-        result = self._merge(sorted(self._points))
+        result = self._merge(None)
         return Clustering(clusters=result.group_sets(), noise=set(result.noise))
 
     def is_core(self, pid: int) -> bool:
@@ -392,20 +403,22 @@ class ShardRouter:
                 self.merge_cache_invalidations += len(stale)
         dirty.clear()
 
-    def _merge(self, query: List[int]) -> CGroupByResult:
-        """One overlapped fan-out plus the boundary merge (see module doc)."""
-        points = self._points
-        coords = np.array([points[pid] for pid in query])
-        cells = np.floor(coords / self._grid.side).astype(np.int64)
-        owners = self.topology.owners_of_cells(cells)
-        query_ids = np.asarray(query, dtype=np.int64)
-        calls = []
-        for shard in range(self.shard_count):
-            owned = query_ids[owners == shard]
-            calls.append((
-                "merge_state",
-                (owned if len(owned) else None, self.topology.version),
-            ))
+    def _merge(self, query: Optional[np.ndarray]) -> CGroupByResult:
+        """One overlapped fan-out plus the boundary merge (see module doc).
+
+        ``query`` holds distinct live ids; ``None`` is the ``Q = P``
+        snapshot, for which every shard walks the cells it owns.
+        """
+        version = self.topology.version
+        if query is None:
+            calls = [("merge_state", (None, version))] * self.shard_count
+        else:
+            cells = np.floor(self._coords(query) / self._grid.side)
+            owners = self.topology.owners_of_cells(cells.astype(np.int64))
+            calls = [
+                ("merge_state", (query[owners == shard], version))
+                for shard in range(self.shard_count)
+            ]
         responses = self.executor.map(calls)
         for shard, (_, _, epoch) in enumerate(responses):
             if epoch != self._routed[shard]:
@@ -461,18 +474,22 @@ class ShardRouter:
                 uf.union(a, b)
 
         # --- fragments and probes -> groups over global components ------
-        groups: Dict[Hashable, Set[int]] = {}
-        matched: Set[int] = set()
+        component: Dict[Cell, Hashable] = {}
+        groups: Dict[Hashable, List[np.ndarray]] = {}
         probes_by_cell: Dict[Cell, List[int]] = {}
         for fragments, _, _ in responses:
-            if fragments is None:
-                continue
-            for cell, members in fragments.fragments.items():
-                groups.setdefault(uf.find(cell), set()).update(members)
-                matched.update(members)
-            for pid, cell in fragments.probes:
+            for cell, members in fragments.parts():
+                label = component.get(cell)
+                if label is None:
+                    label = component[cell] = uf.find(cell)
+                groups.setdefault(label, []).append(members)
+            for pid, cell in zip(
+                fragments.probe_ids.tolist(),
+                map(tuple, fragments.probe_cells.tolist()),
+            ):
                 if cell in core_cells:
                     probes_by_cell.setdefault(cell, []).append(pid)
+        hits: List[np.ndarray] = []
         for cell in sorted(probes_by_cell):
             coords = frontier.get(cell)
             if coords is None:
@@ -481,15 +498,27 @@ class ShardRouter:
                     f"for probed cell {cell} — shard fragments are "
                     f"inconsistent"
                 )
-            probe_pids = sorted(set(probes_by_cell[cell]))
-            q_arr = np.array([self._points[pid] for pid in probe_pids])
-            hits = ball_counts(q_arr, coords, self._sq_eps) > 0
-            if not hits.any():
-                continue
-            members = groups.setdefault(uf.find(cell), set())
-            for pid, hit in zip(probe_pids, hits.tolist()):
-                if hit:
-                    members.add(pid)
-                    matched.add(pid)
-        noise = [pid for pid in query if pid not in matched]
-        return canonical_cgroup_result(groups.values(), noise)
+            probe_pids = sorted_unique(
+                np.asarray(probes_by_cell[cell], dtype=np.int64)
+            )
+            hit = probe_pids[
+                ball_counts(self._coords(probe_pids), coords, self._sq_eps) > 0
+            ]
+            if len(hit):
+                groups.setdefault(uf.find(cell), []).append(hit)
+                hits.append(hit)
+        noise = sorted_unique(
+            np.concatenate([frags.unmatched for frags, _, _ in responses])
+        )
+        if hits:
+            noise = noise[~np.isin(noise, np.concatenate(hits))]
+        return CGroupByResult(
+            groups=assemble_groups(groups.values()), noise=noise.tolist()
+        )
+
+    def _coords(self, pids: np.ndarray) -> np.ndarray:
+        """Registry coordinates of live ids as an ``(n, dim)`` array."""
+        points = self._points
+        return np.array(
+            [points[pid] for pid in pids.tolist()], dtype=np.float64
+        ).reshape(-1, self.config.dim)

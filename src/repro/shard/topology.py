@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.grid import Cell, Grid
 from repro.errors import ConfigError, StaleOwnershipError
-from repro.kernels import pack_cell_keys
+from repro.kernels import pack_cell_keys, sorted_unique
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -255,7 +255,7 @@ class ShardTopology:
                 )
                 rows = np.stack([g.ravel() for g in grids], axis=1)
                 owners = self._owners_of_blocks(rows)
-                shards = tuple(sorted(int(s) for s in np.unique(owners)))
+                shards = tuple(sorted_unique(owners).tolist())
             self._replica_cache[cell] = shards
         return shards
 

@@ -161,6 +161,38 @@ class TestAgainstOracles:
         assert kernels.bucket_by_cell(empty, 1.0) == []
 
 
+class TestSortedUnique:
+    """The sort-based dedup helper equals ``np.unique`` on id arrays."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [3, 3, 3],
+            [5, 1, 5, 2, 1, 5],
+            [-4, 0, -4, 9, -1, 0],
+        ],
+        ids=["empty", "singleton", "all-duplicates", "duplicates", "negative"],
+    )
+    def test_matches_np_unique(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        got = kernels.sorted_unique(arr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(arr))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_matches_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        arr = rng.integers(-1000, 1000, size=int(rng.integers(1, 4000)))
+        assert np.array_equal(kernels.sorted_unique(arr), np.unique(arr))
+
+    def test_input_is_not_modified(self):
+        arr = np.array([4, 2, 4, 1], dtype=np.int64)
+        kernels.sorted_unique(arr)
+        assert arr.tolist() == [4, 2, 4, 1]
+
+
 class TestChunking:
     """The ~64MB block cap: tiny caps must not change any output."""
 

@@ -27,7 +27,7 @@ regime below.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ import pytest
 import repro.api as api
 from repro.core.framework import CGroupByResult
 from repro.validation.legality import check_legality
+from repro.validation.sandwich import check_sandwich
 from repro.workload.config import eps_for
 from repro.workload.workload import Workload, generate_workload
 
@@ -45,6 +46,8 @@ RHOS = (0.0, 0.001, 0.1)
 N = 220
 MINPTS = 10
 BATCH = 33
+#: Workload steps between the snapshots a replay takes.
+SNAPSHOT_EVERY = 3
 
 #: Reference replays are pure functions of (algorithm, dim, rho); cache
 #: them so the shard-count sweep pays for each single-engine run once.
@@ -61,11 +64,28 @@ def _workload(dim: int, insert_only: bool) -> Workload:
     )
 
 
-def _replay(engine, workload: Workload) -> Tuple[List[CGroupByResult], list]:
-    """Drive the batched encoding; returns (query results, final snapshot)."""
-    results = []
+def _canon_snapshot(snap) -> list:
+    return [sorted(map(sorted, snap.clusters)), sorted(snap.noise)]
+
+
+def _replay(
+    engine, workload: Workload, check: Optional[Callable] = None
+) -> Tuple[List[CGroupByResult], list]:
+    """Drive the batched encoding; returns (query results, snapshots).
+
+    A ``Q = P`` snapshot is taken every ``SNAPSHOT_EVERY`` steps and
+    after the last one; ``check(engine, snapshot)`` sees each of them.
+    """
+    results, snaps = [], []
     pid_of: Dict[int, int] = {}
-    for kind, arg in workload.batched(BATCH):
+
+    def snapshot() -> None:
+        snap = engine.snapshot()
+        if check is not None:
+            check(engine, snap)
+        snaps.append(_canon_snapshot(snap))
+
+    for step, (kind, arg) in enumerate(workload.batched(BATCH), 1):
         if kind == "insert_many":
             pids = engine.insert_many([workload.points[i] for i in arg])
             pid_of.update(zip(arg, pids))
@@ -73,8 +93,23 @@ def _replay(engine, workload: Workload) -> Tuple[List[CGroupByResult], list]:
             engine.delete_many([pid_of.pop(i) for i in arg])
         else:
             results.append(engine.cgroup_by_many([pid_of[i] for i in arg]).result)
-    snap = engine.snapshot()
-    return results, [sorted(map(sorted, snap.clusters)), sorted(snap.noise)]
+        if step % SNAPSHOT_EVERY == 0:
+            snapshot()
+    snapshot()
+    return results, snaps
+
+
+def _sandwich_check(rho: float) -> Callable:
+    """A ``_replay`` check: every snapshot is sandwich-legal at ``rho``."""
+
+    def check(engine, snap) -> None:
+        router = engine.raw
+        coords = {pid: router.point(pid) for pid in router.ids()}
+        assert check_sandwich(
+            coords, snap.clusters, engine.config.eps, MINPTS, rho
+        ) == []
+
+    return check
 
 
 def _open_single(algorithm: str, dim: int, rho: float):
@@ -125,7 +160,9 @@ def _assert_identical_runs(label, got, want) -> None:
     for i, (g, w) in enumerate(zip(got_queries, want_queries)):
         assert g.groups == w.groups, f"{label}: query #{i} groups differ"
         assert g.noise == w.noise, f"{label}: query #{i} noise differs"
-    assert got_snap == want_snap, f"{label}: final snapshots differ"
+    assert len(got_snap) == len(want_snap)
+    for i, (g, w) in enumerate(zip(got_snap, want_snap)):
+        assert g == w, f"{label}: snapshot #{i} differs"
 
 
 def _assert_legal_final_state(engine, rho: float, relaxed_core: bool) -> None:
@@ -150,10 +187,13 @@ def _assert_legal_final_state(engine, rho: float, relaxed_core: bool) -> None:
 @pytest.mark.parametrize("rho", RHOS)
 @pytest.mark.parametrize("dim", DIMS)
 def test_full_mixed_workload_differential(dim, rho, shard_count):
-    """Fully-dynamic mixed workloads: identical at rho=0, legal beyond."""
+    """Fully-dynamic mixed workloads: identical at rho=0, legal beyond.
+
+    Snapshots along the way (not only at the end) are bit-identical to
+    the single engine's at rho=0 and sandwich-legal above."""
     workload = _workload(dim, insert_only=False)
     engine = _open_sharded("full", dim, rho, shard_count)
-    got = _replay(engine, workload)
+    got = _replay(engine, workload, None if rho == 0.0 else _sandwich_check(rho))
     assert got[0], "workload produced no queries"
     for result in got[0]:
         _assert_canonical(result)
@@ -169,10 +209,11 @@ def test_full_mixed_workload_differential(dim, rho, shard_count):
 @pytest.mark.parametrize("rho", RHOS)
 @pytest.mark.parametrize("dim", DIMS)
 def test_semi_insert_only_differential(dim, rho, shard_count):
-    """Insert-only workloads through the semi-dynamic family."""
+    """Insert-only workloads through the semi-dynamic family, with the
+    same periodic snapshot checks."""
     workload = _workload(dim, insert_only=True)
     engine = _open_sharded("semi", dim, rho, shard_count)
-    got = _replay(engine, workload)
+    got = _replay(engine, workload, None if rho == 0.0 else _sandwich_check(rho))
     assert got[0], "workload produced no queries"
     for result in got[0]:
         _assert_canonical(result)
@@ -222,6 +263,67 @@ def test_clustered_regime_block_sizes(dim, block, shard_count):
     assert got_snap.noise == want_snap.noise
 
 
+def _empty_cells_differential(shard_count: int, block: int, **executor) -> None:
+    """Snapshots while deletes empty cells, against a single engine."""
+    knobs = dict(algorithm="full", eps=2.5, minpts=5, dim=2)
+    single = api.open(**knobs)
+    sharded = api.open(
+        **knobs, shards=shard_count, shard_block=block, **executor
+    )
+    try:
+        points = clustered_points(300, 2, seed=5)
+        ids = single.ingest(points)
+        assert sharded.ingest(points) == ids
+        clusterer, router = single.raw, sharded.raw
+        assert _canon_snapshot(sharded.snapshot()) == _canon_snapshot(
+            single.snapshot()
+        )
+        if shard_count > 1:
+            probes = sum(
+                len(fragments.probe_ids)
+                for fragments, _, _ in router.executor.map(
+                    [("merge_state", (None, router.ownership_version))]
+                    * shard_count
+                )
+            )
+            assert probes > 0, "the snapshot settled no probes"
+        by_cell: Dict[tuple, List[int]] = {}
+        for pid in ids:
+            by_cell.setdefault(clusterer.cell_of(pid), []).append(pid)
+        for cell in sorted(by_cell, key=lambda c: (-len(by_cell[c]), c))[:6]:
+            single.delete_many(by_cell[cell])
+            sharded.delete_many(by_cell[cell])
+            assert cell not in clusterer._cells
+            assert _canon_snapshot(sharded.snapshot()) == _canon_snapshot(
+                single.snapshot()
+            ), f"snapshot after emptying cell {cell} differs"
+    finally:
+        single.close()
+        sharded.close()
+
+
+@pytest.mark.parametrize("block", (1, 2))
+def test_snapshots_after_deletes_that_empty_cells(shard_count, block):
+    """``Q = P`` snapshots through the owned-cell walk while deletes
+    empty whole cells (the busiest first, so clusters shrink and split),
+    compared with the single engine after every delete at rho=0.
+    ``shard_block=2`` leaves many non-core points next to foreign cells,
+    so the merge settles a good share of memberships through probes."""
+    _empty_cells_differential(shard_count, block, shard_executor="serial")
+
+
+@pytest.mark.parametrize("tcp_shards", (2, 4))
+def test_tcp_executor_snapshot_differential(tcp_shards):
+    """The same snapshot differential with the flat fragment record
+    crossing real sockets to shard-worker subprocesses."""
+    from repro.shard.rpc import local_workers
+
+    with local_workers(tcp_shards) as addresses:
+        _empty_cells_differential(
+            tcp_shards, 2, shard_executor="tcp", shard_workers=addresses
+        )
+
+
 @pytest.mark.parametrize("tcp_shards", (2, 4))
 def test_tcp_executor_differential(tcp_shards):
     """The distributed executor clears the same bar: real shard-worker
@@ -256,27 +358,45 @@ def test_tcp_executor_differential(tcp_shards):
 def test_rebalance_mid_workload_differential(shard_count):
     """An online ownership migration in the middle of a mixed workload
     changes nothing observable: every query before and after the flip,
-    and the final snapshot, stay bit-identical to the single engine."""
+    the snapshots just before and just after it, and the final snapshot
+    stay bit-identical to the single engine.
+
+    ``shard_block=16`` makes the moved block reach points the
+    destination does not yet hold, so the rebalance really transfers
+    data; the snapshot right after the flip must follow the new
+    ownership table (the new owner walks the block's cells) and must
+    not report the copies the old owner kept."""
     if shard_count == 1:
         pytest.skip("rebalancing needs somewhere to move a block")
     workload = _workload(2, insert_only=False)
-    engine = _open_sharded("full", 2, 0.0, shard_count)
+    engine = _open_sharded("full", 2, 0.0, shard_count, block=16)
     reference = _open_single("full", 2, 0.0)
     results, want_results = [], []
     pid_of: Dict[int, int] = {}
     ref_of: Dict[int, int] = {}
     steps = list(workload.batched(BATCH))
     flip_at = len(steps) // 2
+    transferred = 0
+
+    def assert_same_snapshot(label: str) -> None:
+        assert _canon_snapshot(engine.snapshot()) == _canon_snapshot(
+            reference.snapshot()
+        ), f"snapshot {label} the flip differs"
+
     for step, (kind, arg) in enumerate(steps):
         if step == flip_at:
+            assert_same_snapshot("just before")
             router = engine.raw
             anchor = next(iter(router.ids()))
             block = router.topology.block_of(
                 router._grid.cell_of(router.point(anchor))
             )
-            owner = router.topology.owner_of_block(block)
-            version = engine.rebalance(block, (owner + 1) % shard_count)
+            dest = (router.topology.owner_of_block(block) + 1) % shard_count
+            routed = router._routed[dest]
+            version = engine.rebalance(block, dest)
             assert version == engine.ownership_version >= 1
+            transferred = router._routed[dest] - routed
+            assert_same_snapshot("just after")
         if kind == "insert_many":
             points = [workload.points[i] for i in arg]
             pid_of.update(zip(arg, engine.insert_many(points)))
@@ -289,15 +409,12 @@ def test_rebalance_mid_workload_differential(shard_count):
             want_results.append(
                 reference.cgroup_by_many([ref_of[i] for i in arg]).result
             )
+    assert transferred > 0, "the rebalance moved no points"
     assert results, "workload produced no queries"
     for got, want in zip(results, want_results):
         assert got.groups == want.groups
         assert got.noise == want.noise
-    got_snap, want_snap = engine.snapshot(), reference.snapshot()
-    assert sorted(map(sorted, got_snap.clusters)) == sorted(
-        map(sorted, want_snap.clusters)
-    )
-    assert sorted(got_snap.noise) == sorted(want_snap.noise)
+    assert_same_snapshot("long after")
 
 
 @pytest.mark.parametrize("seed", (0, 1))

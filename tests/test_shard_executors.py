@@ -198,6 +198,66 @@ def test_reply_arrays_are_read_only_and_outlive_later_calls(worker_executor):
     assert worker_executor.call(0, "size") == 364
 
 
+def test_snapshot_merge_ships_no_ids_and_a_fixed_frame_count(
+    worker_executor, monkeypatch
+):
+    """A ``Q = P`` snapshot sends ``merge_state`` no id array (each shard
+    walks its owned cells), and the flat fragment record crosses the
+    wire as the same six frames however many cells a shard owns; only
+    the frontier adds one frame per frontier cell."""
+    from repro.shard import transport
+    from repro.shard.router import ShardRouter
+
+    requests, replies, frames = [], [], []
+    send_call = transport.ParentChannel.send_call
+    recv_reply = transport.ParentChannel.recv_reply
+    read_payloads = transport.read_payloads
+
+    def spy_send(self, method, args, timeout):
+        if method == "merge_state":
+            requests.append(args[0])
+        return send_call(self, method, args, timeout)
+
+    def spy_read(read_frame, desc):
+        frames.append(len(desc))
+        return read_payloads(read_frame, desc)
+
+    def spy_recv(self, timeout):
+        ok, value = recv_reply(self, timeout)
+        if ok and isinstance(value, tuple) and len(value) == 3:
+            replies.append((frames[-1], value))
+        return ok, value
+
+    monkeypatch.setattr(transport.ParentChannel, "send_call", spy_send)
+    monkeypatch.setattr(transport.ParentChannel, "recv_reply", spy_recv)
+    monkeypatch.setattr(transport, "read_payloads", spy_read)
+    router = ShardRouter(_config(), worker_executor)
+    owned_cells = []
+    for n, seed in ((150, 0), (2500, 1)):
+        router.insert_many(_points(n, seed=seed))
+        requests.clear()
+        replies.clear()
+        router.clusters()
+        assert requests == [None, None]
+        assert len(replies) == 2
+        for count, (fragments, gum, _) in replies:
+            assert count == 6 + len(gum.frontier)
+            assert isinstance(fragments.members, np.ndarray)
+        owned_cells.append(
+            sum(len({cell for cell, _ in f.parts()}) for _, (f, _, _) in replies)
+        )
+    assert owned_cells[1] > owned_cells[0]
+    # A C-group-by ships each shard its owned ids (an empty array for a
+    # shard owning none of them) and gets the same six-frame record back.
+    requests.clear()
+    replies.clear()
+    router.cgroup_by_many(list(range(0, 2650, 7)))
+    assert [type(ids) for ids in requests] == [np.ndarray, np.ndarray]
+    assert sum(len(ids) for ids in requests) == len(range(0, 2650, 7))
+    for count, (_, gum, _) in replies:
+        assert count == 6 + len(gum.frontier)
+
+
 # ----------------------------------------------------------------------
 # Worker death and hangs
 # ----------------------------------------------------------------------

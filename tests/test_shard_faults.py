@@ -186,6 +186,40 @@ def test_crash_recovery_is_bit_identical_to_single_engine():
         sharded.close()
 
 
+def test_snapshot_merge_crash_recovery_is_bit_identical():
+    """A worker crashes in the middle of a ``Q = P`` snapshot's merge
+    (the call that walks its owned cells); the supervisor replays its
+    journal and retries, and the snapshot, a later one, and a query
+    all match an unsharded engine at rho=0."""
+    pts = _points(300, seed=11)
+    single = _open_single()
+    sharded = _open_sharded(shard_fault_plan="crash:merge_state:1:shard=0")
+    try:
+        s_ids = single.ingest(pts[:200])
+        g_ids = sharded.ingest(pts[:200])
+        single.delete_many(s_ids[::3])
+        sharded.delete_many(g_ids[::3])
+        assert _snap_canon(single.snapshot().clustering) == _snap_canon(
+            sharded.snapshot().clustering
+        )
+        assert sharded.restarts == 1
+        s_ids += single.ingest(pts[200:])
+        g_ids += sharded.ingest(pts[200:])
+        assert _snap_canon(single.snapshot().clustering) == _snap_canon(
+            sharded.snapshot().clustering
+        )
+        live_s = [pid for i, pid in enumerate(s_ids) if i >= 200 or i % 3]
+        live_g = [pid for i, pid in enumerate(g_ids) if i >= 200 or i % 3]
+        assert (
+            single.cgroup_by(live_s).result
+            == sharded.cgroup_by(live_g).result
+        )
+        assert sharded.restarts == 1
+    finally:
+        single.close()
+        sharded.close()
+
+
 def test_hang_recovery_is_bit_identical_to_single_engine():
     pts = _points(100, seed=7)
     single = _open_single()

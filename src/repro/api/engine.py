@@ -304,7 +304,7 @@ class Engine:
         return self._fragment_source("membership_fragments")(pids, trust=trust)
 
     def gum_edge_fragment(self, trust=None):
-        """This engine's share of the GUM edge set (plus boundary data).
+        """Core cells labelled by their component (plus boundary data).
 
         See :meth:`repro.core.framework.GridClusterer.gum_edge_fragment`.
         Only the grid-based algorithms expose it.

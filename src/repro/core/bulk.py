@@ -80,20 +80,24 @@ class MembershipFragments:
 
 @dataclass
 class GumEdgeFragment:
-    """One resolver's share of the grid-graph (GUM) edge set.
+    """One resolver's share of the grid graph (GUM), as component labels.
 
-    ``core_cells`` are the trusted core cells (every global core cell is
-    trusted by exactly one shard, so the union over shards is the global
-    GUM vertex set).  ``edges`` hold the witnessed edges between trusted
-    core-cell pairs; ``candidates`` are ``(trusted core cell, untrusted
-    non-empty close cell)`` pairs whose edge decision needs the other
-    side's authoritative core set; ``frontier`` maps each trusted core
-    cell adjacent to untrusted territory to its core-point coordinates
-    (sorted by id) — the raw material of the boundary merge.
+    ``core_cells`` (a ``(k, dim)`` int64 array, rows ascending) are the
+    trusted core cells: every global core cell is trusted by exactly one
+    shard, so the union over shards is the global GUM vertex set.
+    ``labels[i]`` (``(k,)`` int64) is the connected component of
+    ``core_cells[i]`` in the engine's own CC structure, renumbered
+    densely from 0 per call; equal labels mean the engine's local grid
+    graph connects the two cells.  ``candidates`` are ``(trusted core
+    cell, untrusted non-empty close cell)`` pairs whose edge decision
+    needs the other side's authoritative core set; ``frontier`` maps
+    each trusted core cell adjacent to untrusted territory to its
+    core-point coordinates (sorted by id) — the raw material of the
+    boundary merge.
     """
 
-    core_cells: List[Cell] = field(default_factory=list)
-    edges: List[Tuple[Cell, Cell]] = field(default_factory=list)
+    core_cells: np.ndarray
+    labels: np.ndarray
     candidates: List[Tuple[Cell, Cell]] = field(default_factory=list)
     frontier: Dict[Cell, np.ndarray] = field(default_factory=dict)
 

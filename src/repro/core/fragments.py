@@ -10,29 +10,31 @@ scratch:
   by the core cell granting each membership (not by CC id — component
   ids drift globally on every union/split, while the granted-by-cell
   decomposition only changes when the local neighborhood does);
-* **GUM edge decisions** — one boolean per close trusted core-cell pair
-  ``(a, b)`` with ``a < b``: whether an exact witness pair within
-  ``(1+rho) eps`` exists.  Per-cell core-coordinate arrays (the witness
-  inputs, also the shard merge's frontier payload) are memoized along
-  with them.
+* **core coordinates** — one array per core cell, its core points'
+  coordinates sorted by id: the shard merge's frontier payload.  The
+  grid graph itself needs no cache: a shard reports each core cell's
+  component from the engine's own CC structure
+  (:meth:`repro.core.framework.GridClusterer.gum_edge_fragment`).
 
 Invalidation is **eager and cell-local**.  When a mutation touches cell
 set ``T``, core status can change only in ``ring1 = T ∪ N(T)`` (a ball
 count reaches at most one closeness step); a cell's membership fragment
 additionally depends on its neighbors' core sets, so fragments die for
-``ring2 = ring1 ∪ N(ring1)``; GUM pair decisions and core coordinates
-die for pairs/cells meeting ``ring1``.  The rings are derived by the
-owner (:meth:`repro.core.framework.GridClusterer._touch_cells`) from
-the grid's own neighbor links, which is why insert paths must touch
-*after* linking new cells and delete paths *before* unlinking emptied
-ones.  Eagerness matters: a lazy validity check is unsound once a
-recompute clears the dirty mark while stale dependent entries survive.
+``ring2 = ring1 ∪ N(ring1)``; core coordinates die for ``ring1``.  The
+rings are derived by the owner
+(:meth:`repro.core.framework.GridClusterer._touch_cells`) from the
+grid's own neighbor links, which is why insert paths must touch *after*
+linking new cells and delete paths *before* unlinking emptied ones.
+Eagerness matters: a lazy validity check is unsound once a recompute
+clears the dirty mark while stale dependent entries survive.
 
 Trust safety: every entry is implicitly keyed by the trust predicate it
 was computed under (by object identity — the shard backends pass one
 stable predicate per deployment, single engines pass ``None``).  A
 lookup under a different predicate flushes the cache first, so a
 fragment resolved with one shard's authority can never serve another.
+A predicate that changes what it admits while staying the same object
+(a shard's ownership flip) must :meth:`FragmentCache.clear` the cache.
 
 Reuse legality: with ``rho = 0`` every cached decision is exact and
 deterministic, so a replayed fragment equals a recomputed one.  With
@@ -45,7 +47,7 @@ were computed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,12 +68,13 @@ _UNSET = object()
 class FragmentCacheStats:
     """Cumulative hit / miss / invalidation counters of one cache.
 
-    ``hits`` and ``misses`` count cacheable per-cell lookups (a bucket
-    whose query covers every live point of its cell — always true for
-    ``Q = P`` snapshots and for the shard merge's owned-cell queries);
-    partial-query buckets bypass the cache and count nothing.
+    ``hits`` and ``misses`` count cacheable per-cell membership
+    lookups (a bucket whose query covers every live point of its cell —
+    always true for ``Q = P`` snapshots and for the shard merge's
+    owned-cell queries); partial-query buckets bypass the cache and
+    count nothing.
     ``invalidations`` counts cached entries dropped by mutations (and
-    trust-predicate switches), not mutation calls.
+    trust-predicate switches or ownership flips), not mutation calls.
     """
 
     hits: int = 0
@@ -103,9 +106,6 @@ class FragmentCache:
 
     def __init__(self) -> None:
         self._membership: Dict[Cell, CellFragment] = {}
-        self._gum: Dict[Tuple[Cell, Cell], bool] = {}
-        # Secondary index so invalidation never scans the pair store.
-        self._gum_by_cell: Dict[Cell, Set[Tuple[Cell, Cell]]] = {}
         self._core_coords: Dict[Cell, np.ndarray] = {}
         self._trust_token: object = _UNSET
         self.hits = 0
@@ -128,7 +128,7 @@ class FragmentCache:
         """
         if trust is not self._trust_token:
             if self._trust_token is not _UNSET:
-                self._drop_all()
+                self.clear()
             self._trust_token = trust
 
     # ------------------------------------------------------------------
@@ -148,22 +148,8 @@ class FragmentCache:
         self._membership[cell] = fragment
 
     # ------------------------------------------------------------------
-    # GUM edge decisions + core coordinates
+    # Core coordinates
     # ------------------------------------------------------------------
-
-    def lookup_gum(self, pair: Tuple[Cell, Cell]) -> Optional[bool]:
-        """Cached edge decision of a sorted trusted core-cell pair."""
-        decision = self._gum.get(pair)
-        if decision is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return decision
-
-    def store_gum(self, pair: Tuple[Cell, Cell], decision: bool) -> None:
-        self._gum[pair] = decision
-        for endpoint in pair:
-            self._gum_by_cell.setdefault(endpoint, set()).add(pair)
 
     def get_core_coords(self, cell: Cell) -> Optional[np.ndarray]:
         return self._core_coords.get(cell)
@@ -176,7 +162,7 @@ class FragmentCache:
     # ------------------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not (self._membership or self._gum or self._core_coords)
+        return not (self._membership or self._core_coords)
 
     def invalidate(
         self, member_cells: Iterable[Cell], structural_cells: Iterable[Cell]
@@ -184,41 +170,25 @@ class FragmentCache:
         """Drop entries around mutated cells (see the module docstring).
 
         ``structural_cells`` is ``ring1`` — every cell whose core set
-        (or existence) the mutation may have changed: GUM pairs meeting
-        it and its core-coordinate arrays die.  ``member_cells`` is
-        ``ring2 ⊇ ring1`` — membership fragments additionally depend on
-        their neighbors' core sets, so they die one closeness step
-        further out.
+        (or existence) the mutation may have changed: its core-coordinate
+        array dies.  ``member_cells`` is ``ring2 ⊇ ring1`` — membership
+        fragments additionally depend on their neighbors' core sets, so
+        they die one closeness step further out.
         """
         dropped = 0
         membership = self._membership
         for cell in member_cells:
             if membership.pop(cell, None) is not None:
                 dropped += 1
-        gum = self._gum
-        gum_by_cell = self._gum_by_cell
         core_coords = self._core_coords
         for cell in structural_cells:
             core_coords.pop(cell, None)
-            pairs = gum_by_cell.pop(cell, None)
-            if not pairs:
-                continue
-            for pair in pairs:
-                if gum.pop(pair, None) is not None:
-                    dropped += 1
-                other = pair[0] if pair[1] == cell else pair[1]
-                other_pairs = gum_by_cell.get(other)
-                if other_pairs is not None:
-                    other_pairs.discard(pair)
-                    if not other_pairs:
-                        del gum_by_cell[other]
         self.invalidations += dropped
 
-    def _drop_all(self) -> None:
-        self.invalidations += len(self._membership) + len(self._gum)
+    def clear(self) -> None:
+        """Drop every entry (a trust switch or an ownership flip)."""
+        self.invalidations += len(self._membership)
         self._membership.clear()
-        self._gum.clear()
-        self._gum_by_cell.clear()
         self._core_coords.clear()
 
     # ------------------------------------------------------------------
@@ -236,6 +206,6 @@ class FragmentCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FragmentCache(membership={len(self._membership)}, "
-            f"gum={len(self._gum)}, hits={self.hits}, "
+            f"core_coords={len(self._core_coords)}, hits={self.hits}, "
             f"misses={self.misses}, invalidations={self.invalidations})"
         )

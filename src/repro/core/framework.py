@@ -36,9 +36,7 @@ from repro.core.bulk import (
 from repro.core.fragments import CellFragment, FragmentCache, FragmentCacheStats
 from repro.errors import ConfigError, UnknownPointError
 from repro.kernels import (
-    any_within,
     as_point_array,
-    box_sq_dists,
     bucket_by_cell,
     sorted_unique,
 )
@@ -195,7 +193,7 @@ class GridClusterer(SequentialBulkMixin):
         self._cells: Dict[Cell, object] = {}
         self._next_id = 0
         # Incremental fragment cache: memoizes per-cell membership
-        # fragments and GUM edge decisions across barriers; the update
+        # fragments and core coordinates across barriers; the update
         # paths invalidate through _touch_cells.
         self._fragments = FragmentCache()
 
@@ -203,15 +201,24 @@ class GridClusterer(SequentialBulkMixin):
         """Cumulative fragment-cache counters."""
         return self._fragments.stats()
 
+    def drop_fragments(self) -> None:
+        """Drop every cached fragment.
+
+        For a caller whose trust predicate changes what it admits while
+        staying the same object (a shard's ownership flip): the cache
+        binds by predicate identity, so it cannot notice on its own.
+        """
+        self._fragments.clear()
+
     def _touch_cells(self, touched: Iterable[Cell]) -> None:
         """Invalidate cached fragments around mutated cells.
 
         ``touched`` is the set of cells whose point sets a mutation
         changed.  Core status can shift one closeness step out (a ball
-        count reaches into neighbor cells), so GUM decisions and core
-        coordinates die for ``ring1 = touched ∪ N(touched)``; membership
-        fragments depend on their neighbors' core sets on top, so they
-        die for ``ring2 = ring1 ∪ N(ring1)``.
+        count reaches into neighbor cells), so core coordinates die for
+        ``ring1 = touched ∪ N(touched)``; membership fragments depend
+        on their neighbors' core sets on top, so they die for
+        ``ring2 = ring1 ∪ N(ring1)``.
 
         Contract with the update paths: insert paths call this *after*
         new cells are registered and neighbor-linked, delete paths
@@ -668,95 +675,70 @@ class GridClusterer(SequentialBulkMixin):
     def gum_edge_fragment(
         self, trust: Optional[Callable[[Cell], bool]] = None
     ) -> GumEdgeFragment:
-        """This engine's share of the GUM edge set, from exact witnesses.
+        """This engine's trusted core cells, labelled by its own components.
 
-        Recomputes, from the maintained per-cell core sets, every edge
-        between *trusted* close core-cell pairs with one pruned exact
-        witness test per pair — the same ``(1+rho) eps`` threshold the
-        incremental structures maintain, so with ``rho = 0`` the edge set
-        (and hence the component structure) is identical to theirs.
-        Pairs reaching into untrusted territory are returned as
-        candidates together with the trusted frontier's core coordinates;
-        the shard router settles those against the owners' fragments.
-        With ``trust=None`` the fragment simply covers the whole graph.
+        Each trusted core cell comes with its component in the engine's
+        incrementally maintained CC structure (:meth:`_cc_id`: the
+        union-find of the semi-dynamic algorithm, dynamic connectivity
+        in the fully-dynamic one), renumbered densely per call — no
+        edge is re-derived.  Close non-empty cells outside ``trust``
+        come back as candidates, together with the frontier's core
+        coordinates, for the shard router to settle against the
+        owners' fragments.  With ``trust=None`` the fragment covers the
+        whole graph.
 
-        Per-pair edge decisions and per-cell core-coordinate arrays are
-        memoized in the fragment cache across barriers: a decision
-        depends only on the two cells' core point sets, so it stays
-        valid until a mutation dirties either endpoint
-        (:meth:`_touch_cells` drops exactly those).
+        Why labels suffice for a shard (whose engine holds, per cell, a
+        subset of the global points — complete for owned cells): a
+        locally-core point is globally core, so every local GUM edge is
+        a global one and equal labels never join what a single engine
+        keeps apart; and owned cells see their full neighbourhoods, so
+        every global edge between two owned cells is a local edge.  The
+        remaining edges cross owners and are the candidates.  At
+        ``rho = 0`` the merged components are therefore exactly a
+        single engine's; at ``rho > 0`` every edge used is legal.
+
+        The trust predicate runs once per registered cell: candidates
+        are each trusted core cell's neighbours minus the trusted set.
+        Per-cell core-coordinate arrays are memoized in the fragment
+        cache until a mutation dirties the cell.
         """
-        sq_relaxed = self._sq_relaxed
         cells = self._cells
         cache = self._fragments
-        cache.begin(trust)
-        trusted = (lambda _cell: True) if trust is None else trust
-        core_cells: List[Cell] = sorted(
-            cell
-            for cell, data in cells.items()
-            if data.core and trusted(cell)  # type: ignore[attr-defined]
+        trusted = (
+            cells.keys()
+            if trust is None
+            else {cell for cell in cells if trust(cell)}
         )
-
-        def core_coords(cell: Cell) -> np.ndarray:
-            arr = cache.get_core_coords(cell)
-            if arr is None:
-                data = cells[cell]
-                arr = np.array(
-                    [data.points[pid] for pid in sorted(data.core)]  # type: ignore[attr-defined]
-                )
-                cache.set_core_coords(cell, arr)
-            return arr
-
-        def edge_exists(cell: Cell, other: Cell, cell_lo, cell_hi) -> bool:
-            # Witness pairs must sit within the threshold of the
-            # opposite cell's box; pruning by that bound leaves the
-            # outcome unchanged but skips most near-misses.
-            mine = core_coords(cell)
-            near_mine = mine[
-                box_sq_dists(
-                    mine, *(np.array(b) for b in self._grid.cell_box(other))
-                )
-                <= sq_relaxed
-            ]
-            if not len(near_mine):
-                return False
-            theirs = core_coords(other)
-            near_theirs = theirs[
-                box_sq_dists(theirs, cell_lo, cell_hi) <= sq_relaxed
-            ]
-            return bool(
-                len(near_theirs)
-                and any_within(near_mine, near_theirs, sq_relaxed)
-            )
-
-        edges: List[Tuple[Cell, Cell]] = []
+        core_cells: List[Cell] = sorted(
+            cell for cell in trusted if cells[cell].core  # type: ignore[attr-defined]
+        )
+        cc_of = self._cc_id
+        dense: Dict[Hashable, int] = {}
+        labels = np.fromiter(
+            (dense.setdefault(cc_of(cell), len(dense)) for cell in core_cells),
+            dtype=np.int64,
+            count=len(core_cells),
+        )
         candidates: List[Tuple[Cell, Cell]] = []
         frontier: Dict[Cell, np.ndarray] = {}
         for cell in core_cells:
             data = cells[cell]
-            cell_lo, cell_hi = (np.array(b) for b in self._grid.cell_box(cell))
-            borders_untrusted = False
-            for other in sorted(data.neighbors):  # type: ignore[attr-defined]
-                if not trusted(other):
-                    borders_untrusted = True
-                    candidates.append((cell, other))
-                    continue
-                if other <= cell:
-                    continue  # each trusted pair decided once
-                odata = cells[other]
-                if not odata.core:  # type: ignore[attr-defined]
-                    continue
-                decision = cache.lookup_gum((cell, other))
-                if decision is None:
-                    decision = edge_exists(cell, other, cell_lo, cell_hi)
-                    cache.store_gum((cell, other), decision)
-                if decision:
-                    edges.append((cell, other))
-            if borders_untrusted:
-                frontier[cell] = core_coords(cell)
+            foreign = data.neighbors - trusted  # type: ignore[attr-defined]
+            if not foreign:
+                continue
+            candidates.extend((cell, other) for other in sorted(foreign))
+            coords = cache.get_core_coords(cell)
+            if coords is None:
+                coords = np.array(
+                    [data.points[pid] for pid in sorted(data.core)]  # type: ignore[attr-defined]
+                )
+                cache.set_core_coords(cell, coords)
+            frontier[cell] = coords
         return GumEdgeFragment(
-            core_cells=core_cells,
-            edges=edges,
+            core_cells=np.array(core_cells, dtype=np.int64).reshape(
+                -1, self.dim
+            ),
+            labels=labels,
             candidates=candidates,
             frontier=frontier,
         )

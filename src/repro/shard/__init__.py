@@ -3,7 +3,7 @@
 A sharded deployment partitions the cell registry across N per-shard
 :class:`repro.api.Engine` instances by a deterministic hash of cell
 ownership blocks, replicates halo cells so every shard computes exact
-core status for what it owns, and merges per-shard GUM edge fragments
+core status for what it owns, and merges per-shard component labels
 and per-cell query fragments at the boundary — at ``rho = 0`` the
 merged results are bit-identical to a single engine's (proven by the
 randomized differential harness in ``tests/test_shard_equivalence.py``).

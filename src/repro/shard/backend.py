@@ -62,9 +62,10 @@ class BulkSpec:
 #: the batch's int64 global-id array, and replies with nothing bulk;
 #: ``delete_many`` takes an int64 id array; ``merge_state`` takes an
 #: int64 id array (``None`` for a ``Q = P`` snapshot, which ships no
-#: ids) and returns the flat membership-fragment arrays — a fixed
-#: handful of frames however many cells the shard owns — plus the
-#: frontier coordinate arrays, one per frontier cell.  Everything else
+#: ids) and returns the flat membership-fragment arrays and the owned
+#: core cells with their component labels — a fixed handful of frames
+#: however many cells the shard owns — plus the frontier coordinate
+#: arrays, one per frontier cell.  Everything else
 #: (``ping``, ``stats``, ``is_core``, ...) is control-plane only.
 BULK_CALLS = {
     "ingest": BulkSpec(arg_positions=(0, 2)),
@@ -164,8 +165,9 @@ class ShardBackend:
 
         Membership fragments for the queried ids — ``None`` queries
         every point this shard owns (a ``Q = P`` snapshot walks the
-        owned cells), an empty array none — then this shard's GUM edge
-        fragment over its owned core cells, and the backend epoch: the
+        owned cells), an empty array none — then this shard's owned core
+        cells labelled by its engine's components, with the boundary
+        candidates and frontier, and the backend epoch: the
         consistency token the router checks against the update count it
         routed here, so a merge can never silently combine shards at
         different dataset versions.
@@ -186,9 +188,14 @@ class ShardBackend:
 
         Returns the installed version.  The trust predicate closes over
         the topology's live caches, so owned-cell decisions follow the
-        new table immediately.
+        new table immediately.  It stays the same object, so the
+        engine's fragment cache (bound by predicate identity) cannot see
+        the flip: fragments resolved under the old table would keep
+        deciding, or probing, across the moved boundary.  They are
+        dropped here.
         """
         self.topology.apply_ownership(version, overrides)
+        self.engine.raw.drop_fragments()
         return self.topology.version
 
     def export_state(self) -> dict:

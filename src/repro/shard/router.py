@@ -16,26 +16,33 @@ The router owns everything global about a sharded deployment:
 * the **boundary merge** — the only place cross-shard state meets.
 
 The merge collects, in one overlapped fan-out, each shard's membership
-fragments and its GUM edge fragment
+fragments and its GUM fragment
 (:meth:`repro.core.framework.GridClusterer.gum_edge_fragment`).  A
 C-group-by ships each shard the query ids it owns; a ``Q = P``
 snapshot ships no ids at all — each shard walks its owned cells,
 splicing cached per-cell fragments.  Fragments come back as flat
 arrays (:class:`repro.core.bulk.MembershipFragments`): member ids, the
 granting core cell and length of each part, the unmatched ids, and the
-open probes.  Owned core cells are disjoint and globally complete, so
-their union is the global GUM vertex set; trusted edges union in
-directly and cross-shard candidate pairs are settled with one exact
-witness test over the two frontiers' core coordinates — the same
-``(1+rho) eps`` threshold the in-shard structures maintain.  Membership
-probes (a non-core point against a foreign core cell) are settled with
-exact ``eps`` ball tests against the owner's frontier.  A union-find
-over the merged cell graph labels every part with its component; each
+open probes.  The GUM fragment names the shard's owned core cells
+(disjoint across shards and globally complete, so their union is the
+global GUM vertex set), each labelled with its component in the
+shard engine's own CC structure.  Cells sharing a ``(shard, label)``
+are connected — a shard holds a subset of the global points, so its
+local edges are global edges, and it sees every edge between two cells
+it owns.  The edges left are the cross-shard candidate pairs, settled
+with one exact witness test over the two frontiers' core coordinates
+— the same ``(1+rho) eps`` threshold the in-shard structures maintain.
+Membership probes (a non-core point against a foreign core cell) are
+settled with exact ``eps`` ball tests against the owner's frontier.  A
+union-find over the ``(shard, label)`` components and the witnessed
+candidates labels every part with its global component; each
 component's parts are concatenated, sorted and deduplicated
 (:func:`repro.core.framework.assemble_groups`), and noise is the
 owners' unmatched ids minus the probe hits.  At ``rho = 0`` every
 decision involved is exact, which is why a merged result is
-bit-identical to a single engine's.
+bit-identical to a single engine's.  No merge state outlives a call on
+either side of the wire: a restarted worker reports the labels of its
+rebuilt engine.
 
 Every shard response carries the shard's engine epoch; the router
 checks it against the update count it routed there, so lost updates or
@@ -63,7 +70,7 @@ Two further concerns live here because they are inherently global:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -429,30 +436,34 @@ class ShardRouter:
                     f"refusing to merge inconsistent snapshots"
                 )
 
-        # --- the global grid graph: vertices, trusted edges, boundary ---
-        core_cells: Set[Cell] = set()
+        # --- the global grid graph: labelled vertices, boundary --------
+        # Each (shard, label) component is one union-find node.
+        node_of: Dict[Cell, int] = {}
         frontier: Dict[Cell, np.ndarray] = {}
+        nodes = 0
         for _, gum, _ in responses:
-            core_cells.update(gum.core_cells)
+            node_of.update(
+                zip(
+                    map(tuple, gum.core_cells.tolist()),
+                    (gum.labels + nodes).tolist(),
+                )
+            )
+            nodes += int(gum.labels.max(initial=-1)) + 1
             frontier.update(gum.frontier)
         uf = UnionFind()
-        for cell in sorted(core_cells):
-            uf.add(cell)
-        for _, gum, _ in responses:
-            for a, b in gum.edges:
-                uf.union(a, b)
         cross_pairs = sorted(
             {
                 (a, b) if a < b else (b, a)
                 for _, gum, _ in responses
                 for a, b in gum.candidates
-                if b in core_cells
+                if b in node_of
             }
         )
         if self._dirty_cells:
             self._invalidate_witnesses()
         for a, b in cross_pairs:
-            if uf.connected(a, b):
+            node_a, node_b = node_of[a], node_of[b]
+            if uf.connected(node_a, node_b):
                 continue  # an extra witness cannot change any component
             witness = self._witness_cache.get((a, b))
             if witness is None:
@@ -471,23 +482,22 @@ class ShardRouter:
             else:
                 self.merge_cache_hits += 1
             if witness:
-                uf.union(a, b)
+                uf.union(node_a, node_b)
+        component = [uf.find(node) for node in range(nodes)]
 
         # --- fragments and probes -> groups over global components ------
-        component: Dict[Cell, Hashable] = {}
-        groups: Dict[Hashable, List[np.ndarray]] = {}
+        groups: Dict[int, List[np.ndarray]] = {}
         probes_by_cell: Dict[Cell, List[int]] = {}
         for fragments, _, _ in responses:
             for cell, members in fragments.parts():
-                label = component.get(cell)
-                if label is None:
-                    label = component[cell] = uf.find(cell)
-                groups.setdefault(label, []).append(members)
+                groups.setdefault(component[node_of[cell]], []).append(
+                    members
+                )
             for pid, cell in zip(
                 fragments.probe_ids.tolist(),
                 map(tuple, fragments.probe_cells.tolist()),
             ):
-                if cell in core_cells:
+                if cell in node_of:
                     probes_by_cell.setdefault(cell, []).append(pid)
         hits: List[np.ndarray] = []
         for cell in sorted(probes_by_cell):
@@ -505,7 +515,7 @@ class ShardRouter:
                 ball_counts(self._coords(probe_pids), coords, self._sq_eps) > 0
             ]
             if len(hit):
-                groups.setdefault(uf.find(cell), []).append(hit)
+                groups.setdefault(component[node_of[cell]], []).append(hit)
                 hits.append(hit)
         noise = sorted_unique(
             np.concatenate([frags.unmatched for frags, _, _ in responses])

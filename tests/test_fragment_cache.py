@@ -1,8 +1,8 @@
 """Incremental fragment cache: correctness against references + counters.
 
 The cache (:mod:`repro.core.fragments`) must be *invisible in results*:
-every barrier splices memoized per-cell fragments and reuses per-pair
-GUM decisions, yet each barrier must equal what references that never
+every barrier splices memoized per-cell fragments and core
+coordinates, yet each barrier must equal what references that never
 touch the cache compute from the same live set — the scalar
 ``cgroup_by_sequential`` path over all live ids and exact brute-force
 DBSCAN at ``rho = 0``, the sandwich bounds at ``rho > 0``.  The sweep
@@ -23,7 +23,7 @@ import pytest
 
 import repro.api as api
 from repro.baselines.static_dbscan import dbscan_brute
-from repro.core.fragments import FragmentCache, FragmentCacheStats
+from repro.core.fragments import CellFragment, FragmentCache, FragmentCacheStats
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.validation.sandwich import check_sandwich
 from repro.workload.config import eps_for
@@ -138,9 +138,9 @@ def test_cache_is_invisible_sharded(dim, shards):
     """Sharded barriers at rho=0, tiny blocks, against the references.
 
     Covers the router's boundary merge consuming cached per-shard
-    membership/GUM fragments (and its own witness cache) under the
-    trust predicate; the scalar path of a single engine driven in step
-    supplies the sequential reference.
+    membership fragments and core coordinates (and its own witness
+    cache) under the trust predicate; the scalar path of a single
+    engine driven in step supplies the sequential reference.
     """
     sharded = _open("full", dim, 0.0, shards=shards)
     single = _open("full", dim, 0.0)
@@ -291,12 +291,13 @@ def test_trust_identity_not_equality():
     """Binding is by predicate object identity (stable per deployment)."""
     cache = FragmentCache()
     a = lambda cell: True  # noqa: E731
+    fragment = CellFragment()
     cache.begin(a)
-    cache.store_gum(((0, 0), (0, 1)), True)
+    cache.store_membership((0, 0), fragment)
     cache.begin(a)  # same object: nothing dropped
-    assert cache.lookup_gum(((0, 0), (0, 1))) is True
+    assert cache.lookup_membership((0, 0)) is fragment
     cache.begin(lambda cell: True)  # equal behavior, different object
-    assert cache.lookup_gum(((0, 0), (0, 1))) is None
+    assert cache.lookup_membership((0, 0)) is None
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ regime below.
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -451,6 +452,52 @@ def test_rebalance_away_and_back_after_deletes(shard_count, seed):
     finally:
         engine.close()
         reference.close()
+
+
+@pytest.mark.parametrize("executor", ("serial", "tcp"))
+@pytest.mark.parametrize("algorithm", ("semi", "full"))
+def test_rebalance_flip_regression(algorithm, executor):
+    """A rebalance flip must drop the shards' cached fragments.
+
+    The trust predicate follows the new ownership table but stays the
+    same object, and the fragment cache binds by predicate identity.
+    Here cell (0, 0)'s fragment is resolved while its close neighbour
+    (2, 0) is owned by the same shard, so it probes nothing toward it.
+    Once (2, 0) moves away, a point that makes (2, 0) core lands in
+    (3, 0): (0, 0) is not dirtied, and a stale fragment would leave its
+    point noise where a single engine clusters all four."""
+    from repro.shard.rpc import local_workers
+
+    knobs = dict(algorithm=algorithm, eps=1.0, minpts=4, dim=2)
+    with ExitStack() as stack:
+        extra = {}
+        if executor == "tcp":
+            extra["shard_workers"] = stack.enter_context(local_workers(2))
+        engine = api.open(
+            **knobs, shards=2, shard_block=1, shard_executor=executor,
+            **extra,
+        )
+        stack.callback(engine.close)
+        single = api.open(**knobs)
+        stack.callback(single.close)
+        for x in range(-3, 7):
+            for y in range(-3, 4):
+                engine.rebalance((x, y), 0 if (x, y) in ((0, 0), (2, 0)) else 1)
+        first = [(0.6, 0.3), (1.5, 0.3), (2.0, 0.3)]
+        engine.ingest(first)
+        single.ingest(first)
+        engine.snapshot()
+        engine.rebalance((2, 0), 1)
+        engine.ingest([(2.45, 0.3)])
+        single.ingest([(2.45, 0.3)])
+        assert _canon_snapshot(engine.snapshot()) == _canon_snapshot(
+            single.snapshot()
+        ) == [[[0, 1, 2, 3]], []]
+        ids = list(range(4))
+        assert (
+            engine.cgroup_by_many(ids).result
+            == single.cgroup_by_many(ids).result
+        )
 
 
 def test_process_executor_differential():

@@ -202,9 +202,10 @@ def test_snapshot_merge_ships_no_ids_and_a_fixed_frame_count(
     worker_executor, monkeypatch
 ):
     """A ``Q = P`` snapshot sends ``merge_state`` no id array (each shard
-    walks its owned cells), and the flat fragment record crosses the
-    wire as the same six frames however many cells a shard owns; only
-    the frontier adds one frame per frontier cell."""
+    walks its owned cells), and the flat fragment record (six frames)
+    and the labelled owned core cells (two) cross the wire as the same
+    eight frames however many cells a shard owns; only the frontier
+    adds one frame per frontier cell."""
     from repro.shard import transport
     from repro.shard.router import ShardRouter
 
@@ -241,21 +242,22 @@ def test_snapshot_merge_ships_no_ids_and_a_fixed_frame_count(
         assert requests == [None, None]
         assert len(replies) == 2
         for count, (fragments, gum, _) in replies:
-            assert count == 6 + len(gum.frontier)
+            assert count == 8 + len(gum.frontier)
             assert isinstance(fragments.members, np.ndarray)
+            assert isinstance(gum.labels, np.ndarray)
         owned_cells.append(
             sum(len({cell for cell, _ in f.parts()}) for _, (f, _, _) in replies)
         )
     assert owned_cells[1] > owned_cells[0]
     # A C-group-by ships each shard its owned ids (an empty array for a
-    # shard owning none of them) and gets the same six-frame record back.
+    # shard owning none of them) and gets the same eight frames back.
     requests.clear()
     replies.clear()
     router.cgroup_by_many(list(range(0, 2650, 7)))
     assert [type(ids) for ids in requests] == [np.ndarray, np.ndarray]
     assert sum(len(ids) for ids in requests) == len(range(0, 2650, 7))
     for count, (_, gum, _) in replies:
-        assert count == 6 + len(gum.frontier)
+        assert count == 8 + len(gum.frontier)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.api as api
 from repro.api import EngineConfig
+from repro.connectivity.union_find import UnionFind
 from repro.errors import (
     ConfigError,
     ReproError,
@@ -358,3 +360,135 @@ class TestRunnerIntegration:
         code = main(["bench", "--n", "50", "--shards", "2", "incdbscan"])
         assert code == 2
         assert "cannot shard" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Label contract of the GUM fragment
+# ----------------------------------------------------------------------
+
+
+LABEL_KNOBS = dict(eps=1.0, minpts=5, dim=2, rho=0.0)
+
+
+def _global_grid_graph(single):
+    """First-principles core-cell components and witnessed cell pairs.
+
+    Core status comes from the single engine; connectivity is computed
+    from scratch: two core cells are adjacent when some pair of their
+    core points lies within ``eps`` (the rho=0 grid-graph edge)."""
+    raw = single.raw
+    core = [pid for pid in raw.ids() if single.is_core(pid)]
+    cells = [raw.cell_of(pid) for pid in core]
+    coords = np.array([raw.point(pid) for pid in core]).reshape(-1, 2)
+    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
+    uf = UnionFind()
+    for cell in cells:
+        uf.add(cell)
+    witnessed = set()
+    for a, b in zip(*np.nonzero(sq <= LABEL_KNOBS["eps"] ** 2)):
+        if cells[a] != cells[b]:
+            uf.union(cells[a], cells[b])
+            witnessed.add((cells[a], cells[b]))
+    return {cell: uf.find(cell) for cell in cells}, witnessed
+
+
+def _check_labels(engine, single) -> int:
+    """Every shard's labels are sound and complete; returns how many
+    witnessed same-owner cell pairs the completeness check covered."""
+    router = engine.raw
+    replies = router.executor.map(
+        [("merge_state", (None, router.topology.version))]
+        * router.shard_count
+    )
+    component, witnessed = _global_grid_graph(single)
+    seen = set()
+    covered = 0
+    for shard, (_, gum, _) in enumerate(replies):
+        cells = list(map(tuple, gum.core_cells.tolist()))
+        labels = gum.labels.tolist()
+        assert len(cells) == len(labels) == len(set(cells))
+        assert sorted(set(labels)) == list(range(len(set(labels))))
+        assert all(router.topology.owner_of_cell(c) == shard for c in cells)
+        assert seen.isdisjoint(cells)
+        seen.update(cells)
+        label_of = dict(zip(cells, labels))
+        # sound: one label never spans two single-engine components
+        by_label = {}
+        for cell, label in label_of.items():
+            by_label.setdefault(label, set()).add(component[cell])
+        assert all(len(roots) == 1 for roots in by_label.values())
+        # complete: witnessed owned pairs share a label
+        for a, b in witnessed:
+            if a in label_of and b in label_of:
+                assert label_of[a] == label_of[b], (shard, a, b)
+                covered += 1
+    assert seen == set(component), "owned core cells != global core cells"
+    return covered
+
+
+def _label_contract_run(engine, single, algorithm, seed, shard_count):
+    rng = np.random.default_rng(seed)
+    points = np.array(clustered_points(900, 2, seed=seed, spread=1.0))
+    live_engine, live_single = [], []
+    covered = transferred = 0
+    for step, chunk in enumerate(np.array_split(points, 6)):
+        live_engine += engine.ingest(chunk)
+        live_single += single.ingest(chunk)
+        if algorithm == "full":
+            drop = sorted(
+                rng.choice(len(live_engine), size=len(chunk) // 4,
+                           replace=False).tolist(),
+                reverse=True,
+            )
+            engine.delete_many([live_engine.pop(i) for i in drop])
+            single.delete_many([live_single.pop(i) for i in drop])
+        if step == 2 and shard_count > 1:
+            router = engine.raw
+            anchor = router.point(live_engine[0])
+            block = router.topology.block_of(router._grid.cell_of(anchor))
+            dest = (router.topology.owner_of_block(block) + 1) % shard_count
+            routed = router._routed[dest]
+            engine.rebalance(block, dest)
+            transferred = router._routed[dest] - routed
+        covered += _check_labels(engine, single)
+    assert covered > 0, "no witnessed same-owner pair was checked"
+    if shard_count > 1:
+        assert transferred > 0, "the rebalance moved no points"
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("algorithm", ("semi", "full"))
+def test_shard_labels_are_sound_and_complete(algorithm, seed, shard_count):
+    """At rho=0, for every shard: owned core cells with equal labels are
+    connected in a single engine (sound), and owned core cells with an
+    exact witness between them share a label (complete) — through
+    inserts, deletes (full) and a rebalance that moves points."""
+    knobs = dict(LABEL_KNOBS, algorithm=algorithm)
+    engine = api.open(
+        **knobs, shards=shard_count, shard_block=16, shard_executor="serial"
+    )
+    single = api.open(**knobs)
+    try:
+        _label_contract_run(engine, single, algorithm, seed, shard_count)
+    finally:
+        engine.close()
+        single.close()
+
+
+@pytest.mark.parametrize("algorithm", ("semi", "full"))
+def test_shard_labels_after_a_merge_crash(algorithm):
+    """A worker that crashes inside ``merge_state`` restarts from its
+    journal and reports the labels of its rebuilt engine, which obey the
+    same contract."""
+    knobs = dict(LABEL_KNOBS, algorithm=algorithm)
+    engine = api.open(
+        **knobs, shards=2, shard_block=16, shard_executor="process",
+        shard_fault_plan="crash:merge_state:1:shard=0",
+    )
+    single = api.open(**knobs)
+    try:
+        _label_contract_run(engine, single, algorithm, 3, 2)
+        assert engine.restarts == 1
+    finally:
+        engine.close()
+        single.close()

@@ -74,11 +74,13 @@ class Snapshot:
     size: int
 
     @property
-    def clusters(self) -> List[Set[int]]:
+    def clusters(self) -> List[List[int]]:
+        """Clusters as ascending id lists, in lexicographic order."""
         return self.clustering.clusters
 
     @property
-    def noise(self) -> Set[int]:
+    def noise(self) -> List[int]:
+        """Noise ids, ascending."""
         return self.clustering.noise
 
     @property

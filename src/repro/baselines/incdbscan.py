@@ -24,22 +24,22 @@ Range queries run on the R-tree substrate (:mod:`repro.geometry.rtree`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.connectivity.union_find import UnionFind
-from repro.core.bulk import SequentialBulkMixin, SequentialQueryMixin
-from repro.errors import ConfigError, UnknownPointError
+from repro.core.bulk import SequentialQueryMixin
+from repro.errors import UnknownPointError
 from repro.core.framework import (
     CGroupByResult,
     Clustering,
+    PointStore,
     canonical_cgroup_result,
     validated_query_pids,
 )
-from repro.geometry.points import Point
 from repro.geometry.rtree import RTree
 
 
-class IncDBSCAN(SequentialBulkMixin, SequentialQueryMixin):
+class IncDBSCAN(PointStore, SequentialQueryMixin):
     """Incremental exact DBSCAN with the C-group-by query interface.
 
     ``insert_many`` / ``delete_many`` / ``cgroup_by_many`` fall back to
@@ -48,38 +48,14 @@ class IncDBSCAN(SequentialBulkMixin, SequentialQueryMixin):
     """
 
     def __init__(self, eps: float, minpts: int, dim: int = 2) -> None:
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
-        if minpts < 1:
-            raise ConfigError(f"minpts must be >= 1, got {minpts}")
-        self.eps = eps
-        self.minpts = minpts
-        self.dim = dim
+        super().__init__(eps, minpts, dim)
         self._sq_eps = eps * eps
         self._tree = RTree(dim)
-        self._points: Dict[int, Point] = {}
         self._count: Dict[int, int] = {}  # |B(p, eps)| including p itself
         self._label: Dict[int, int] = {}  # core point -> cluster id
         self._merges = UnionFind()  # merging history over cluster ids
-        self._next_id = 0
         self._next_cluster = 0
         self.range_queries = 0  # instrumentation for the benchmarks
-
-    # ------------------------------------------------------------------
-    # Point store
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._points
-
-    def point(self, pid: int) -> Point:
-        return self._points[pid]
-
-    def ids(self) -> Iterable[int]:
-        return self._points.keys()
 
     def is_core(self, pid: int) -> bool:
         return self._count[pid] >= self.minpts
@@ -99,15 +75,8 @@ class IncDBSCAN(SequentialBulkMixin, SequentialQueryMixin):
     # ------------------------------------------------------------------
 
     def insert(self, point: Sequence[float]) -> int:
-        if len(point) != self.dim:
-            raise ConfigError(
-                f"point has dimension {len(point)}, expected {self.dim}"
-            )
-        pid = self._next_id
-        self._next_id += 1
-        pt = tuple(float(x) for x in point)
+        pid, pt = self._register_point(point)
         neighbors = self._range(pt)
-        self._points[pid] = pt
         self._tree.insert(pid, pt)
         self._count[pid] = len(neighbors) + 1
 
@@ -266,7 +235,7 @@ class IncDBSCAN(SequentialBulkMixin, SequentialQueryMixin):
 
     def clusters(self) -> Clustering:
         result = self.cgroup_by(list(self._points.keys()))
-        return Clustering(clusters=result.group_sets(), noise=set(result.noise))
+        return Clustering(clusters=result.groups, noise=result.noise)
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:
         validated_query_pids((pid_a, pid_b), self._points)

@@ -12,21 +12,21 @@ the C-group-by formulation is designed to expose.  Useful as
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines.static_dbscan import StaticClustering, dbscan_grid
-from repro.core.bulk import SequentialBulkMixin, SequentialQueryMixin
-from repro.errors import ConfigError, UnknownPointError
+from repro.core.bulk import SequentialQueryMixin
+from repro.errors import UnknownPointError
 from repro.core.framework import (
     CGroupByResult,
     Clustering,
+    PointStore,
     canonical_cgroup_result,
     validated_query_pids,
 )
-from repro.geometry.points import Point
 
 
-class RecomputeClusterer(SequentialBulkMixin, SequentialQueryMixin):
+class RecomputeClusterer(PointStore, SequentialQueryMixin):
     """Exact DBSCAN with O(1) updates and recompute-on-query semantics.
 
     The inherited sequential ``insert_many`` / ``delete_many`` are
@@ -35,43 +35,17 @@ class RecomputeClusterer(SequentialBulkMixin, SequentialQueryMixin):
     """
 
     def __init__(self, eps: float, minpts: int, dim: int = 2) -> None:
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
-        if minpts < 1:
-            raise ConfigError(f"minpts must be >= 1, got {minpts}")
-        self.eps = eps
-        self.minpts = minpts
-        self.dim = dim
-        self._points: Dict[int, Point] = {}
-        self._next_id = 0
+        super().__init__(eps, minpts, dim)
         self._cache: Optional[StaticClustering] = None
         self._cache_keys: List[int] = []
         self.recomputations = 0  # instrumentation for benchmarks
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._points
-
-    def point(self, pid: int) -> Point:
-        return self._points[pid]
-
-    def ids(self) -> Iterable[int]:
-        return self._points.keys()
 
     # ------------------------------------------------------------------
     # Updates: O(1), just invalidate
     # ------------------------------------------------------------------
 
     def insert(self, point: Sequence[float]) -> int:
-        if len(point) != self.dim:
-            raise ConfigError(
-                f"point has dimension {len(point)}, expected {self.dim}"
-            )
-        pid = self._next_id
-        self._next_id += 1
-        self._points[pid] = tuple(float(x) for x in point)
+        pid, _ = self._register_point(point)
         self._cache = None
         return pid
 
@@ -117,11 +91,12 @@ class RecomputeClusterer(SequentialBulkMixin, SequentialQueryMixin):
 
     def clusters(self) -> Clustering:
         ref = self._refresh()
-        back = dict(enumerate(self._cache_keys))
-        return Clustering(
-            clusters=[{back[i] for i in c} for c in ref.clusters],
-            noise={back[i] for i in ref.noise},
+        keys = self._cache_keys
+        result = canonical_cgroup_result(
+            ([keys[i] for i in c] for c in ref.clusters),
+            [keys[i] for i in ref.noise],
         )
+        return Clustering(clusters=result.groups, noise=result.noise)
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:
         validated_query_pids((pid_a, pid_b), self._points)

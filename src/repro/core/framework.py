@@ -1,8 +1,9 @@
 """The grid-graph framework shared by all dynamic clusterers (Section 4).
 
-:class:`GridClusterer` owns the point store, the grid, the non-empty-cell
-registry with cached neighbor lists, and the C-group-by query algorithm of
-Section 4.2.  Subclasses provide the update algorithms (core-status
+:class:`GridClusterer` owns the grid, the non-empty-cell registry with
+cached neighbor lists, and the C-group-by query algorithm of Section 4.2,
+on top of :class:`PointStore` (the point store it shares with the
+rho-free baselines).  Subclasses provide the update algorithms (core-status
 structure + GUM + CC structure): :class:`repro.core.semidynamic.
 SemiDynamicClusterer` for insert-only workloads (Theorem 1) and
 :class:`repro.core.fullydynamic.FullyDynamicClusterer` for fully-dynamic
@@ -141,17 +142,73 @@ def assemble_groups(
 
 @dataclass
 class Clustering:
-    """Full clustering of the current dataset (``Q = P``)."""
+    """Full clustering of the current dataset (``Q = P``).
 
-    clusters: List[Set[int]] = field(default_factory=list)
-    noise: Set[int] = field(default_factory=set)
+    The C-group-by result over every live id, in the same canonical
+    form as :class:`CGroupByResult`: members ascending within each
+    cluster, clusters in lexicographic order, noise ascending.  Every
+    clusterer passes its canonical result through unchanged, so equal
+    clusterings compare equal as plain lists.
+    """
+
+    clusters: List[List[int]] = field(default_factory=list)
+    noise: List[int] = field(default_factory=list)
 
     @property
     def cluster_count(self) -> int:
         return len(self.clusters)
 
 
-class GridClusterer(SequentialBulkMixin):
+class PointStore(SequentialBulkMixin):
+    """The live points of a clusterer: id -> coordinate tuple, with ids
+    assigned in arrival order.  The grid clusterers and both rho-free
+    baselines keep their points here."""
+
+    def __init__(self, eps: float, minpts: int, dim: int) -> None:
+        if eps <= 0:
+            raise ConfigError(f"eps must be positive, got {eps}")
+        if minpts < 1:
+            raise ConfigError(f"minpts must be >= 1, got {minpts}")
+        self.eps = eps
+        self.minpts = minpts
+        self.dim = dim
+        self._points: Dict[int, Point] = {}
+        self._next_id = 0
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __contains__(self, pid: int) -> bool:
+        return pid in self._points
+
+    def point(self, pid: int) -> Point:
+        """Coordinates of a stored point id."""
+        return self._points[pid]
+
+    def ids(self) -> Iterable[int]:
+        """All live point ids."""
+        return self._points.keys()
+
+    def _register_point(self, point: Sequence[float]) -> Tuple[int, Point]:
+        """Store one point under the next id; returns ``(id, tuple)``.
+
+        The point is checked first by the batch rule
+        (:func:`as_point_array`: a wrong dimension is a
+        :class:`ConfigError`, a non-finite coordinate a ``ValueError``),
+        so a rejected ``insert`` leaves no trace.
+        """
+        if len(point) != self.dim:
+            raise ConfigError(
+                f"point has dimension {len(point)}, expected {self.dim}"
+            )
+        pt = tuple(as_point_array([point], self.dim)[0].tolist())
+        pid = self._next_id
+        self._next_id += 1
+        self._points[pid] = pt
+        return pid, pt
+
+
+class GridClusterer(PointStore):
     """Common state and the shared C-group-by query algorithm.
 
     Subclasses must maintain, per non-empty cell, an object exposing
@@ -177,21 +234,14 @@ class GridClusterer(SequentialBulkMixin):
         minpts: int,
         rho: float = 0.0,
         dim: int = 2,
-        strategy: str = "auto",
     ) -> None:
-        if minpts < 1:
-            raise ConfigError(f"minpts must be >= 1, got {minpts}")
-        self.eps = eps
-        self.minpts = minpts
+        super().__init__(eps, minpts, dim)
         self.rho = rho
-        self.dim = dim
-        self._grid = Grid(eps, dim, rho, strategy)
+        self._grid = Grid(eps, dim, rho)
         self._sq_eps = eps * eps
         relaxed = eps * (1.0 + rho)
         self._sq_relaxed = relaxed * relaxed
-        self._points: Dict[int, Point] = {}
         self._cells: Dict[Cell, object] = {}
-        self._next_id = 0
         # Incremental fragment cache: memoizes per-cell membership
         # fragments and core coordinates across barriers; the update
         # paths invalidate through _touch_cells.
@@ -242,41 +292,12 @@ class GridClusterer(SequentialBulkMixin):
                 ring2 |= data.neighbors  # type: ignore[attr-defined]
         cache.invalidate(ring2, ring1)
 
-    # ------------------------------------------------------------------
-    # Point store
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._points
-
-    def point(self, pid: int) -> Point:
-        """Coordinates of a stored point id."""
-        return self._points[pid]
-
-    def ids(self) -> Iterable[int]:
-        """All live point ids."""
-        return self._points.keys()
-
     @property
     def cell_count(self) -> int:
         return len(self._cells)
 
     def cell_of(self, pid: int) -> Cell:
         return self._grid.cell_of(self._points[pid])
-
-    def _register_point(self, point: Sequence[float]) -> Tuple[int, Point]:
-        if len(point) != self.dim:
-            raise ConfigError(
-                f"point has dimension {len(point)}, clusterer expects {self.dim}"
-            )
-        pid = self._next_id
-        self._next_id += 1
-        pt = tuple(float(x) for x in point)
-        self._points[pid] = pt
-        return pid, pt
 
     # ------------------------------------------------------------------
     # Update interface (implemented by subclasses)
@@ -769,7 +790,7 @@ class GridClusterer(SequentialBulkMixin):
         fragment and only cells a mutation dirtied since the last
         barrier recompute.  The cluster list keeps the canonical group
         order of :meth:`cgroup_by_many` (members ascending and
-        deduplicated, groups lexicographic).
+        deduplicated, groups lexicographic; noise ascending).
         """
         if not self._points:
             return Clustering()
@@ -777,8 +798,7 @@ class GridClusterer(SequentialBulkMixin):
             self._walk_fragments(), self._memoized_cc()
         )
         return Clustering(
-            clusters=[set(g) for g in assemble_groups(group_parts.values())],
-            noise=set(noise),
+            clusters=assemble_groups(group_parts.values()), noise=sorted(noise)
         )
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:

@@ -81,11 +81,10 @@ class FullyDynamicClusterer(GridClusterer):
         minpts: int,
         rho: float = 0.0,
         dim: int = 2,
-        strategy: str = "auto",
         connectivity: str = "hdt",
         bcp: str = "abcp",
     ) -> None:
-        super().__init__(eps, minpts, rho, dim, strategy)
+        super().__init__(eps, minpts, rho, dim)
         if connectivity == "hdt":
             self._conn: Connectivity = HDTConnectivity()
         elif connectivity == "naive":

@@ -58,9 +58,8 @@ class SemiDynamicClusterer(GridClusterer):
         minpts: int,
         rho: float = 0.0,
         dim: int = 2,
-        strategy: str = "auto",
     ) -> None:
-        super().__init__(eps, minpts, rho, dim, strategy)
+        super().__init__(eps, minpts, rho, dim)
         self._uf = UnionFind()
         self._vincnt: Dict[int, int] = {}
 

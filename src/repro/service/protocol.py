@@ -262,14 +262,13 @@ def outcome_payload(outcome) -> Dict[str, Any]:
 def snapshot_payload(snapshot) -> Dict[str, Any]:
     """The wire payload of an epoch-stamped full clustering.
 
-    ``Clustering`` holds clusters as sets; the wire form is canonical:
-    each cluster sorted ascending, clusters ordered by first member,
-    noise sorted ascending.
+    ``Clustering`` already holds the canonical form (each cluster
+    ascending, clusters in lexicographic order, noise ascending), so it
+    is serialized as-is, like :func:`outcome_payload`.
     """
-    clusters = sorted(sorted(cluster) for cluster in snapshot.clusters)
     return {
-        "clusters": clusters,
-        "noise": sorted(snapshot.noise),
+        "clusters": snapshot.clusters,
+        "noise": snapshot.noise,
         "epoch": snapshot.epoch,
         "size": snapshot.size,
     }

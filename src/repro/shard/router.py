@@ -76,7 +76,12 @@ import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.connectivity.union_find import UnionFind
-from repro.core.framework import CGroupByResult, Clustering, assemble_groups
+from repro.core.framework import (
+    CGroupByResult,
+    Clustering,
+    assemble_groups,
+    validated_query_pids,
+)
 from repro.core.grid import Cell, Grid
 from repro.errors import ConfigError, ReproError, UnknownPointError
 from repro.geometry.points import Point
@@ -88,6 +93,40 @@ from repro.kernels import (
     sorted_unique,
 )
 from repro.shard.topology import ShardTopology
+
+#: Elements of one chunk's ``(cells, dirty cells)`` temporary in
+#: :func:`_near_cells`.
+_NEAR_CHUNK = 1 << 16
+
+#: Above this many dirty cells the witness cache is cleared wholesale:
+#: the staleness test costs ~11 ns per cached pair and dirty cell (3d,
+#: 2 vCPU), while a dropped witness costs one ``any_within`` call
+#: (~50 us), and only if the merge needs it again.
+_WITNESS_CLEAR_DIRTY = 4096
+
+
+def _near_cells(cells: np.ndarray, dirty: np.ndarray, reach: int) -> np.ndarray:
+    """Which rows of ``cells`` lie within Chebyshev distance ``reach``
+    of some row of ``dirty`` (both int64 ``(n, dim)`` cell arrays).
+
+    ``|c - d| <= reach`` on an axis is ``0 <= c - (d - reach) <= 2 reach``,
+    one unsigned comparison; the rows of ``cells`` go in chunks so the
+    boolean temporary stays under ``_NEAR_CHUNK`` elements.
+    """
+    near = np.zeros(len(cells), dtype=bool)
+    low = dirty - reach
+    span = np.uint64(2 * reach)
+    step = max(1, _NEAR_CHUNK // max(1, len(dirty)))
+    for start in range(0, len(cells), step):
+        chunk = cells[start:start + step]
+        hit = (chunk[:, None, 0] - low[None, :, 0]).view(np.uint64) <= span
+        for axis in range(1, cells.shape[1]):
+            hit &= (
+                (chunk[:, None, axis] - low[None, :, axis]).view(np.uint64)
+                <= span
+            )
+        near[start:start + step] = hit.any(axis=1)
+    return near
 
 
 class ShardRouter:
@@ -255,25 +294,23 @@ class ShardRouter:
 
     def cgroup_by_many(self, pids: Iterable[int]) -> CGroupByResult:
         """C-group-by across shards, merged at the boundary."""
-        pid_list = list(pids)
+        pid_list = validated_query_pids(pids, self._points)
         if not pid_list:
             return CGroupByResult()
-        missing = [pid for pid in pid_list if pid not in self._points]
-        if missing:
-            raise UnknownPointError(
-                f"point id(s) {sorted(set(missing))} are not live; "
-                f"the query was rejected before resolving any group"
-            )
         return self._merge(
             sorted_unique(np.asarray(pid_list, dtype=np.int64))
         )
 
     def clusters(self) -> Clustering:
-        """Full clustering of the live dataset (the ``Q = P`` query)."""
+        """Full clustering of the live dataset (the ``Q = P`` query).
+
+        The merged result passes through in its canonical form (see
+        :class:`repro.core.framework.Clustering`).
+        """
         if not self._points:
             return Clustering()
         result = self._merge(None)
-        return Clustering(clusters=result.group_sets(), noise=set(result.noise))
+        return Clustering(clusters=result.groups, noise=result.noise)
 
     def is_core(self, pid: int) -> bool:
         """Authoritative core status, answered by the owner shard."""
@@ -375,39 +412,27 @@ class ShardRouter:
         sets, and a cell's core set can change only under a mutation
         within the closeness reach of it — so a cached pair survives
         exactly when both its cells are farther than ``reach`` (in
-        Chebyshev distance) from every dirty cell.  When the dirty set
-        times the cache would make the scan itself expensive, the cache
-        is simply rebuilt from scratch.
+        Chebyshev distance) from every dirty cell, which one
+        :func:`_near_cells` call decides for every cached pair.  Past
+        ``_WITNESS_CLEAR_DIRTY`` dirty cells the test costs more than
+        the witnesses it would keep, and the cache is simply cleared.
         """
         dirty, cache = self._dirty_cells, self._witness_cache
-        if cache:
-            if len(dirty) * len(cache) > 32768:
-                self.merge_cache_invalidations += len(cache)
-                cache.clear()
-            else:
-                reach = self.topology.reach
-                touched: Dict[Cell, bool] = {}
-
-                def near_dirty(cell: Cell) -> bool:
-                    hit = touched.get(cell)
-                    if hit is None:
-                        hit = touched[cell] = any(
-                            max(
-                                abs(c - d) for c, d in zip(cell, dirty_cell)
-                            )
-                            <= reach
-                            for dirty_cell in dirty
-                        )
-                    return hit
-
-                stale = [
-                    pair
-                    for pair in cache
-                    if near_dirty(pair[0]) or near_dirty(pair[1])
-                ]
-                for pair in stale:
-                    del cache[pair]
-                self.merge_cache_invalidations += len(stale)
+        if len(dirty) > _WITNESS_CLEAR_DIRTY:
+            self.merge_cache_invalidations += len(cache)
+            cache.clear()
+        elif cache:
+            pairs = list(cache)
+            dim = self.config.dim
+            near = _near_cells(
+                np.array(pairs, dtype=np.int64).reshape(-1, dim),
+                np.array(list(dirty), dtype=np.int64).reshape(-1, dim),
+                self.topology.reach,
+            )
+            stale = near.reshape(-1, 2).any(axis=1)
+            for row in np.flatnonzero(stale).tolist():
+                del cache[pairs[row]]
+            self.merge_cache_invalidations += int(stale.sum())
         dirty.clear()
 
     def _merge(self, query: Optional[np.ndarray]) -> CGroupByResult:

@@ -27,8 +27,8 @@ from repro.geometry.points import sq_dist
 
 def check_legality(
     coords: Dict[int, Sequence[float]],
-    clusters: Iterable[Set[int]],
-    noise: Set[int],
+    clusters: Iterable[Iterable[int]],
+    noise: Iterable[int],
     core: Set[int],
     eps: float,
     minpts: int,
@@ -42,6 +42,7 @@ def check_legality(
     relaxed = eps * (1.0 + rho)
     sq_relaxed = relaxed * relaxed
     cluster_list = [set(c) for c in clusters]
+    noise = set(noise)
 
     # --- core-status legality -------------------------------------------
     for k in keys:

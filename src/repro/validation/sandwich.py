@@ -14,14 +14,14 @@ the brute-force oracle, and reports every violation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.static_dbscan import dbscan_grid
 
 
 def check_sandwich(
     coords: Dict[int, Sequence[float]],
-    clusters: Iterable[Set[int]],
+    clusters: Iterable[Iterable[int]],
     eps: float,
     minpts: int,
     rho: float,

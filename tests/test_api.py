@@ -166,7 +166,7 @@ class TestEngineFacade:
         snap = engine.snapshot()
         assert isinstance(snap, Snapshot)
         assert snap.epoch == 4 and snap.size == 4
-        assert snap.cluster_count == 1 and snap.noise == {3}
+        assert snap.cluster_count == 1 and snap.noise == [3]
         stats = engine.stats()
         assert stats.points == 4 and stats.epoch == 4
         assert stats.algorithm == "full-exact"

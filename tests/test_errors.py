@@ -9,10 +9,13 @@ Constructor/config validation across *all* clusterers must surface as
 
 from __future__ import annotations
 
+from itertools import chain
+
 import pytest
 
 import repro.api
 from repro.api import EngineConfig
+from repro.api.config import ALGORITHM_CHOICES
 from repro.baselines.incdbscan import IncDBSCAN
 from repro.baselines.naive_dynamic import RecomputeClusterer
 from repro.core.fullydynamic import FullyDynamicClusterer
@@ -85,9 +88,7 @@ class TestConstructorValidation:
         with pytest.raises(ConfigError, match="dimension"):
             algo.insert((1.0, 2.0, 3.0))
 
-    def test_bad_strategy_and_connectivity(self):
-        with pytest.raises(ConfigError, match="strategy"):
-            SemiDynamicClusterer(1.0, 10, strategy="quantum")
+    def test_bad_connectivity_and_bcp(self):
         with pytest.raises(ConfigError, match="connectivity"):
             FullyDynamicClusterer(1.0, 10, connectivity="psychic")
         with pytest.raises(ConfigError, match="bcp"):
@@ -157,6 +158,28 @@ class TestUnknownPoint:
             algo.delete_many([pids[0], 777])
         # Nothing was deleted: the batch failed before mutating.
         assert len(algo) == 2
+
+
+class TestRejectedInsert:
+    """A single ``insert`` checks its point by the batch rule first: a
+    non-finite coordinate raises and leaves no phantom point behind."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
+    @pytest.mark.parametrize(
+        "bad",
+        [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_point_changes_nothing(self, algorithm, bad):
+        engine = repro.api.open(eps=1.0, minpts=3, algorithm=algorithm)
+        engine.ingest([(0.0, 0.0), (0.1, 0.1)])
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.insert(bad)
+        assert len(engine) == 2 and engine.epoch == 2
+        assert 2 not in engine
+        snapshot = engine.snapshot()
+        assert sorted(chain(snapshot.noise, *snapshot.clusters)) == [0, 1]
+        assert engine.insert((0.2, 0.2)) == 2
 
 
 class TestInvalidQuery:

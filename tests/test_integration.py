@@ -142,6 +142,6 @@ class TestConsistencyOfQueries:
         for _ in range(15):
             q = rng.sample(ids, 20)
             result = algo.cgroup_by(q)
-            expected = [c & set(q) for c in full.clusters]
+            expected = [set(c) & set(q) for c in full.clusters]
             expected = sorted(map(sorted, (e for e in expected if e)))
             assert sorted(map(sorted, result.group_sets())) == expected

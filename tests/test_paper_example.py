@@ -81,7 +81,7 @@ class TestDynamicVariants:
         ids = [algo.insert(p) for p in ALL]
         clustering = algo.clusters()
         assert len(clustering.clusters) == 3
-        assert clustering.noise == {ids[IDX_O18]}
+        assert clustering.noise == [ids[IDX_O18]]
         assert not algo.is_core(ids[IDX_O13])
 
     @pytest.mark.parametrize("cls", [SemiDynamicClusterer, FullyDynamicClusterer])

@@ -24,7 +24,9 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
+import repro.api
 import repro.core.framework as framework
+from repro.analysis.window import WindowedEngine
 from repro.core.framework import CGroupByResult, canonical_cgroup_result
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.core.semidynamic import SemiDynamicClusterer
@@ -229,8 +231,44 @@ class TestExactIdentical:
         result = algo.cgroup_by(ids)
         _assert_identical(result, algo.cgroup_by_many(ids))
         clustering = algo.clusters()
-        assert [sorted(c) for c in clustering.clusters] == result.groups
-        assert sorted(clustering.noise) == result.noise
+        assert clustering.clusters == result.groups
+        assert clustering.noise == result.noise
+
+
+class TestOneResultForm:
+    """A snapshot is the C-group-by with ``Q = P`` in the very same form:
+    its clusters and noise equal, as plain lists, the groups and noise
+    of ``cgroup_by_many`` over every live id — on every deployment."""
+
+    @pytest.mark.parametrize(
+        "deployment",
+        ["semi", "full", "incdbscan", "recompute", "sharded", "window"],
+    )
+    def test_snapshot_equals_full_query(self, deployment):
+        points = _points_for("mixed", 240, 2, seed=17)
+        knobs = dict(eps=2.0, minpts=4, rho=0.0, dim=2)
+        if deployment == "window":
+            engine = WindowedEngine(repro.api.open(algorithm="full", **knobs), 150)
+            engine.append_many(points)
+            live = engine.ids()
+        else:
+            if deployment == "sharded":
+                knobs.update(algorithm="full", shards=2, shard_executor="serial")
+            else:
+                knobs.update(algorithm=deployment)
+            engine = repro.api.open(**knobs)
+            live = engine.ingest(points)
+            if deployment != "semi":
+                engine.delete_many(live[::5])
+                del live[::5]
+        try:
+            snapshot = engine.snapshot()
+            result = engine.cgroup_by_many(live)
+            assert len(snapshot.clusters) >= 2 and snapshot.noise
+            assert snapshot.clusters == result.groups
+            assert snapshot.noise == result.noise
+        finally:
+            engine.close()
 
 
 class TestApproximateLegal:

@@ -171,11 +171,11 @@ class TestCGroupBySemantics:
             q = rng.sample(ids, 15)
             result = algo.cgroup_by(q)
             # Each group must be the intersection of some full cluster with Q.
-            expected = [c & set(q) for c in full.clusters]
+            expected = [set(c) & set(q) for c in full.clusters]
             expected = [e for e in expected if e]
             got = sorted(map(sorted, result.group_sets()))
             assert got == sorted(map(sorted, expected))
-            assert set(result.noise) == full.noise & set(q)
+            assert set(result.noise) == set(full.noise) & set(q)
 
     def test_border_point_in_multiple_groups(self):
         algo = SemiDynamicClusterer(1.0, 4, rho=0.0, dim=1)

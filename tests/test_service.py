@@ -209,6 +209,35 @@ class TestDifferential:
             service_engine.close()
             reference.close()
 
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unsharded", "shards2"])
+    def test_snapshot_response_carries_the_snapshot_lists(self, shards):
+        """The wire snapshot is a direct snapshot's lists, as they are."""
+        points = clustered_points(120, 2, seed=5)
+        dead = list(range(0, 120, 7))
+        service_engine = open_engine(shards=shards)
+        reference = open_engine()
+
+        async def scenario():
+            async with serving(service_engine) as service:
+                client = await connect(service)
+                await client.ingest(points)
+                await client.delete(dead)
+                response = await client.snapshot()
+                await client.aclose()
+            return response
+
+        try:
+            got = run_async(scenario())
+            reference.ingest(points)
+            reference.delete_many(dead)
+            want = reference.snapshot()
+            assert len(want.clusters) >= 2 and want.noise
+            assert got["clusters"] == want.clusters
+            assert got["noise"] == want.noise
+        finally:
+            service_engine.close()
+            reference.close()
+
     def test_cross_session_barrier_visibility(self):
         """A query on session B observes session A's acked ingest."""
         engine = open_engine()

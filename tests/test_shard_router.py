@@ -30,6 +30,7 @@ from repro.errors import (
     UnsupportedOperationError,
 )
 from repro.shard import ShardTopology, ShardedEngine
+from repro.shard import router as router_module
 from repro.workload.runner import run_workload_engine
 from repro.workload.workload import generate_workload
 
@@ -492,3 +493,61 @@ def test_shard_labels_after_a_merge_crash(algorithm):
     finally:
         engine.close()
         single.close()
+
+
+# ----------------------------------------------------------------------
+# Witness-cache invalidation
+# ----------------------------------------------------------------------
+
+
+def _chebyshev(a, b) -> int:
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_witness_invalidation_matches_brute_force(monkeypatch, dim, seed):
+    """A cached pair is dropped exactly when one of its cells lies within
+    the closeness reach (Chebyshev) of a dirty cell — on random pairs
+    and dirty sets, over several chunks of the vectorized test."""
+    monkeypatch.setattr(router_module, "_NEAR_CHUNK", 7)
+    engine = _sharded(shards=2, dim=dim, shard_executor="serial")
+    try:
+        router = engine.raw
+        reach = router.topology.reach
+        rng = random.Random(seed)
+
+        def cell():
+            return tuple(rng.randint(-4 * reach, 4 * reach) for _ in range(dim))
+
+        pairs = {(cell(), cell()) for _ in range(rng.randint(1, 60))}
+        dirty = {cell() for _ in range(rng.randint(1, 25))}
+        router._witness_cache.update((pair, rng.random() < 0.5) for pair in pairs)
+        router._dirty_cells.update(dirty)
+        before = router.merge_cache_invalidations
+        router._invalidate_witnesses()
+
+        stale = {
+            pair
+            for pair in pairs
+            if any(_chebyshev(c, d) <= reach for c in pair for d in dirty)
+        }
+        assert set(router._witness_cache) == pairs - stale
+        assert router.merge_cache_invalidations - before == len(stale)
+        assert not router._dirty_cells
+    finally:
+        engine.close()
+
+
+def test_witness_cache_cleared_past_the_dirty_limit(monkeypatch):
+    monkeypatch.setattr(router_module, "_WITNESS_CLEAR_DIRTY", 3)
+    engine = _sharded(shards=2, shard_executor="serial")
+    try:
+        router = engine.raw
+        far = 100 * router.topology.reach
+        router._witness_cache[((far, far), (far, far + 1))] = True
+        router._dirty_cells.update((0, i) for i in range(4))
+        router._invalidate_witnesses()
+        assert not router._witness_cache and not router._dirty_cells
+    finally:
+        engine.close()

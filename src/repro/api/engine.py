@@ -201,10 +201,9 @@ class Engine:
             else:
                 pids = self._clusterer.insert_many(batch, ids)
         finally:
-            # Epoch must never under-count: the sequential-fallback
-            # baselines can leave a failed batch partially applied, so
-            # a failed call still advances the dataset version (a bump
-            # without a change is benign; the reverse is not).
+            # Epoch must never under-count, so a failed call still
+            # advances the dataset version (a bump without a change is
+            # benign; the reverse is not).
             self._epoch += len(batch)
         return pids
 
@@ -228,8 +227,7 @@ class Engine:
             raise self._insert_only_error("delete_many") from exc
         finally:
             # See ingest(): over-counting on failure keeps the epoch a
-            # sound dataset-version token even for partially-applied
-            # sequential-fallback batches.
+            # sound dataset-version token.
             self._epoch += len(pid_list)
 
     def _insert_only_error(self, op: str) -> UnsupportedOperationError:

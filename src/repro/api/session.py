@@ -12,11 +12,9 @@ them through the engine's vectorized bulk paths (``insert_many`` /
 * explicitly via :meth:`IngestSession.flush` or on clean ``with``-block
   exit.
 
-Because the bulk insert paths park new points in the range counters'
-deferred kd-tree buffers (:class:`repro.geometry.kdtree.DeferredKDTree`,
-which only the sequential paths ever index) and append core points to
-the flat per-cell emptiness stores, a pure-ingest phase through a
-session never pays for spatial-index construction.
+Because the bulk insert paths only add new points to the per-cell point
+dicts and append core points to the flat per-cell emptiness stores, a
+pure-ingest phase through a session builds no spatial index.
 
 Point ids are handed out *eagerly*: every clusterer assigns contiguous
 ids in arrival order, so the session predicts the ids a flush will

@@ -20,9 +20,12 @@ with ``rho > 0`` both are legal under the sandwich guarantee
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import UnknownPointError
+from repro.kernels import as_point_array
 
 Cell = Tuple[int, ...]
 
@@ -33,6 +36,21 @@ __all__ = [
     "SequentialBulkMixin",
     "SequentialQueryMixin",
 ]
+
+
+def validated_delete_pids(pids: Iterable[int], live: Container[int]) -> List[int]:
+    """A deletion batch as a list, rejected whole (duplicates:
+    ``ValueError``; dead ids: ``UnknownPointError``) before any delete."""
+    pid_list = list(pids)
+    if len(set(pid_list)) != len(pid_list):
+        raise ValueError("duplicate point ids in delete_many batch")
+    dead = [pid for pid in pid_list if pid not in live]
+    if dead:
+        raise UnknownPointError(
+            f"point id(s) {sorted(set(dead))} are not live; "
+            f"the batch was rejected before deleting anything"
+        )
+    return pid_list
 
 
 @dataclass
@@ -92,8 +110,8 @@ class GumEdgeFragment:
     cell, untrusted non-empty close cell)`` pairs whose edge decision
     needs the other side's authoritative core set; ``frontier`` maps
     each trusted core cell adjacent to untrusted territory to its
-    core-point coordinates (sorted by id) — the raw material of the
-    boundary merge.
+    core-point coordinates (in its emptiness store's row order) — the
+    raw material of the boundary merge.
     """
 
     core_cells: np.ndarray
@@ -107,16 +125,19 @@ class SequentialBulkMixin:
 
     Gives every clusterer (baselines included) the ``insert_many`` /
     ``delete_many`` surface the batched workload runner drives, with the
-    trivially-equivalent sequential semantics.
+    trivially-equivalent sequential semantics.  Like the vectorized
+    paths, a batch is checked whole before the first update, so a
+    rejected batch changes nothing.
     """
 
     def insert_many(self, points: Iterable[Sequence[float]]) -> List[int]:
         """Insert a batch of points; returns their ids in batch order."""
-        return [self.insert(p) for p in points]
+        arr = as_point_array(list(points), self.dim)  # type: ignore[attr-defined]
+        return [self.insert(row) for row in arr.tolist()]
 
     def delete_many(self, pids: Iterable[int]) -> None:
         """Delete a batch of points by id."""
-        for pid in pids:
+        for pid in validated_delete_pids(pids, self):
             self.delete(pid)
 
 

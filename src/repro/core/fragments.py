@@ -2,26 +2,22 @@
 
 The paper's thesis is "pay only for what changed"; this module applies
 it one level up, to the *query* side.  A :class:`FragmentCache` memoizes
-the two per-cell artifacts every barrier used to recompute from
-scratch:
-
-* **membership fragments** — one :class:`CellFragment` per queried grid
-  cell: the resolved memberships of *all* of that cell's points, keyed
-  by the core cell granting each membership (not by CC id — component
-  ids drift globally on every union/split, while the granted-by-cell
-  decomposition only changes when the local neighborhood does);
-* **core coordinates** — one array per core cell, its core points'
-  coordinates sorted by id: the shard merge's frontier payload.  The
-  grid graph itself needs no cache: a shard reports each core cell's
-  component from the engine's own CC structure
-  (:meth:`repro.core.framework.GridClusterer.gum_edge_fragment`).
+the per-cell artifact every barrier used to recompute from scratch: one
+**membership fragment** (:class:`CellFragment`) per queried grid cell,
+the resolved memberships of *all* of that cell's points, keyed by the
+core cell granting each membership (not by CC id — component ids drift
+globally on every union/split, while the granted-by-cell decomposition
+only changes when the local neighborhood does).  Nothing else needs a
+cache: a shard reports each core cell's component from the engine's own
+CC structure, and its frontier coordinates are a copy of the cell's
+emptiness store
+(:meth:`repro.core.framework.GridClusterer.gum_edge_fragment`).
 
 Invalidation is **eager and cell-local**.  When a mutation touches cell
 set ``T``, core status can change only in ``ring1 = T ∪ N(T)`` (a ball
 count reaches at most one closeness step); a cell's membership fragment
 additionally depends on its neighbors' core sets, so fragments die for
-``ring2 = ring1 ∪ N(ring1)``; core coordinates die for ``ring1``.  The
-rings are derived by the owner
+``ring2 = ring1 ∪ N(ring1)``.  The rings are derived by the owner
 (:meth:`repro.core.framework.GridClusterer._touch_cells`) from the
 grid's own neighbor links, which is why insert paths must touch *after*
 linking new cells and delete paths *before* unlinking emptied ones.
@@ -106,7 +102,6 @@ class FragmentCache:
 
     def __init__(self) -> None:
         self._membership: Dict[Cell, CellFragment] = {}
-        self._core_coords: Dict[Cell, np.ndarray] = {}
         self._trust_token: object = _UNSET
         self.hits = 0
         self.misses = 0
@@ -148,48 +143,26 @@ class FragmentCache:
         self._membership[cell] = fragment
 
     # ------------------------------------------------------------------
-    # Core coordinates
-    # ------------------------------------------------------------------
-
-    def get_core_coords(self, cell: Cell) -> Optional[np.ndarray]:
-        return self._core_coords.get(cell)
-
-    def set_core_coords(self, cell: Cell, coords: np.ndarray) -> None:
-        self._core_coords[cell] = coords
-
-    # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not (self._membership or self._core_coords)
+        return not self._membership
 
-    def invalidate(
-        self, member_cells: Iterable[Cell], structural_cells: Iterable[Cell]
-    ) -> None:
-        """Drop entries around mutated cells (see the module docstring).
-
-        ``structural_cells`` is ``ring1`` — every cell whose core set
-        (or existence) the mutation may have changed: its core-coordinate
-        array dies.  ``member_cells`` is ``ring2 ⊇ ring1`` — membership
-        fragments additionally depend on their neighbors' core sets, so
-        they die one closeness step further out.
-        """
+    def invalidate(self, cells: Iterable[Cell]) -> None:
+        """Drop the fragments of ``cells``: ``ring2`` around the mutated
+        cells (see the module docstring)."""
         dropped = 0
         membership = self._membership
-        for cell in member_cells:
+        for cell in cells:
             if membership.pop(cell, None) is not None:
                 dropped += 1
-        core_coords = self._core_coords
-        for cell in structural_cells:
-            core_coords.pop(cell, None)
         self.invalidations += dropped
 
     def clear(self) -> None:
         """Drop every entry (a trust switch or an ownership flip)."""
         self.invalidations += len(self._membership)
         self._membership.clear()
-        self._core_coords.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -206,6 +179,6 @@ class FragmentCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FragmentCache(membership={len(self._membership)}, "
-            f"core_coords={len(self._core_coords)}, hits={self.hits}, "
-            f"misses={self.misses}, invalidations={self.invalidations})"
+            f"hits={self.hits}, misses={self.misses}, "
+            f"invalidations={self.invalidations})"
         )

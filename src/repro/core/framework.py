@@ -84,6 +84,13 @@ class CGroupByResult:
 #: in the 128-180 band the two paths are within ~10% of each other.
 _SEQUENTIAL_QUERY_CUTOFF = 128
 
+#: Rounding margins of :meth:`GridClusterer._ball_count`'s box tests: the
+#: box pad relative to the point's coordinate in cell units (thousands of
+#: ulps, still a sliver of a cell), and the relative band around the
+#: squared radius within which a box test defers to a scan.
+_BOX_PAD = 2.0 ** -40
+_BOX_BAND = 1e-9
+
 
 def validated_query_pids(pids: Iterable[int], live: Dict[int, Point]) -> List[int]:
     """Materialize a query and check every pid up front.
@@ -243,8 +250,8 @@ class GridClusterer(PointStore):
         self._sq_relaxed = relaxed * relaxed
         self._cells: Dict[Cell, object] = {}
         # Incremental fragment cache: memoizes per-cell membership
-        # fragments and core coordinates across barriers; the update
-        # paths invalidate through _touch_cells.
+        # fragments across barriers; the update paths invalidate
+        # through _touch_cells.
         self._fragments = FragmentCache()
 
     def fragment_cache_stats(self) -> FragmentCacheStats:
@@ -265,10 +272,9 @@ class GridClusterer(PointStore):
 
         ``touched`` is the set of cells whose point sets a mutation
         changed.  Core status can shift one closeness step out (a ball
-        count reaches into neighbor cells), so core coordinates die for
-        ``ring1 = touched ∪ N(touched)``; membership fragments depend
-        on their neighbors' core sets on top, so they die for
-        ``ring2 = ring1 ∪ N(ring1)``.
+        count reaches into neighbor cells), to ``ring1 = touched ∪
+        N(touched)``; membership fragments depend on their neighbors'
+        core sets on top, so they die for ``ring2 = ring1 ∪ N(ring1)``.
 
         Contract with the update paths: insert paths call this *after*
         new cells are registered and neighbor-linked, delete paths
@@ -290,7 +296,7 @@ class GridClusterer(PointStore):
             data = cells.get(cell)
             if data is not None:
                 ring2 |= data.neighbors  # type: ignore[attr-defined]
-        cache.invalidate(ring2, ring1)
+        cache.invalidate(ring2)
 
     @property
     def cell_count(self) -> int:
@@ -368,7 +374,7 @@ class GridClusterer(PointStore):
         cluster id is just ``_cc_id`` of their cell); all non-core points
         of a cell are then resolved against each close core cell with one
         batched emptiness call (``empty_many``) instead of per-point
-        kd-tree probes.  CC-id resolutions are memoized per query, and a
+        probes.  CC-id resolutions are memoized per query, and a
         probe against a component the point already belongs to is skipped
         (the answer could not change the result — the same optimization
         the GUM update paths use).
@@ -720,11 +726,10 @@ class GridClusterer(PointStore):
 
         The trust predicate runs once per registered cell: candidates
         are each trusted core cell's neighbours minus the trusted set.
-        Per-cell core-coordinate arrays are memoized in the fragment
-        cache until a mutation dirties the cell.
+        A frontier cell's coordinates are a copy of its emptiness
+        store's rows.
         """
         cells = self._cells
-        cache = self._fragments
         trusted = (
             cells.keys()
             if trust is None
@@ -748,13 +753,7 @@ class GridClusterer(PointStore):
             if not foreign:
                 continue
             candidates.extend((cell, other) for other in sorted(foreign))
-            coords = cache.get_core_coords(cell)
-            if coords is None:
-                coords = np.array(
-                    [data.points[pid] for pid in sorted(data.core)]  # type: ignore[attr-defined]
-                )
-                cache.set_core_coords(cell, coords)
-            frontier[cell] = coords
+            frontier[cell] = data.emptiness.arrays()[1].copy()  # type: ignore[attr-defined]
         return GumEdgeFragment(
             core_cells=np.array(core_cells, dtype=np.int64).reshape(
                 -1, self.dim
@@ -925,15 +924,49 @@ class GridClusterer(PointStore):
             parts.append(self._cell_coords(other, cache))
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def _exact_ball_count(self, point: Point, data: object) -> int:
-        """Exact |B(point, eps)| over the cell of ``data`` and its neighbors."""
+    def _ball_count(self, point: Point, data: object) -> int:
+        """Exact |B(point, eps)| over the cell of ``data`` and its close
+        cells, saturating at MinPts.
+
+        The own cell counts whole (its diameter is ``eps``: the dense-cell
+        guarantee).  A close cell counts whole when its box lies inside
+        the ball, is skipped when its box misses the ball, and is scanned
+        otherwise.  The box tests run in cell units on padded boxes
+        against a banded radius, so points near the ball's boundary are
+        always scanned with ``sq_dist``.
+        """
+        minpts = self.minpts
+        count = len(data.points)  # type: ignore[attr-defined]
+        if count >= minpts:
+            return count
+        side = self._grid.side
+        units = [x / side for x in point]
+        pad = _BOX_PAD * (1.0 + max(map(abs, units)))
         sq_eps = self._sq_eps
-        count = 0
-        for qp in data.points.values():  # type: ignore[attr-defined]
-            if sq_dist(qp, point) <= sq_eps:
-                count += 1
+        sq_units = sq_eps / (side * side)  # the radius in cell units
+        inside = sq_units * (1.0 - _BOX_BAND)
+        outside = sq_units * (1.0 + _BOX_BAND)
         for other in data.neighbors:  # type: ignore[attr-defined]
-            for qp in self._cells[other].points.values():  # type: ignore[attr-defined]
-                if sq_dist(qp, point) <= sq_eps:
-                    count += 1
+            near = far = 0.0
+            for u, c in zip(units, other):
+                lo = u - c + pad  # offset from the padded box's low face
+                hi = lo - 1.0 - 2.0 * pad  # ... and from its high face
+                if lo < 0.0:
+                    near += lo * lo
+                elif hi > 0.0:
+                    near += hi * hi
+                far += lo * lo if lo > -hi else hi * hi
+            if near > outside:
+                continue
+            pts = self._cells[other].points  # type: ignore[attr-defined]
+            if far <= inside:
+                count += len(pts)
+            else:
+                for q in pts.values():
+                    if sq_dist(q, point) <= sq_eps:
+                        count += 1
+                        if count >= minpts:
+                            return count
+            if count >= minpts:
+                return count
         return count

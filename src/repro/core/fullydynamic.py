@@ -1,9 +1,13 @@
 """Fully-dynamic rho-double-approximate DBSCAN — Theorem 4.
 
-Core status follows the *relaxed* definition of Section 6.2, decided by an
-approximate range count (``repro.geometry.range_count``): a point is core
-iff the count reaches ``MinPts``.  Dense cells short-circuit exactly as in
-the semi-dynamic case.
+Core status follows the *relaxed* definition of Section 6.2: Section 7.3
+asks only for a count ``k`` with ``|B(q, eps)| <= k <= |B(q, (1+rho) eps)|``,
+and a point is core iff ``k`` reaches ``MinPts``.  Every path here counts
+exactly (``k = |B(q, eps)|``, a legal instance at any ``rho``): the
+sequential updates through the saturating
+:meth:`repro.core.framework.GridClusterer._ball_count` over each cell's
+point dict, the bulk updates with numpy ball counts.  Dense cells
+short-circuit exactly as in the semi-dynamic case.
 
 Grid-graph edges are maintained by one aBCP instance (Lemma 3) per pair of
 close core cells: the edge exists exactly while the instance holds a
@@ -40,13 +44,13 @@ import numpy as np
 from repro.connectivity.hdt import HDTConnectivity
 from repro.connectivity.naive import NaiveConnectivity
 from repro.core.abcp import ABCPInstance, RescanBCP, SuffixABCP, SIDE_A, SIDE_B
+from repro.core.bulk import validated_delete_pids
 from repro.core.framework import GridClusterer
 from repro.errors import ConfigError, UnknownPointError
 from repro.kernels import ball_counts, bucket_by_cell
 from repro.core.grid import Cell
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import Point
-from repro.geometry.range_count import ApproximateRangeCounter
 
 Connectivity = Union[HDTConnectivity, NaiveConnectivity]
 
@@ -55,15 +59,14 @@ class _FullCell:
     """State of one non-empty cell under the fully-dynamic algorithm."""
 
     __slots__ = (
-        "points", "core", "noncore", "counter", "emptiness", "neighbors",
-        "abcp", "core_log",
+        "points", "core", "noncore", "emptiness", "neighbors", "abcp",
+        "core_log",
     )
 
-    def __init__(self, dim: int, eps: float, rho: float) -> None:
+    def __init__(self) -> None:
         self.points: Dict[int, Point] = {}
         self.core: Set[int] = set()
         self.noncore: Set[int] = set()
-        self.counter = ApproximateRangeCounter(dim, eps, rho)
         self.emptiness: Optional[EmptinessStructure] = None
         self.neighbors: Set[Cell] = set()
         # Close core cell -> (shared aBCP instance, this cell's side in it).
@@ -111,23 +114,6 @@ class FullyDynamicClusterer(GridClusterer):
             )
 
     # ------------------------------------------------------------------
-    # Core-status structure (Section 7.3)
-    # ------------------------------------------------------------------
-
-    def _approx_count(self, point: Point, data: _FullCell) -> int:
-        """Approximate |B(point, eps)|, saturating at MinPts."""
-        minpts = self.minpts
-        count = data.counter.count(point, stop_at=minpts)
-        if count >= minpts:
-            return count
-        for other in data.neighbors:
-            odata: _FullCell = self._cells[other]  # type: ignore[assignment]
-            count += odata.counter.count(point, stop_at=minpts - count)
-            if count >= minpts:
-                return count
-        return count
-
-    # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
 
@@ -135,7 +121,7 @@ class FullyDynamicClusterer(GridClusterer):
         """The state of ``cell``, registered and neighbor-linked if new."""
         data: Optional[_FullCell] = self._cells.get(cell)  # type: ignore[assignment]
         if data is None:
-            data = _FullCell(self.dim, self.eps, self.rho)
+            data = _FullCell()
             data.neighbors = self._discover_neighbors(cell)
             self._cells[cell] = data
         return data
@@ -145,11 +131,10 @@ class FullyDynamicClusterer(GridClusterer):
         cell = self._grid.cell_of(pt)
         data = self._cell_for(cell)
         data.points[pid] = pt
-        data.counter.insert(pid, pt)
         data.noncore.add(pid)
 
         minpts = self.minpts
-        if len(data.points) >= minpts or self._approx_count(pt, data) >= minpts:
+        if self._ball_count(pt, data) >= minpts:
             self._promote_many([pid], [pt], cell, data)
 
         # The insertion can only create core points nearby; recheck them.
@@ -165,7 +150,7 @@ class FullyDynamicClusterer(GridClusterer):
                     q
                     for q in odata.noncore
                     if q != pid
-                    and self._approx_count(odata.points[q], odata) >= minpts
+                    and self._ball_count(odata.points[q], odata) >= minpts
                 )
             if chosen:
                 self._promote_many(
@@ -181,8 +166,8 @@ class FullyDynamicClusterer(GridClusterer):
     ) -> List[int]:
         """Vectorized bulk insertion, equivalent to sequential ``insert``.
 
-        All batch points enter the cell registries and range counters
-        first; core status is then decided in one pass over the affected
+        All batch points enter the cell registries first; core status
+        is then decided in one pass over the affected
         cell-neighborhoods from exact numpy ball counts (a legal
         instantiation of the approximate range-count contract, and with
         ``rho = 0`` identical to it).  Each cell promotes its new core
@@ -208,7 +193,6 @@ class FullyDynamicClusterer(GridClusterer):
             items = [(id_list[i], tuples[i]) for i in idxs.tolist()]
             data.points.update(items)
             data.noncore.update(pid for pid, _ in items)
-            data.counter.insert_many(items)
 
         # The batch can only create core points in the affected cells and
         # their close cells; recheck every non-core point there.
@@ -238,25 +222,17 @@ class FullyDynamicClusterer(GridClusterer):
         """Vectorized bulk deletion, equivalent to sequential ``delete``.
 
         The batch is grouped by cell once (one vectorized floor); each
-        cell's points leave its registries and counter, and its core
-        points demote in one ``_demote_many``, so every aBCP instance
+        cell's points leave its registries, and its core points demote
+        in one ``_demote_many``, so every aBCP instance
         is repaired at most once per cell.  Survivor core status is then
         rechecked in one pass over the affected cell-neighborhoods with
         exact numpy ball counts, again demoting per cell.  Deletions
         only destroy core points, so one final pass reaches the
         sequential fixpoint.
         """
-        pid_list = list(pids)
+        pid_list = validated_delete_pids(pids, self._points)
         if not pid_list:
             return
-        if len(set(pid_list)) != len(pid_list):
-            raise ValueError("duplicate point ids in delete_many batch")
-        dead = [pid for pid in pid_list if pid not in self._points]
-        if dead:
-            raise UnknownPointError(
-                f"point id(s) {sorted(set(dead))} are not live; "
-                f"the batch was rejected before deleting anything"
-            )
         pid_arr = np.asarray(pid_list, dtype=np.int64)
         buckets = bucket_by_cell(self._stored_coords(pid_list), self._grid.side)
         affected = [cell for cell, _ in buckets]
@@ -268,7 +244,6 @@ class FullyDynamicClusterer(GridClusterer):
             core_gone: List[int] = []
             for pid in pid_arr[idxs].tolist():
                 del data.points[pid]
-                data.counter.delete(pid)
                 if pid in data.core:
                     core_gone.append(pid)
                 else:
@@ -313,7 +288,6 @@ class FullyDynamicClusterer(GridClusterer):
         self._touch_cells((cell,))
         data: _FullCell = self._cells[cell]  # type: ignore[assignment]
         del data.points[pid]
-        data.counter.delete(pid)
         if pid in data.core:
             self._demote_many([pid], cell, data)
         else:
@@ -329,7 +303,7 @@ class FullyDynamicClusterer(GridClusterer):
             doomed = sorted(
                 q
                 for q in odata.core
-                if self._approx_count(odata.points[q], odata) < minpts
+                if self._ball_count(odata.points[q], odata) < minpts
             )
             if doomed:
                 self._demote_many(doomed, other, odata)

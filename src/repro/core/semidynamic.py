@@ -85,7 +85,7 @@ class SemiDynamicClusterer(GridClusterer):
                     self._promote(other_pid, cell, data)
             self._promote(pid, cell, data)
         else:
-            count = self._exact_ball_count(pt, data)
+            count = self._ball_count(pt, data)
             if count >= self.minpts:
                 self._promote(pid, cell, data)
             else:
@@ -247,6 +247,9 @@ class SemiDynamicClusterer(GridClusterer):
             "the semi-dynamic algorithm is insert-only; use "
             "FullyDynamicClusterer for workloads with deletions"
         )
+
+    # A deletion batch is refused whole, before its ids are checked.
+    delete_many = delete
 
     def vicinity_count(self, pid: int) -> Optional[int]:
         """Current vincnt of a non-core point (None once promoted)."""

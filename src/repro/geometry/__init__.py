@@ -1,5 +1,6 @@
-"""Geometric substrates: distances, kd-trees, emptiness queries, range
-counting, and an R-tree for the IncDBSCAN baseline.
+"""Geometric substrates: distances, emptiness queries, an R-tree for the
+IncDBSCAN baseline, and a kd-tree range counter the clusterers no longer
+use (core status is an exact ball count over each cell's points).
 
 All structures in this package operate on points represented as tuples of
 floats and use *squared* Euclidean distances internally to avoid square

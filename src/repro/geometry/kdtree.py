@@ -1,16 +1,13 @@
 """A dynamic kd-tree with bucket leaves and periodic rebuilding.
 
 This is the index behind the approximate range counter (Section 7.3),
-where the paper plugs in the structure of Mount & Park; we substitute a
-kd-tree whose query procedures honour exactly the same *approximate
-contract*, which is all the grid-graph framework requires (see DESIGN.md).
-The per-cell emptiness structures of Section 4.2 do not use it: a cell
-holds few points, so they are flat arrays scanned exactly
-(:mod:`repro.geometry.emptiness`).  The bulk update paths never query a
-range counter, so on them the tree is never built; it serves the
-sequential ``insert``/``delete`` paths.  ``find_within`` and
-``find_within_many`` keep the emptiness contract for the tree's own
-tests and the per-layer tracer's hooks.
+where the paper plugs in the structure of Mount & Park; it honours the
+same *approximate contract*.  The clusterers use neither: a cell holds
+few points, so the emptiness structures of Section 4.2 are flat arrays
+scanned exactly (:mod:`repro.geometry.emptiness`), and core status is an
+exact ball count over each cell's points
+(:meth:`repro.core.framework.GridClusterer._ball_count`).  The tree
+stays for its own tests and the per-layer tracer's hooks.
 
 Key operations:
 

@@ -13,12 +13,12 @@ boundary, which satisfies the same inequality by construction:
   outside ``B(q, eps)`` — fine for the lower bound);
 * individual points are counted iff within ``eps``.
 
-One counter instance covers one grid cell (all its points, core or not);
-the clusterer sums counts over the ``(1+rho)eps``-close cells.
-
-Bulk insertions are buffered and folded into the kd-tree on the first
-operation that needs the index (:class:`repro.geometry.kdtree.
-DeferredKDTree`); the sequential ``insert`` path is unchanged.
+One counter instance covers one grid cell (all its points, core or not).
+The clusterers keep none: an exact count is a legal instance of the
+contract (:meth:`repro.core.framework.GridClusterer._ball_count`).  The
+counter stays for its own tests and the per-layer tracer's hooks.
+Bulk insertions are buffered (:class:`repro.geometry.kdtree.
+DeferredKDTree`).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The kernel implementations: numpy, cache-blocked where it pays.
 
-These are the implementations extracted verbatim from the bulk-update
-engine (``repro.core.bulk``) and the kd-tree batched query helpers
-(``repro.geometry.kdtree``), now owned by the kernels layer and checked
-against the brute-force difference formula (``tests/test_kernels.py``).
+Every hot numeric primitive of the engine — the bulk update paths, the
+emptiness stores, the batched queries and the shard merge — lives
+here, checked against the brute-force difference formula
+(``tests/test_kernels.py``).
 
 Exactness: ``ball_counts`` / ``any_within`` use the BLAS identity
 ``|x - y|^2 = |x|^2 + |y|^2 - 2 x.y`` for speed and re-verify pairs in

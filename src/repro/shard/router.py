@@ -76,6 +76,7 @@ import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.connectivity.union_find import UnionFind
+from repro.core.bulk import validated_delete_pids
 from repro.core.framework import (
     CGroupByResult,
     Clustering,
@@ -252,17 +253,9 @@ class ShardRouter:
         messages *before* any shard is contacted, so an invalid batch is
         all-or-nothing across the whole deployment.
         """
-        pid_list = [int(pid) for pid in pids]
+        pid_list = validated_delete_pids(map(int, pids), self._points)
         if not pid_list:
             return
-        if len(set(pid_list)) != len(pid_list):
-            raise ValueError("duplicate point ids in delete_many batch")
-        dead = [pid for pid in pid_list if pid not in self._points]
-        if dead:
-            raise UnknownPointError(
-                f"point id(s) {sorted(set(dead))} are not live; "
-                f"the batch was rejected before deleting anything"
-            )
         cell_of = self._grid.cell_of
         for pid in pid_list:
             self._dirty_cells.add(cell_of(self._points[pid]))

@@ -6,7 +6,8 @@ the structural invariants its correctness proof relies on:
 1. the cell registry partitions the point store, with no empty cells;
 2. neighbor caches are symmetric and match the grid's closeness predicate;
 3. per-cell core/non-core sets partition the cell and agree with the
-   emptiness structure and range counter contents;
+   emptiness structure, and a cell of ``MinPts`` points (diameter
+   ``eps``) has no non-core point, as the ball count assumes;
 4. an aBCP instance exists for every pair of close core cells, is shared
    by both, and its witness points are live core points of the right
    cells within the relaxed radius;
@@ -69,9 +70,11 @@ def check_invariants(algo) -> List[str]:
             problems.append(f"cell {cell}: core+noncore != points")
         if data.core & data.noncore:
             problems.append(f"cell {cell}: core and noncore overlap")
-        counter_ids = set(data.counter.ids())
-        if counter_ids != set(data.points):
-            problems.append(f"cell {cell}: range counter out of sync")
+        if len(data.points) >= algo.minpts and data.noncore:
+            problems.append(
+                f"cell {cell}: dense cell ({len(data.points)} points) holds "
+                f"non-core points {sorted(data.noncore)}"
+            )
         empt_ids = set(data.emptiness.ids()) if data.emptiness else set()
         if empt_ids != data.core:
             problems.append(

@@ -219,6 +219,63 @@ class TestEngineFacade:
         assert repro.IngestSession is IngestSession
 
 
+class TestRejectedBatchesChangeNothing:
+    """Every algorithm applies a batch whole or not at all."""
+
+    ALGORITHMS = (
+        "semi-exact", "semi-approx", "full-exact", "double-approx",
+        "incdbscan", "recompute",
+    )
+
+    @staticmethod
+    def _open(algorithm: str) -> Engine:
+        rho = 0.1 if algorithm in ("semi-approx", "double-approx") else 0.0
+        engine = api.open(algorithm=algorithm, eps=1.0, minpts=3, rho=rho)
+        engine.ingest([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (5.0, 5.0)])
+        return engine
+
+    @staticmethod
+    def _state(engine: Engine):
+        return len(engine), [pid in engine for pid in range(8)], engine.snapshot().clusters
+
+    def _assert_unchanged(self, engine: Engine, before) -> None:
+        assert self._state(engine) == before
+        assert engine.ingest([(9.0, 9.0)]) == [4]  # the next id is unchanged
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [(1.0, 1.0), (float("nan"), 0.0), (2.0, 2.0)],
+            [(1.0, 1.0), (float("inf"), 0.0)],
+            [(1.0, 1.0), (2.0, 2.0, 2.0)],
+            [(1.0, 1.0), (2.0,)],
+        ],
+        ids=["nan", "inf", "extra-coordinate", "missing-coordinate"],
+    )
+    def test_rejected_ingest(self, algorithm, batch):
+        engine = self._open(algorithm)
+        before = self._state(engine)
+        with pytest.raises(ValueError):
+            engine.ingest(batch)
+        self._assert_unchanged(engine, before)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "pids,error",
+        [([0, 7], UnknownPointError), ([1, 0, 1], ValueError)],
+        ids=["dead-id", "duplicate-id"],
+    )
+    def test_rejected_delete_many(self, algorithm, pids, error):
+        engine = self._open(algorithm)
+        before = self._state(engine)
+        if algorithm.startswith("semi"):
+            error = UnsupportedOperationError
+        with pytest.raises(error):
+            engine.delete_many(pids)
+        self._assert_unchanged(engine, before)
+
+
 class TestIngestSession:
     def test_eager_ids_match_applied_ids(self):
         engine = _full_engine(flush_threshold=None)

@@ -57,12 +57,17 @@ class TestInvariantAuditor:
         algo._cells[cell].neighbors.add((999, 999))  # corrupt cache
         assert any("neighbor" in p for p in check_invariants(algo))
 
-    def test_detects_counter_desync(self):
+    def test_detects_noncore_point_in_dense_cell(self):
         algo = FullyDynamicClusterer(1.0, 3, rho=0.0, dim=2)
-        a = algo.insert((0.0, 0.0))
-        cell = algo.cell_of(a)
-        algo._cells[cell].counter.delete(a)  # corrupt: counter loses a point
-        assert any("counter" in p for p in check_invariants(algo))
+        ids = [algo.insert(p) for p in [(0, 0), (0.2, 0), (0, 0.2)]]
+        data = algo._cells[algo.cell_of(ids[0])]
+        assert data.core == set(ids)
+        # corrupt: demote one point of the dense cell behind the back
+        data.core.discard(ids[0])
+        data.noncore.add(ids[0])
+        data.emptiness.delete(ids[0])
+        problems = check_invariants(algo)
+        assert any("dense cell" in p for p in problems), problems
 
     def test_detects_stale_edge(self):
         algo = FullyDynamicClusterer(1.0, 2, rho=0.0, dim=1)

@@ -1,13 +1,10 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmark for the grid's neighbor discovery.
 
-1. **CC structure**: HDT dynamic connectivity vs naive BFS recomputation
-   inside the fully-dynamic clusterer.  HDT pays more per edge update but
-   never pays O(V + E) per query-after-delete; on query-heavy workloads
-   the naive structure collapses.
-2. **aBCP protocol**: Lemma 3's amortized de-listing vs rescanning the
-   smaller cell side on every witness loss.
-3. **Neighbor discovery**: precomputed offset tables vs scanning the cell
-   registry, across dimensions (the (2 sqrt(d))^d blow-up).
+The two strategies of :class:`repro.core.grid.Grid` find the same close
+cells: precomputed offset tables probe the registry, a scan tests every
+registered cell.  The offset table grows as (2 sqrt(d) + 3)^d, so the
+cheaper strategy depends on the dimension and on how many cells are
+non-empty; this measures both across dimensions.
 
 Rows go to benchmarks/results/ablations.txt.
 """
@@ -19,17 +16,13 @@ import time
 
 import pytest
 
-from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.core.grid import Grid
-from repro.workload.config import MINPTS, RHO, SLOW_BENCH_N, bench_n, eps_for
+from repro.workload.config import RHO, eps_for
 from repro.workload.seed_spreader import seed_spreader
 
-from figlib import cached_workload, execute, write_results
+from figlib import write_results
 
-N = bench_n(SLOW_BENCH_N)
-DIM = 2
-EPS = eps_for(DIM)
-QFREQ = max(1, N // 10)
+N_POINTS = 2000
 
 _rows = []
 
@@ -40,43 +33,18 @@ def _dump_series():
     if _rows:
         write_results(
             "ablations.txt",
-            f"Ablations: N={N}, d={DIM}, eps={EPS}, MinPts={MINPTS}, rho={RHO}",
+            f"Ablations: neighbor discovery, {N_POINTS} seed-spreader "
+            f"points, rho={RHO}",
             [["ablation\tvariant\tavg_cost_us"]
              + [f"{a}\t{v}\t{c:.2f}" for a, v, c in _rows]],
         )
-
-
-@pytest.mark.parametrize("connectivity", ["hdt", "naive"])
-def test_ablation_cc_structure(benchmark, connectivity):
-    workload = cached_workload(
-        N, DIM, insert_fraction=5 / 6, query_frequency=QFREQ
-    )
-    result = execute(
-        benchmark,
-        lambda: FullyDynamicClusterer(
-            EPS, MINPTS, rho=RHO, dim=DIM, connectivity=connectivity
-        ),
-        workload,
-    )
-    _rows.append(("cc-structure", connectivity, result.average_cost))
-
-
-@pytest.mark.parametrize("bcp", ["abcp", "rescan", "suffix"])
-def test_ablation_bcp_protocol(benchmark, bcp):
-    workload = cached_workload(N, DIM, insert_fraction=5 / 6, query_frequency=QFREQ)
-    result = execute(
-        benchmark,
-        lambda: FullyDynamicClusterer(EPS, MINPTS, rho=RHO, dim=DIM, bcp=bcp),
-        workload,
-    )
-    _rows.append(("bcp-protocol", bcp, result.average_cost))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("strategy", ["offsets", "scan"])
 def test_ablation_neighbor_discovery(benchmark, dim, strategy):
     """Time neighbor discovery over the cells of a seed-spreader dataset."""
-    pts = seed_spreader(2000, dim, seed=dim)
+    pts = seed_spreader(N_POINTS, dim, seed=dim)
     grid = Grid(eps_for(dim), dim, rho=RHO, strategy=strategy)
     registry = {}
     for p in pts:

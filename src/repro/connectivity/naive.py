@@ -1,12 +1,9 @@
 """Naive fully-dynamic connectivity: adjacency sets + lazy BFS relabeling.
 
-Serves two purposes:
-
-* the **correctness oracle** for :class:`repro.connectivity.hdt.HDTConnectivity`
-  in property tests, and
-* the **ablation baseline** showing why the paper needs a poly-log CC
-  structure (this one pays O(V + E) on the first query after any edge
-  deletion).
+The correctness oracle for :class:`repro.connectivity.hdt.HDTConnectivity`
+in property tests.  It is simple enough to trust by reading, and too slow
+for a clusterer: it pays O(V + E) on the first query after any edge
+deletion.
 
 Component labels are recomputed lazily: edge insertions merge labels via a
 cheap union-find-free shortcut when possible, and any deletion marks the

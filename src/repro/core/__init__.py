@@ -18,7 +18,7 @@ from repro.core.framework import (
     canonical_cgroup_result,
 )
 from repro.core.grid import Cell, Grid
-from repro.core.abcp import ABCPInstance, RescanBCP, SuffixABCP, SIDE_A, SIDE_B
+from repro.core.abcp import ABCPInstance, SIDE_A, SIDE_B
 from repro.core.semidynamic import SemiDynamicClusterer, semi_approx, semi_exact_2d
 from repro.core.fullydynamic import (
     FullyDynamicClusterer,
@@ -34,13 +34,11 @@ __all__ = [
     "FullyDynamicClusterer",
     "Grid",
     "GridClusterer",
-    "RescanBCP",
     "SemiDynamicClusterer",
     "SequentialBulkMixin",
     "SequentialQueryMixin",
     "canonical_cgroup_result",
     "SIDE_A",
-    "SuffixABCP",
     "SIDE_B",
     "double_approx",
     "full_exact_2d",

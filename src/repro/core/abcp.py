@@ -23,10 +23,10 @@ construction, the scan stops before reaching the pair's endpoint, and no
 subsequent insertion ever re-queries it.  The suffix-pointer representation
 in the paper's own remark has exactly this behaviour.)
 
-Every variant takes updates in batches of one side: ``insert_many`` and
-``delete_many`` de-list or repair at most once per call, after the side's
-emptiness structure already reflects the whole batch.  ``insert`` and
-``delete`` are one-element batches.
+Updates come in batches of one side: ``insert_many`` and ``delete_many``
+de-list or repair at most once per call, after the side's emptiness
+structure already reflects the whole batch.  ``insert`` and ``delete`` are
+one-element batches.
 """
 
 from __future__ import annotations
@@ -146,154 +146,3 @@ class ABCPInstance:
             return
         self.witness = None
         self._delist()
-
-
-class SuffixABCP:
-    """The paper's "no materialization of L" representation (Lemma 3 remark).
-
-    Instead of a per-instance queue, each cell keeps one append-only log
-    of its core-point promotions (shared by *all* instances of that cell),
-    and the instance stores just two integers: a cursor into each side's
-    log.  Everything at or beyond a cursor is still owed a de-listing
-    query; dead entries (demoted or deleted points) are skipped through a
-    liveness check against the side's emptiness structure.  This is the
-    O(1)-memory-per-instance variant the paper describes; semantics and
-    amortized cost match :class:`ABCPInstance` exactly.
-    """
-
-    __slots__ = ("_empt", "_coords", "_logs", "_cursors", "witness")
-
-    def __init__(
-        self,
-        empt_a: EmptinessStructure,
-        empt_b: EmptinessStructure,
-        coords: Coords,
-        log_a: list,
-        log_b: list,
-    ) -> None:
-        self._empt = (empt_a, empt_b)
-        self._coords = coords
-        self._logs = (log_a, log_b)
-        self._cursors = [len(log_a), len(log_b)]
-        self.witness: Optional[Tuple[int, int]] = None
-        # Initial scan of the smaller side's *current* core points: walk
-        # its log from the start; the cursor ends where the scan stopped,
-        # so unscanned entries stay owed.
-        side = SIDE_A if len(empt_a) <= len(empt_b) else SIDE_B
-        self._cursors[side] = 0
-        self._delist_side(side, initial=True)
-
-    @property
-    def has_witness(self) -> bool:
-        return self.witness is not None
-
-    def _set_witness(self, pid: int, side: int, partner: int) -> None:
-        self.witness = (pid, partner) if side == SIDE_A else (partner, pid)
-
-    def _delist_side(self, side: int, initial: bool = False) -> bool:
-        """Advance one side's cursor until a witness or the log's end."""
-        log = self._logs[side]
-        empt = self._empt[side]
-        other = self._empt[1 - side]
-        cursor = self._cursors[side]
-        while cursor < len(log):
-            pid = log[cursor]
-            cursor += 1
-            if pid not in empt:
-                continue  # demoted or deleted: lazily dropped
-            proof = other.empty(self._coords(pid))
-            if proof is not None:
-                self._cursors[side] = cursor
-                self._set_witness(pid, side, proof)
-                return True
-        self._cursors[side] = cursor
-        return False
-
-    def _delist(self) -> None:
-        if not self._delist_side(SIDE_A):
-            self._delist_side(SIDE_B)
-
-    def insert(self, pid: int, side: int) -> None:
-        """A core point appeared (its cell log already holds it)."""
-        self.insert_many((pid,), side)
-
-    def insert_many(self, pids: Sequence[int], side: int) -> None:
-        """Core points appeared (the cell log holds them); de-lists once."""
-        if self.witness is None:
-            self._delist()
-
-    def delete(self, pid: int, side: int) -> None:
-        """A core point left (already removed from its emptiness)."""
-        self.delete_many((pid,), side)
-
-    def delete_many(self, pids: Collection[int], side: int) -> None:
-        """Core points left (already removed); repairs at most once."""
-        if self.witness is None or self.witness[side] not in pids:
-            return
-        partner = self.witness[1 - side]
-        proof = self._empt[side].empty(self._coords(partner))
-        if proof is not None:
-            self._set_witness(partner, 1 - side, proof)
-            return
-        self.witness = None
-        self._delist()
-
-
-class RescanBCP:
-    """Ablation baseline for Lemma 3: recompute the witness from scratch.
-
-    Implements the same interface and contract as :class:`ABCPInstance`,
-    but every update that could invalidate the witness rescans the smaller
-    side in full.  This is what a straightforward implementation without
-    the de-listing queue would do; the ablation benchmark shows the
-    amortized protocol winning as cells grow.
-    """
-
-    __slots__ = ("_empt", "_coords", "witness")
-
-    def __init__(
-        self,
-        empt_a: EmptinessStructure,
-        empt_b: EmptinessStructure,
-        coords: Coords,
-    ) -> None:
-        self._empt = (empt_a, empt_b)
-        self._coords = coords
-        self.witness: Optional[Tuple[int, int]] = None
-        self._rescan()
-
-    @property
-    def has_witness(self) -> bool:
-        return self.witness is not None
-
-    def _rescan(self) -> None:
-        side = SIDE_A if len(self._empt[SIDE_A]) <= len(self._empt[SIDE_B]) else SIDE_B
-        self.witness = None
-        for pid in list(self._empt[side].ids()):
-            proof = self._empt[1 - side].empty(self._coords(pid))
-            if proof is not None:
-                if side == SIDE_A:
-                    self.witness = (pid, proof)
-                else:
-                    self.witness = (proof, pid)
-                return
-
-    def insert(self, pid: int, side: int) -> None:
-        self.insert_many((pid,), side)
-
-    def insert_many(self, pids: Sequence[int], side: int) -> None:
-        if self.witness is not None:
-            return
-        other = self._empt[1 - side]
-        for pid in pids:
-            proof = other.empty(self._coords(pid))
-            if proof is not None:
-                self.witness = (pid, proof) if side == SIDE_A else (proof, pid)
-                return
-
-    def delete(self, pid: int, side: int) -> None:
-        self.delete_many((pid,), side)
-
-    def delete_many(self, pids: Collection[int], side: int) -> None:
-        if self.witness is not None and self.witness[side] in pids:
-            self._rescan()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -200,14 +201,10 @@ class PointStore(SequentialBulkMixin):
         """Store one point under the next id; returns ``(id, tuple)``.
 
         The point is checked first by the batch rule
-        (:func:`as_point_array`: a wrong dimension is a
-        :class:`ConfigError`, a non-finite coordinate a ``ValueError``),
-        so a rejected ``insert`` leaves no trace.
+        (:func:`as_point_array`: a wrong dimension or a non-finite
+        coordinate is a ``ValueError``), so a rejected ``insert`` leaves
+        no trace and fails exactly as a one-point ``insert_many`` does.
         """
-        if len(point) != self.dim:
-            raise ConfigError(
-                f"point has dimension {len(point)}, expected {self.dim}"
-            )
         pt = tuple(as_point_array([point], self.dim)[0].tolist())
         pid = self._next_id
         self._next_id += 1
@@ -218,13 +215,13 @@ class PointStore(SequentialBulkMixin):
 class GridClusterer(PointStore):
     """Common state and the shared C-group-by query algorithm.
 
-    Subclasses must maintain, per non-empty cell, an object exposing
-    ``points`` (dict id -> point), ``core`` (set of core ids),
-    ``emptiness`` (an EmptinessStructure over the core ids, or None) and
-    ``neighbors`` (set of close non-empty cells), and must implement
-    ``_cc_id`` plus the update entry points.  The inherited sequential
-    ``insert_many`` / ``delete_many`` are overridden with vectorized
-    paths by both dynamic clusterers.
+    Subclasses must maintain, per non-empty cell, an instance of their
+    ``_cell_class`` exposing ``points`` (dict id -> point), ``core`` (set
+    of core ids), ``emptiness`` (an EmptinessStructure over the core ids,
+    or None) and ``neighbors`` (set of close non-empty cells), and must
+    implement ``_cc_id`` plus the update entry points.  The inherited
+    sequential ``insert_many`` / ``delete_many`` are overridden with
+    vectorized paths by both dynamic clusterers.
 
     Queries resolve through the vectorized batch engine
     (:meth:`cgroup_by_many`): ids bucketed by cell, core points split off
@@ -816,6 +813,18 @@ class GridClusterer(PointStore):
     # ------------------------------------------------------------------
     # Cell registry helpers
     # ------------------------------------------------------------------
+
+    def _cell_for(self, cell: Cell) -> Any:
+        """The state of ``cell``, registered and neighbor-linked if new.
+
+        New cells are instances of the subclass's ``_cell_class``.
+        """
+        data = self._cells.get(cell)
+        if data is None:
+            data = self._cell_class()
+            data.neighbors = self._discover_neighbors(cell)
+            self._cells[cell] = data
+        return data
 
     def _discover_neighbors(self, cell: Cell) -> Set[Cell]:
         """Find close non-empty cells and link the caches both ways."""

@@ -11,9 +11,8 @@ short-circuit exactly as in the semi-dynamic case.
 
 Grid-graph edges are maintained by one aBCP instance (Lemma 3) per pair of
 close core cells: the edge exists exactly while the instance holds a
-witness pair.  The CC structure is pluggable — Holm–de Lichtenberg–Thorup
-dynamic connectivity by default (the paper's choice), or the naive BFS
-structure for ablation.
+witness pair, and the CC structure is Holm–de Lichtenberg–Thorup dynamic
+connectivity (the paper's choice).
 
 Updates move core points in batches of one cell: ``_promote_many`` and
 ``_demote_many`` are the only promote and demote paths (the sequential
@@ -37,31 +36,25 @@ structure happens once per queried core cell, not once per point.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.connectivity.hdt import HDTConnectivity
-from repro.connectivity.naive import NaiveConnectivity
-from repro.core.abcp import ABCPInstance, RescanBCP, SuffixABCP, SIDE_A, SIDE_B
+from repro.core.abcp import ABCPInstance, SIDE_A, SIDE_B
 from repro.core.bulk import validated_delete_pids
 from repro.core.framework import GridClusterer
-from repro.errors import ConfigError, UnknownPointError
+from repro.errors import UnknownPointError
 from repro.kernels import ball_counts, bucket_by_cell
 from repro.core.grid import Cell
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import Point
 
-Connectivity = Union[HDTConnectivity, NaiveConnectivity]
-
 
 class _FullCell:
     """State of one non-empty cell under the fully-dynamic algorithm."""
 
-    __slots__ = (
-        "points", "core", "noncore", "emptiness", "neighbors", "abcp",
-        "core_log",
-    )
+    __slots__ = ("points", "core", "noncore", "emptiness", "neighbors", "abcp")
 
     def __init__(self) -> None:
         self.points: Dict[int, Point] = {}
@@ -71,12 +64,12 @@ class _FullCell:
         self.neighbors: Set[Cell] = set()
         # Close core cell -> (shared aBCP instance, this cell's side in it).
         self.abcp: Dict[Cell, Tuple[ABCPInstance, int]] = {}
-        # Append-only promotion log (consumed by the SuffixABCP variant).
-        self.core_log: list = []
 
 
 class FullyDynamicClusterer(GridClusterer):
     """Fully-dynamic rho-double-approximate DBSCAN (O~(1) amortized updates)."""
+
+    _cell_class = _FullCell
 
     def __init__(
         self,
@@ -84,47 +77,13 @@ class FullyDynamicClusterer(GridClusterer):
         minpts: int,
         rho: float = 0.0,
         dim: int = 2,
-        connectivity: str = "hdt",
-        bcp: str = "abcp",
     ) -> None:
         super().__init__(eps, minpts, rho, dim)
-        if connectivity == "hdt":
-            self._conn: Connectivity = HDTConnectivity()
-        elif connectivity == "naive":
-            self._conn = NaiveConnectivity()
-        else:
-            raise ConfigError(
-                f"connectivity must be 'hdt' or 'naive', got {connectivity!r}"
-            )
-        if bcp == "abcp":
-            self._make_bcp = lambda a, b: ABCPInstance(
-                a.emptiness, b.emptiness, self._coords
-            )
-        elif bcp == "rescan":
-            self._make_bcp = lambda a, b: RescanBCP(
-                a.emptiness, b.emptiness, self._coords
-            )
-        elif bcp == "suffix":
-            self._make_bcp = lambda a, b: SuffixABCP(
-                a.emptiness, b.emptiness, self._coords, a.core_log, b.core_log
-            )
-        else:
-            raise ConfigError(
-                f"bcp must be 'abcp', 'rescan' or 'suffix', got {bcp!r}"
-            )
+        self._conn = HDTConnectivity()
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-
-    def _cell_for(self, cell: Cell) -> _FullCell:
-        """The state of ``cell``, registered and neighbor-linked if new."""
-        data: Optional[_FullCell] = self._cells.get(cell)  # type: ignore[assignment]
-        if data is None:
-            data = _FullCell()
-            data.neighbors = self._discover_neighbors(cell)
-            self._cells[cell] = data
-        return data
 
     def insert(self, point: Sequence[float]) -> int:
         pid, pt = self._register_point(point)
@@ -341,7 +300,6 @@ class FullyDynamicClusterer(GridClusterer):
         data.noncore.difference_update(pids)
         data.core.update(pids)
         data.emptiness.insert_many(pids, coords)
-        data.core_log.extend(pids)
         if not was_core:
             # The cell just became a core cell: join the grid graph and
             # open an aBCP instance against every close core cell.
@@ -350,7 +308,9 @@ class FullyDynamicClusterer(GridClusterer):
                 odata: _FullCell = self._cells[other]  # type: ignore[assignment]
                 if not odata.core:
                     continue
-                instance = self._make_bcp(data, odata)
+                instance = ABCPInstance(
+                    data.emptiness, odata.emptiness, self._coords
+                )
                 data.abcp[other] = (instance, SIDE_A)
                 odata.abcp[cell] = (instance, SIDE_B)
                 if instance.has_witness:
@@ -410,9 +370,7 @@ def full_exact_2d(eps: float, minpts: int) -> FullyDynamicClusterer:
 
 
 def double_approx(
-    eps: float, minpts: int, rho: float = 0.001, dim: int = 2, connectivity: str = "hdt"
+    eps: float, minpts: int, rho: float = 0.001, dim: int = 2
 ) -> FullyDynamicClusterer:
     """The paper's *Double-Approx* algorithm (rho-double-approx, any d)."""
-    return FullyDynamicClusterer(
-        eps, minpts, rho=rho, dim=dim, connectivity=connectivity
-    )
+    return FullyDynamicClusterer(eps, minpts, rho=rho, dim=dim)

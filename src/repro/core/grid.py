@@ -2,9 +2,11 @@
 
 Any two points in the same cell are within ``eps`` of each other.  Two cells
 are *close* when the minimum distance between their boundaries is at most
-the closeness threshold.  Following DESIGN.md we use a single threshold of
-``(1 + rho) * eps`` everywhere (edge candidates and core-status rechecks);
-with ``rho = 0`` this is the paper's plain eps-closeness.
+the closeness threshold.  We use a single threshold of ``(1 + rho) * eps``
+everywhere (edge candidates and core-status rechecks): every pair of points
+the relaxed definitions can relate lies within it, so one neighbor set per
+cell serves both uses.  With ``rho = 0`` this is the paper's plain
+eps-closeness.
 
 Neighbor discovery supports two strategies (ablated in the benchmarks):
 

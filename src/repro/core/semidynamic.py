@@ -52,6 +52,8 @@ class _SemiCell:
 class SemiDynamicClusterer(GridClusterer):
     """Insert-only rho-approximate DBSCAN with O~(1) amortized insertion."""
 
+    _cell_class = _SemiCell
+
     def __init__(
         self,
         eps: float,
@@ -70,11 +72,7 @@ class SemiDynamicClusterer(GridClusterer):
     def insert(self, point: Sequence[float]) -> int:
         pid, pt = self._register_point(point)
         cell = self._grid.cell_of(pt)
-        data = self._cells.get(cell)
-        if data is None:
-            data = _SemiCell()
-            data.neighbors = self._discover_neighbors(cell)
-            self._cells[cell] = data
+        data = self._cell_for(cell)
         data.points[pid] = pt
         data.noncore.add(pid)
 
@@ -129,11 +127,7 @@ class SemiDynamicClusterer(GridClusterer):
         buckets = bucket_by_cell(arr, self._grid.side)
         new_in_cell: Dict[Cell, np.ndarray] = {}
         for cell, idxs in buckets:
-            data: Optional[_SemiCell] = self._cells.get(cell)  # type: ignore[assignment]
-            if data is None:
-                data = _SemiCell()
-                data.neighbors = self._discover_neighbors(cell)
-                self._cells[cell] = data
+            data = self._cell_for(cell)
             for i in idxs.tolist():
                 pid = id_list[i]
                 data.points[pid] = tuples[i]

@@ -14,8 +14,8 @@ The hierarchy:
 * :class:`ReproError` — root of everything the library diagnoses.
 
   * :class:`ConfigError` — invalid construction-time parameters:
-    non-positive ``eps``, ``minpts < 1``, negative ``rho``, a point of
-    the wrong dimension, an unknown algorithm / backend / strategy.
+    non-positive ``eps``, ``minpts < 1``, negative ``rho``, an unknown
+    algorithm / backend / strategy.
     All constructor and :class:`repro.api.EngineConfig` validation
     raises this, so "is this configuration valid?" is one ``except``.
   * :class:`UnknownPointError` — an operation referenced a point id

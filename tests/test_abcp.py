@@ -7,7 +7,7 @@ from typing import Dict
 
 import pytest
 
-from repro.core.abcp import ABCPInstance, RescanBCP, SuffixABCP, SIDE_A, SIDE_B
+from repro.core.abcp import ABCPInstance, SIDE_A, SIDE_B
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import sq_dist
 
@@ -39,8 +39,8 @@ class Harness:
         self.empt[side].delete(pid)
         return side
 
-    def make(self, cls=ABCPInstance):
-        return cls(self.empt[0], self.empt[1], self.coords.__getitem__)
+    def make(self) -> ABCPInstance:
+        return ABCPInstance(self.empt[0], self.empt[1], self.coords.__getitem__)
 
     def exists_tight_pair(self) -> bool:
         sq_eps = self.eps * self.eps
@@ -183,30 +183,6 @@ class TestRandomizedContract:
                 inst.insert(pid, side)
             h.check_contract(inst)
 
-    @pytest.mark.parametrize("cls", [ABCPInstance, RescanBCP])
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_rescan_baseline_same_contract(self, cls, seed):
-        """The ablation baseline must satisfy the identical contract."""
-        rng = random.Random(seed)
-        h = Harness(eps=1.0, rho=0.0)
-        for _ in range(4):
-            h.add(SIDE_A, (rng.uniform(0, 1), rng.uniform(0, 2)))
-            h.add(SIDE_B, (rng.uniform(1.2, 2.2), rng.uniform(0, 2)))
-        inst = h.make(cls)
-        h.check_contract(inst)
-        for _ in range(250):
-            live = list(h.side_of)
-            if live and rng.random() < 0.5:
-                pid = rng.choice(live)
-                side = h.remove(pid)
-                inst.delete(pid, side)
-            else:
-                side = rng.randrange(2)
-                x = rng.uniform(0, 1) if side == SIDE_A else rng.uniform(1.2, 2.2)
-                pid = h.add(side, (x, rng.uniform(0, 2)))
-                inst.insert(pid, side)
-            h.check_contract(inst)
-
     def test_amortized_queries_bounded(self):
         """Each point should be de-listed at most once: the pending queue
         never grows beyond total insertions."""
@@ -233,22 +209,15 @@ class TestBatchUpdates:
     """``insert_many`` / ``delete_many``: one repair per batch, and the
     witness exists exactly while a pair within eps does (rho = 0)."""
 
-    def _make(self, h: Harness, cls, logs):
-        if cls is SuffixABCP:
-            return cls(h.empt[0], h.empt[1], h.coords.__getitem__, *logs)
-        return h.make(cls)
-
-    @pytest.mark.parametrize("cls", [ABCPInstance, SuffixABCP, RescanBCP])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_batches_track_exact_pair_existence(self, cls, seed):
+    def test_batches_track_exact_pair_existence(self, seed):
         rng = random.Random(seed)
         h = Harness(eps=1.0, rho=0.0)
-        logs = ([], [])
         for _ in range(rng.randrange(8)):
             side = rng.randrange(2)
             x = rng.uniform(0, 1) if side == SIDE_A else rng.uniform(1.2, 2.2)
-            logs[side].append(h.add(side, (x, rng.uniform(0, 2))))
-        inst = self._make(h, cls, logs)
+            h.add(side, (x, rng.uniform(0, 2)))
+        inst = h.make()
         assert inst.has_witness == h.exists_tight_pair()
         for _ in range(120):
             side = rng.randrange(2)
@@ -263,7 +232,6 @@ class TestBatchUpdates:
                 for _ in range(rng.randint(1, 5)):
                     x = rng.uniform(0, 1) if side == SIDE_A else rng.uniform(1.2, 2.2)
                     new.append(h.add(side, (x, rng.uniform(0, 2))))
-                logs[side].extend(new)
                 inst.insert_many(new, side)
             h.check_contract(inst)
             assert inst.has_witness == h.exists_tight_pair()

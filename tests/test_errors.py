@@ -61,7 +61,7 @@ class TestHierarchy:
 
 
 class TestConstructorValidation:
-    """eps <= 0, minpts < 1, rho < 0, dim mismatch: each a ConfigError."""
+    """eps <= 0, minpts < 1, rho < 0: each a ConfigError."""
 
     @pytest.mark.parametrize("cls", ALL_CLUSTERERS)
     @pytest.mark.parametrize("eps", (0.0, -3.5))
@@ -82,17 +82,28 @@ class TestConstructorValidation:
         with pytest.raises(ConfigError, match="rho must be non-negative"):
             cls(1.0, 10, rho=-0.001)
 
-    @pytest.mark.parametrize("cls", ALL_CLUSTERERS)
-    def test_dim_mismatch_on_insert(self, cls):
-        algo = cls(1.0, 3, dim=2)
-        with pytest.raises(ConfigError, match="dimension"):
-            algo.insert((1.0, 2.0, 3.0))
-
-    def test_bad_connectivity_and_bcp(self):
-        with pytest.raises(ConfigError, match="connectivity"):
-            FullyDynamicClusterer(1.0, 10, connectivity="psychic")
-        with pytest.raises(ConfigError, match="bcp"):
-            FullyDynamicClusterer(1.0, 10, bcp="oracle")
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"algorithm": name} for name in ALGORITHM_CHOICES]
+        + [{"algorithm": "full-exact", "shards": 2, "shard_executor": "serial"}],
+        ids=list(ALGORITHM_CHOICES) + ["sharded"],
+    )
+    def test_dim_mismatch_on_insert(self, knobs):
+        """A wrong-dimension point is bad data, not configuration: every
+        insert path refuses it with the same ``ValueError`` and stores
+        nothing."""
+        failures = []
+        for call in ("insert", "insert_many"):
+            with repro.api.open(eps=1.0, minpts=3, dim=2, **knobs) as engine:
+                point = (1.0, 2.0, 3.0)
+                arg = point if call == "insert" else [point]
+                with pytest.raises(ValueError) as info:
+                    getattr(engine, call)(arg)
+                assert len(engine) == 0
+            failures.append((type(info.value), str(info.value)))
+        assert failures[0] == failures[1]
+        assert failures[0][0] is ValueError
+        assert "expected (n, 2)" in failures[0][1]
 
     def test_unknown_backend(self):
         """Neither the kernel backend nor the fragment cache is a knob:

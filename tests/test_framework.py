@@ -92,7 +92,7 @@ class TestFactories:
         assert (b.rho, b.dim) == (0.01, 5)
         c = full_exact_2d(5.0, 7)
         assert (c.eps, c.minpts, c.rho, c.dim) == (5.0, 7, 0.0, 2)
-        d = double_approx(5.0, 7, rho=0.01, dim=3, connectivity="naive")
+        d = double_approx(5.0, 7, rho=0.01, dim=3)
         assert (d.rho, d.dim) == (0.01, 3)
 
     def test_high_dim_smoke(self):

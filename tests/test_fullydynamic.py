@@ -39,10 +39,6 @@ class TestBasics:
         with pytest.raises(KeyError):
             algo.delete(pid)
 
-    def test_invalid_connectivity_rejected(self):
-        with pytest.raises(ValueError):
-            FullyDynamicClusterer(1.0, 3, connectivity="bogus")
-
     def test_cluster_split_on_delete(self):
         """Deleting a bridge point splits one cluster into two (Fig 1)."""
         algo = FullyDynamicClusterer(1.0, 2, rho=0.0, dim=1)
@@ -137,36 +133,17 @@ class TestExactEquivalence:
                 ref = dbscan_brute([live[k] for k in keys], 2.0, 4)
                 assert_matches_static(algo.clusters(), idmap, ref)
 
-    @pytest.mark.parametrize("bcp", ["abcp", "rescan", "suffix"])
-    def test_bcp_variants_agree_with_static(self, bcp):
-        rng = random.Random(23)
-        pts = clustered_points(90, 2, seed=23)
-        algo = FullyDynamicClusterer(2.0, 4, rho=0.0, dim=2, bcp=bcp)
+    @pytest.mark.parametrize("seed, every", [(23, 3), (11, 4)])
+    def test_heavy_churn_agrees_with_static(self, seed, every):
+        """One deletion every ``every`` insertions: witnesses are lost
+        and repaired often, and the clustering stays exact."""
+        rng = random.Random(seed)
+        pts = clustered_points(90, 2, seed=seed)
+        algo = FullyDynamicClusterer(2.0, 4, rho=0.0, dim=2)
         live = {}
         for i, p in enumerate(pts):
             live[algo.insert(p)] = p
-            if i % 3 == 2:
-                victim = rng.choice(sorted(live))
-                algo.delete(victim)
-                del live[victim]
-        keys = sorted(live)
-        idmap = {pid: i for i, pid in enumerate(keys)}
-        ref = dbscan_brute([live[k] for k in keys], 2.0, 4)
-        assert_matches_static(algo.clusters(), idmap, ref)
-
-    def test_invalid_bcp_rejected(self):
-        with pytest.raises(ValueError):
-            FullyDynamicClusterer(1.0, 3, bcp="bogus")
-
-    @pytest.mark.parametrize("connectivity", ["hdt", "naive"])
-    def test_connectivity_backends_agree(self, connectivity):
-        rng = random.Random(11)
-        pts = clustered_points(90, 2, seed=11)
-        algo = FullyDynamicClusterer(2.0, 4, rho=0.0, dim=2, connectivity=connectivity)
-        live = {}
-        for i, p in enumerate(pts):
-            live[algo.insert(p)] = p
-            if i % 4 == 3:
+            if i % every == every - 1:
                 victim = rng.choice(sorted(live))
                 algo.delete(victim)
                 del live[victim]

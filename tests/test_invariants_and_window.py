@@ -23,13 +23,10 @@ class TestInvariantAuditor:
         assert check_invariants(algo) == []
 
     @pytest.mark.parametrize("rho", [0.0, 0.1])
-    @pytest.mark.parametrize("connectivity", ["hdt", "naive"])
-    def test_healthy_throughout_churn(self, rho, connectivity):
+    def test_healthy_throughout_churn(self, rho):
         rng = random.Random(5)
         pts = clustered_points(100, 2, seed=5)
-        algo = FullyDynamicClusterer(
-            2.0, 4, rho=rho, dim=2, connectivity=connectivity
-        )
+        algo = FullyDynamicClusterer(2.0, 4, rho=rho, dim=2)
         live = []
         for i, p in enumerate(pts):
             live.append(algo.insert(p))

@@ -78,7 +78,7 @@ def _run_kernels():
         sum(p is not None for p in proofs),
     )
     buckets, t = _timed(lambda: kernels.bucket_by_cell(a, 0.5))
-    rows["bucket_by_cell"] = (N / t, len(buckets))
+    rows["bucket_by_cell"] = (N / t, len(buckets.cells))
     cells = np.floor(a / 0.5).astype(np.int64)
     keys, t = _timed(lambda: kernels.pack_cell_keys(cells))
     rows["pack_cell_keys"] = (N / t, int(keys.max()))

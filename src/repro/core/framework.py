@@ -22,6 +22,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -78,12 +79,17 @@ class CGroupByResult:
 
 #: At or below this many queried ids ``cgroup_by_many`` routes through the
 #: scalar path: the engine's fixed vectorization overhead (id dedup,
-#: coordinate array build, cell bucketing) dominates small queries.  The
-#: measured crossover on 2d seed-spreader data is ~180 ids; the cutoff sits
-#: below it because the crossover shrinks with the core fraction and the
-#: dimension (scalar probes get dearer, the fixed overhead does not), and
-#: in the 128-180 band the two paths are within ~10% of each other.
-_SEQUENTIAL_QUERY_CUTOFF = 128
+#: coordinate array build, cell bucketing, one loop step per bucket)
+#: dominates small queries.  Measured on 20k-point seed-spreader data in
+#: 2d and 3d, both grid clusterers, the crossover is ~96-112 ids at the
+#: default eps (every cell fully core, several ids per bucket), ~48-64
+#: ids at a 44-62% core fraction (scalar probes are dear), and ~160-200
+#: ids when every queried id sits alone in an all-core cell.  96 keeps
+#: the worst loss of either path below ~1.5x across the three regimes.
+_SEQUENTIAL_QUERY_CUTOFF = 96
+
+#: The empty int64 id array.
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 #: Rounding margins of :meth:`GridClusterer._ball_count`'s box tests: the
 #: box pad relative to the point's coordinate in cell units (thousands of
@@ -126,26 +132,68 @@ def canonical_cgroup_result(
 
 
 def assemble_groups(
-    parts_by_group: Iterable[List[np.ndarray]],
+    members: np.ndarray, counts: np.ndarray, labels: np.ndarray
 ) -> List[List[int]]:
-    """Canonical groups from per-group lists of id-array parts.
+    """Canonical groups from flat, labelled id parts.
 
-    The array twin of :func:`canonical_cgroup_result` for the batched
-    paths: each group's parts are concatenated, sorted and deduplicated
-    (a border point may be granted by several parts of one group), and
-    the groups come back in lexicographic order.  Sorting each group on
-    its own is far cheaper than one lexicographic sort over
-    ``(group, id)`` pairs at snapshot sizes.
+    The one group assembler of the batched paths: the engine's
+    C-group-by (:meth:`GridClusterer.cgroup_by_many`), its ``Q = P``
+    snapshot (:meth:`GridClusterer.clusters`) and the shard router's
+    merge.  The parts' ids lie back to back in ``members``; part ``i``
+    holds ``counts[i]`` ids and joins group ``labels[i]`` (a
+    non-negative int64).  An id may sit in parts of several groups (a
+    border point in several clusters) and in several parts of one
+    group.  One sort of packed ``(label, id)`` keys groups the ids,
+    orders them within each group and drops the repeats, so a query
+    pays one sort however many groups it touches.  Groups come back in
+    lexicographic order: the array twin of
+    :func:`canonical_cgroup_result`.
     """
-    groups = []
-    for parts in parts_by_group:
-        merged = sorted_unique(
-            parts[0] if len(parts) == 1 else np.concatenate(parts)
-        )
-        if len(merged):
-            groups.append(merged.tolist())
+    if not len(members):
+        return []
+    count = int(labels.max()) + 1
+    lo = int(members.min())
+    ranks = None
+    shift = (int(members.max()) - lo).bit_length()
+    if count << shift >= 2**63:
+        # Ids too spread to pack beside the labels: pack their ranks.
+        ranks = sorted_unique(members)
+        members = np.searchsorted(ranks, members)
+        lo, shift = 0, (len(ranks) - 1).bit_length()
+    # Full-size passes run in place: at snapshot sizes the temporaries,
+    # not the sort, decide whether this keeps up with sorting each group
+    # on its own.
+    keys = np.repeat((labels << shift) - lo, counts)
+    keys += members
+    keys.sort()
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        keys = np.concatenate([keys[:1], keys[1:][~repeat]])
+    bounds = np.searchsorted(keys, np.arange(count + 1) << shift).tolist()
+    keys &= (1 << shift) - 1
+    keys += lo
+    ids = keys if ranks is None else ranks[keys]
+    groups = [ids[a:b].tolist() for a, b in zip(bounds, bounds[1:]) if b > a]
     groups.sort()
     return groups
+
+
+class _Parts(NamedTuple):
+    """Flat membership parts inside the engine.
+
+    The form :class:`repro.core.bulk.MembershipFragments` takes before
+    it leaves the engine: part ``i`` holds ``counts[i]`` ids of
+    ``members`` (back to back) granted by the core cell ``cells[i]``,
+    a tuple here, so labelling parts by component needs no array
+    round trip.  ``unmatched`` and ``probes`` are the resolution's
+    unresolved ids and its open ``(pid, cell)`` decisions.
+    """
+
+    members: np.ndarray
+    counts: np.ndarray
+    cells: List[Cell]
+    unmatched: List[int]
+    probes: List[Tuple[int, Cell]]
 
 
 @dataclass
@@ -224,12 +272,14 @@ class GridClusterer(PointStore):
     vectorized paths by both dynamic clusterers.
 
     Queries resolve through the vectorized batch engine
-    (:meth:`cgroup_by_many`): ids bucketed by cell, core points split off
-    with set operations, non-core points resolved per close core cell via
-    batched emptiness calls.  ``cgroup_by`` is a thin wrapper over it;
-    ``clusters()`` runs the same per-cell resolution over every cell
-    (:meth:`_walk_fragments`); :meth:`cgroup_by_sequential` keeps the
-    point-at-a-time reference.
+    (:meth:`cgroup_by_many`): ids bucketed by cell in CSR form, each
+    fully-core bucket taken whole as one slice of the cell-sorted ids,
+    and only mixed or non-core buckets resolved per close core cell via
+    batched emptiness calls (:meth:`_query_fragments`).  ``cgroup_by``
+    is a thin wrapper over it; ``clusters()`` runs the per-cell
+    resolution over every cell (:meth:`_walk_fragments`); both label
+    their parts by component and share :func:`assemble_groups`.
+    :meth:`cgroup_by_sequential` keeps the point-at-a-time reference.
     """
 
     def __init__(
@@ -367,14 +417,18 @@ class GridClusterer(PointStore):
         """Vectorized C-group-by: resolve a whole batch of ids at once.
 
         The queried ids are bucketed by grid cell with one vectorized
-        floor.  Core points split off with pure set operations (their
-        cluster id is just ``_cc_id`` of their cell); all non-core points
-        of a cell are then resolved against each close core cell with one
+        floor (:func:`repro.kernels.bucket_by_cell`, CSR form).  A
+        bucket whose cell is fully core is one slice of the cell-sorted
+        id array, labelled by ``_cc_id`` of its cell, with no per-point
+        or per-bucket array work; the non-core points of every other
+        bucket are resolved against each close core cell with one
         batched emptiness call (``empty_many``) instead of per-point
-        probes.  CC-id resolutions are memoized per query, and a
-        probe against a component the point already belongs to is skipped
-        (the answer could not change the result — the same optimization
-        the GUM update paths use).
+        probes (:meth:`_query_fragments`).  CC-id resolutions are
+        memoized per query, and a probe against a component the point
+        already belongs to is skipped (the answer could not change the
+        result — the same optimization the GUM update paths use).  The
+        labelled parts become groups in one :func:`assemble_groups`
+        sort.
 
         With ``rho = 0`` every primitive is exact and the result is
         identical to per-point resolution; with ``rho > 0`` each
@@ -412,85 +466,113 @@ class GridClusterer(PointStore):
     ) -> CGroupByResult:
         """Resolve pre-validated ``(ids, coords)`` query arrays.
 
-        ``pid_arr`` must hold distinct live ids.  Group membership is
-        accumulated as id-array parts per CC id and assembled once at
-        the end (:func:`assemble_groups`), so fully-core cells (the
-        common case on clustered data) contribute one slice each with
-        no per-point Python work.
+        ``pid_arr`` must hold distinct live ids.  The query's flat
+        membership parts (:meth:`_query_fragments`) are labelled by
+        the component of their granting cell and assembled once
+        (:func:`assemble_groups`).
         """
         cc = self._memoized_cc()
-        group_parts, noise = self._group_by_component(
-            self._query_fragments(pid_arr, arr, cc=cc), cc
-        )
+        parts = self._query_fragments(pid_arr, arr, cc=cc)
         return CGroupByResult(
-            groups=assemble_groups(group_parts.values()), noise=sorted(noise)
+            groups=self._component_groups(parts, cc),
+            noise=sorted(parts.unmatched),
         )
 
-    def _memoized_cc(self) -> Callable[[Cell], Hashable]:
-        """``_cc_id`` memoized for one query (components are fixed then)."""
-        memo: Dict[Cell, Hashable] = {}
+    def _memoized_cc(self) -> Callable[[Cell], int]:
+        """Dense component labels of core cells for one query.
+
+        ``cc(cell)`` numbers the components of ``_cc_id`` from 0 in
+        order of first use, memoized per cell: components are fixed
+        during a query, so equal labels mean equal components.
+        """
+        memo: Dict[Cell, int] = {}
+        dense: Dict[Hashable, int] = {}
         cc_of = self._cc_id
 
-        def cc(cell: Cell) -> Hashable:
-            cid = memo.get(cell)
-            if cid is None:
-                cid = memo[cell] = cc_of(cell)
-            return cid
+        def cc(cell: Cell) -> int:
+            label = memo.get(cell)
+            if label is None:
+                label = memo[cell] = dense.setdefault(cc_of(cell), len(dense))
+            return label
 
         return cc
 
     @staticmethod
-    def _group_by_component(
-        frags: Iterable[CellFragment], cc: Callable[[Cell], Hashable]
-    ) -> Tuple[Dict[Hashable, List[np.ndarray]], List[int]]:
-        """Fragment parts keyed by the component of their granting cell."""
-        group_parts: Dict[Hashable, List[np.ndarray]] = {}
-        noise: List[int] = []
-        for frag in frags:
-            for gcell, member_ids in frag.members.items():
-                group_parts.setdefault(cc(gcell), []).append(member_ids)
-            noise.extend(frag.noise)
-        return group_parts, noise
+    def _component_groups(
+        parts: _Parts, cc: Callable[[Cell], int]
+    ) -> List[List[int]]:
+        """Canonical groups of flat parts: each part joins the group of
+        its granting cell's component (``cc``, see :meth:`_memoized_cc`)."""
+        labels = np.fromiter(
+            map(cc, parts.cells), dtype=np.int64, count=len(parts.cells)
+        )
+        return assemble_groups(parts.members, parts.counts, labels)
 
     def _query_fragments(
         self,
         pid_arr: np.ndarray,
         arr: np.ndarray,
         trust: Optional[Callable[[Cell], bool]] = None,
-        cc: Optional[Callable[[Cell], Hashable]] = None,
-    ) -> Iterator[CellFragment]:
-        """One granting-cell-keyed fragment per cell bucket of a query.
+        cc: Optional[Callable[[Cell], int]] = None,
+    ) -> _Parts:
+        """The flat membership parts of a query, one set per cell bucket.
 
         The engine behind every batched resolution of an explicit id
         set (``pid_arr`` distinct and live, ``arr`` their coordinates).
+        The ids are bucketed by cell in CSR form and reordered once by
+        cell.  A bucket whose cell is fully core is one part as it
+        stands: its slice of the reordered ids, granted by its own
+        cell; all such parts are gathered with one mask.  Only mixed
+        and non-core buckets are resolved (:meth:`_resolve_cell_fragment`).
+
         ``trust`` restricts which cells this resolver may decide
         against — a close cell failing it is not probed, and every
         non-core query id of the bucket is emitted as a ``(pid, cell)``
         probe for the caller to settle against the cell owner's
         authoritative core set.  Queried ids always live in trusted
-        cells (the shard router routes each id to its owner).
+        cells (the shard router routes each id to its owner), and a
+        fully-core bucket probes nothing.
 
-        *Cell-complete* buckets (the query covers every live point of
-        the cell) are served from / stored into the fragment cache;
-        partial buckets recompute and bypass it, and when ``cc`` (the
-        memoized component of a core cell) is given they skip probes
-        against components a point already holds.
+        *Cell-complete* mixed or non-core buckets (the query covers
+        every live point of the cell) are served from / stored into the
+        fragment cache; partial buckets recompute and bypass it, and
+        when ``cc`` (the memoized component of a core cell) is given
+        they skip probes against components a point already holds.
         """
+        cells, offsets, order = bucket_by_cell(arr, self._grid.side)
+        ids = pid_arr[order]
+        bounds = offsets.tolist()
+        registry = self._cells
         cache = self._fragments
         cache.begin(trust)
-        for cell, idxs in bucket_by_cell(arr, self._grid.side):
-            data = self._cells[cell]
-            cell_ids = pid_arr[idxs]
-            cacheable = len(cell_ids) == len(data.points)  # type: ignore[attr-defined]
+        whole: List[bool] = []
+        whole_cells: List[Cell] = []
+        frags: List[CellFragment] = []
+        for k, cell in enumerate(map(tuple, cells.tolist())):
+            data = registry[cell]
+            size = len(data.points)  # type: ignore[attr-defined]
+            if len(data.core) == size:  # type: ignore[attr-defined]
+                whole.append(True)
+                whole_cells.append(cell)
+                continue
+            whole.append(False)
+            lo, hi = bounds[k], bounds[k + 1]
+            cacheable = hi - lo == size
             frag = cache.lookup_membership(cell) if cacheable else None
             if frag is None:
                 frag = self._resolve_cell_fragment(
-                    cell, data, cell_ids, lambda idxs=idxs: arr[idxs], trust,
+                    cell, data, ids[lo:hi],
+                    lambda rows=order[lo:hi]: arr[rows], trust,
                     None if cacheable else cc,
                 )
                 if cacheable:
                     cache.store_membership(cell, frag)
-            yield frag
+            frags.append(frag)
+        full = np.array(whole, dtype=bool)
+        counts = np.diff(offsets)
+        return self._flat_fragments(
+            frags, (ids[np.repeat(full, counts)], counts[full], whole_cells)
+        )
 
     def _walk_fragments(
         self, trust: Optional[Callable[[Cell], bool]] = None
@@ -530,7 +612,7 @@ class GridClusterer(PointStore):
         cell_ids: np.ndarray,
         cell_coords: Callable[[], np.ndarray],
         trust: Optional[Callable[[Cell], bool]],
-        cc: Optional[Callable[[Cell], Hashable]] = None,
+        cc: Optional[Callable[[Cell], int]] = None,
     ) -> CellFragment:
         """Resolve one cell bucket into a granting-cell-keyed fragment.
 
@@ -653,47 +735,59 @@ class GridClusterer(PointStore):
         resolves, exactly like the query paths.
         """
         if pids is None:
-            return self._flat_fragments(self._walk_fragments(trust))
-        pid_arr = sorted_unique(
-            np.asarray(
-                pids if isinstance(pids, np.ndarray) else list(pids),
-                dtype=np.int64,
+            parts = self._flat_fragments(self._walk_fragments(trust))
+        else:
+            pid_arr = sorted_unique(
+                np.asarray(
+                    pids if isinstance(pids, np.ndarray) else list(pids),
+                    dtype=np.int64,
+                )
             )
-        )
-        return self._flat_fragments(
-            self._query_fragments(
+            parts = self._query_fragments(
                 pid_arr, self._query_coords(pid_arr), trust=trust
             )
+        dim = self.dim
+        probes = parts.probes
+        return MembershipFragments(
+            members=parts.members,
+            cells=np.array(parts.cells, dtype=np.int64).reshape(-1, dim),
+            counts=parts.counts,
+            unmatched=np.array(parts.unmatched, dtype=np.int64),
+            probe_ids=np.array([pid for pid, _ in probes], dtype=np.int64),
+            probe_cells=np.array(
+                [cell for _, cell in probes], dtype=np.int64
+            ).reshape(-1, dim),
         )
 
+    @staticmethod
     def _flat_fragments(
-        self, frags: Iterable[CellFragment]
-    ) -> MembershipFragments:
-        """Concatenate cell fragments into the flat array record."""
-        parts: List[np.ndarray] = []
-        cells: List[Cell] = []
+        frags: Iterable[CellFragment],
+        head: Optional[Tuple[np.ndarray, np.ndarray, List[Cell]]] = None,
+    ) -> _Parts:
+        """Concatenate cell fragments into flat parts.
+
+        ``head`` optionally gives parts that are flat already, as
+        ``(members, counts, cells)``; they lead the result.
+        """
+        if head is None:
+            head = (_NO_IDS, _NO_IDS, [])
+        members, counts, head_cells = head
+        parts: List[np.ndarray] = [members]
+        cells: List[Cell] = list(head_cells)
         unmatched: List[int] = []
-        probe_ids: List[int] = []
-        probe_cells: List[Cell] = []
+        probes: List[Tuple[int, Cell]] = []
         for frag in frags:
             cells.extend(frag.members)
             parts.extend(frag.members.values())
             unmatched.extend(frag.noise)
-            for pid, cell in frag.probes:
-                probe_ids.append(pid)
-                probe_cells.append(cell)
-        dim = self.dim
-        return MembershipFragments(
-            members=(
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            ),
-            cells=np.array(cells, dtype=np.int64).reshape(-1, dim),
-            counts=np.fromiter(
-                map(len, parts), dtype=np.int64, count=len(parts)
-            ),
-            unmatched=np.array(unmatched, dtype=np.int64),
-            probe_ids=np.array(probe_ids, dtype=np.int64),
-            probe_cells=np.array(probe_cells, dtype=np.int64).reshape(-1, dim),
+            probes.extend(frag.probes)
+        sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        return _Parts(
+            members=np.concatenate(parts),
+            counts=np.concatenate([counts, sizes[1:]]),
+            cells=cells,
+            unmatched=unmatched,
+            probes=probes,
         )
 
     def gum_edge_fragment(
@@ -790,11 +884,10 @@ class GridClusterer(PointStore):
         """
         if not self._points:
             return Clustering()
-        group_parts, noise = self._group_by_component(
-            self._walk_fragments(), self._memoized_cc()
-        )
+        parts = self._flat_fragments(self._walk_fragments())
         return Clustering(
-            clusters=assemble_groups(group_parts.values()), noise=sorted(noise)
+            clusters=self._component_groups(parts, self._memoized_cc()),
+            noise=sorted(parts.unmatched),
         )
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:

@@ -146,17 +146,22 @@ class FullyDynamicClusterer(GridClusterer):
         id_list = ids.tolist()
         minpts = self.minpts
 
-        buckets = bucket_by_cell(arr, self._grid.side)
-        for cell, idxs in buckets:
+        cells, offsets, order = bucket_by_cell(arr, self._grid.side)
+        bounds = offsets.tolist()
+        rows = order.tolist()
+        touched = list(map(tuple, cells.tolist()))
+        for k, cell in enumerate(touched):
             data = self._cell_for(cell)
-            items = [(id_list[i], tuples[i]) for i in idxs.tolist()]
+            items = [
+                (id_list[i], tuples[i]) for i in rows[bounds[k]:bounds[k + 1]]
+            ]
             data.points.update(items)
             data.noncore.update(pid for pid, _ in items)
 
         # The batch can only create core points in the affected cells and
         # their close cells; recheck every non-core point there.
-        recheck = {cell for cell, _ in buckets}
-        for cell, _ in buckets:
+        recheck = set(touched)
+        for cell in touched:
             recheck |= self._cells[cell].neighbors  # type: ignore[attr-defined]
         coords_cache: Dict[Cell, np.ndarray] = {}
         for cell in sorted(recheck):
@@ -174,7 +179,7 @@ class FullyDynamicClusterer(GridClusterer):
                     continue
                 noncore, q_arr = noncore[chosen], q_arr[chosen]
             self._promote_many(noncore.tolist(), q_arr, cell, data)
-        self._touch_cells([cell for cell, _ in buckets])
+        self._touch_cells(touched)
         return id_list
 
     def delete_many(self, pids: Iterable[int]) -> None:
@@ -192,16 +197,19 @@ class FullyDynamicClusterer(GridClusterer):
         pid_list = validated_delete_pids(pids, self._points)
         if not pid_list:
             return
-        pid_arr = np.asarray(pid_list, dtype=np.int64)
-        buckets = bucket_by_cell(self._stored_coords(pid_list), self._grid.side)
-        affected = [cell for cell, _ in buckets]
+        cells, offsets, order = bucket_by_cell(
+            self._stored_coords(pid_list), self._grid.side
+        )
+        bounds = offsets.tolist()
+        by_cell = np.asarray(pid_list, dtype=np.int64)[order].tolist()
+        affected = list(map(tuple, cells.tolist()))
         # Invalidate before any removal: emptied cells are unlinked below,
         # and the rings need the neighbor links still intact.
         self._touch_cells(affected)
-        for cell, idxs in buckets:
+        for k, cell in enumerate(affected):
             data: _FullCell = self._cells[cell]  # type: ignore[assignment]
             core_gone: List[int] = []
-            for pid in pid_arr[idxs].tolist():
+            for pid in by_cell[bounds[k]:bounds[k + 1]]:
                 del data.points[pid]
                 if pid in data.core:
                     core_gone.append(pid)

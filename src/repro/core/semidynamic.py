@@ -124,15 +124,16 @@ class SemiDynamicClusterer(GridClusterer):
 
         # Bucket into cells; create missing cells in lexicographic order
         # (discovery back-links keep every neighbor cache complete).
-        buckets = bucket_by_cell(arr, self._grid.side)
+        cells, offsets, order = bucket_by_cell(arr, self._grid.side)
+        bounds = offsets.tolist()
         new_in_cell: Dict[Cell, np.ndarray] = {}
-        for cell, idxs in buckets:
+        for k, cell in enumerate(map(tuple, cells.tolist())):
+            idxs = new_in_cell[cell] = order[bounds[k]:bounds[k + 1]]
             data = self._cell_for(cell)
             for i in idxs.tolist():
                 pid = id_list[i]
                 data.points[pid] = tuples[i]
                 data.noncore.add(pid)
-            new_in_cell[cell] = idxs
 
         coords_cache: Dict[Cell, np.ndarray] = {}
         promote_by_cell: Dict[Cell, List[int]] = {}
@@ -140,7 +141,7 @@ class SemiDynamicClusterer(GridClusterer):
         # Core status of the new points: dense cells short-circuit (every
         # member is core); sparse cells get exact ball counts from one
         # distance matrix against the full cell-neighborhood.
-        for cell, idxs in buckets:
+        for cell, idxs in new_in_cell.items():
             data = self._cells[cell]  # type: ignore[assignment]
             if len(data.points) >= minpts:
                 promote_by_cell[cell] = sorted(data.noncore)

@@ -24,12 +24,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels import registry
-from repro.kernels.interface import KERNEL_NAMES, MAX_BLOCK_BYTES, Cell
+from repro.kernels.interface import (
+    KERNEL_NAMES,
+    MAX_BLOCK_BYTES,
+    Cell,
+    CellBuckets,
+)
 
 __all__ = [
     "KERNEL_NAMES",
     "MAX_BLOCK_BYTES",
     "Cell",
+    "CellBuckets",
     "active_backend_name",
     "as_point_array",
     "distance_matrix",
@@ -85,8 +91,9 @@ def find_within_many(
     return registry.get_kernel("find_within_many")(qs, ids, pts, sq_radius)
 
 
-def bucket_by_cell(arr: np.ndarray, side: float) -> List[Tuple[Cell, np.ndarray]]:
-    """Group rows by grid cell: lexicographic cells, ascending indices."""
+def bucket_by_cell(arr: np.ndarray, side: float) -> CellBuckets:
+    """Group rows by grid cell, in CSR form: lexicographic ``cells``,
+    bucket ``offsets`` and the stable cell ``order`` of the rows."""
     return registry.get_kernel("bucket_by_cell")(arr, side)
 
 

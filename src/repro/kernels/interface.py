@@ -34,9 +34,16 @@ Kernel contracts
     an int64 array.  Proofs are the lowest-index match
     (deterministic); membership decisions are exact.
 
-``bucket_by_cell(arr, side) -> list[(cell, indices)]``
-    Group point rows by grid cell via vectorized flooring, cells in
-    lexicographic order, indices ascending within each cell.
+``bucket_by_cell(arr, side) -> CellBuckets(cells, offsets, order)``
+    Group point rows by grid cell via vectorized flooring, in CSR form:
+    ``cells`` is the ``(k, dim)`` int64 array of the distinct cells in
+    lexicographic order, ``offsets`` the ``(k + 1,)`` int64 bucket
+    bounds, and ``order`` the ``(n,)`` int64 row indices sorted stably
+    by cell, so ``order[offsets[i]:offsets[i + 1]]`` are the rows of
+    ``cells[i]``, ascending.  The flooring equals
+    :meth:`repro.core.grid.Grid.cell_of` on every row, negative
+    coordinates included.  Empty input gives ``k = 0`` and
+    ``offsets == [0]``.
 
 ``pack_cell_keys(cells) -> Optional[(n,) int64]``
     Row-major monotone packing of integer cell rows into flat scalar
@@ -62,9 +69,19 @@ consult it *at call time* so tests (and operators) can shrink it.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
+
+import numpy as np
 
 Cell = Tuple[int, ...]
+
+
+class CellBuckets(NamedTuple):
+    """The CSR result of ``bucket_by_cell`` (see the contract above)."""
+
+    cells: np.ndarray
+    offsets: np.ndarray
+    order: np.ndarray
 
 #: Every kernel the dispatch layer exposes, in a stable order.
 KERNEL_NAMES = (

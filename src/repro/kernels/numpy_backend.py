@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels import interface
-from repro.kernels.interface import Cell
+from repro.kernels.interface import CellBuckets
 
 #: Relative slack of the fast BLAS distance identity.  The identity
 #: ``|x - y|^2 = |x|^2 + |y|^2 - 2 x.y`` suffers cancellation of order
@@ -237,17 +237,24 @@ def pack_cell_keys(cells: np.ndarray) -> Optional[np.ndarray]:
     return ((cells - lo) * strides).sum(axis=1)
 
 
-def bucket_by_cell(arr: np.ndarray, side: float) -> List[Tuple[Cell, np.ndarray]]:
+def bucket_by_cell(arr: np.ndarray, side: float) -> CellBuckets:
     """Group batch indices by grid cell via vectorized flooring.
 
-    Returns ``(cell, indices)`` pairs with cells in lexicographic order
-    (the deterministic replay order) and indices ascending within each
-    cell.  The flooring matches :meth:`repro.core.grid.Grid.cell_of`
-    exactly, including on negative coordinates.  Key packing routes
-    through the dispatched ``pack_cell_keys`` kernel.
+    Returns the CSR form ``(cells, offsets, order)``: distinct cells in
+    lexicographic order (the deterministic replay order), bucket
+    bounds, and the row indices sorted stably by cell, so indices are
+    ascending within each cell.  The flooring matches
+    :meth:`repro.core.grid.Grid.cell_of` exactly, including on negative
+    coordinates.  Key packing routes through the dispatched
+    ``pack_cell_keys`` kernel.
     """
+    dim = arr.shape[1] if arr.ndim == 2 else 0
     if len(arr) == 0:
-        return []
+        return CellBuckets(
+            np.empty((0, dim), dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
     from repro.kernels import registry  # late: avoid import cycle
 
     cells = np.floor(arr / side).astype(np.int64)
@@ -257,12 +264,13 @@ def bucket_by_cell(arr: np.ndarray, side: float) -> List[Tuple[Cell, np.ndarray]
         keys = inverse.ravel()
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-    splits = np.split(order, boundaries)
-    return [
-        (tuple(int(c) for c in cells[s[0]]), s)
-        for s in splits
-    ]
+    n = len(order)
+    starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    offsets = np.empty(len(starts) + 2, dtype=np.int64)
+    offsets[0] = 0
+    offsets[1:-1] = starts
+    offsets[-1] = n
+    return CellBuckets(cells[order[offsets[:-1]]], offsets, order)
 
 
 def box_sq_dists(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -37,6 +37,20 @@ class ServiceError(ReproError):
         self.message = message
 
 
+class ServiceTimeoutError(ServiceError):
+    """No response arrived within the client's per-call deadline.
+
+    The connection is then unusable (a stalled server answers nothing
+    else either), so every other pending call fails with it.
+    """
+
+
+#: Seconds one call waits for its response before it fails with
+#: :class:`ServiceTimeoutError`: far above any healthy round-trip, so it
+#: only ends calls to a server that stopped answering.
+CALL_TIMEOUT = 60.0
+
+
 class ServiceClient:
     """One connection to a :class:`repro.service.ClusterService`.
 
@@ -52,8 +66,16 @@ class ServiceClient:
     """
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        call_timeout: float = CALL_TIMEOUT,
     ) -> None:
+        if not call_timeout > 0:
+            raise ReproError(
+                f"call_timeout must be positive, got {call_timeout!r}"
+            )
+        self._call_timeout = call_timeout
         self._reader = reader
         self._writer = writer
         self._pending: Dict[Any, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -63,11 +85,13 @@ class ServiceClient:
         self._reader_task = asyncio.ensure_future(self._read_responses())
 
     @classmethod
-    async def connect(cls, host: str, port: int) -> "ServiceClient":
+    async def connect(
+        cls, host: str, port: int, call_timeout: float = CALL_TIMEOUT
+    ) -> "ServiceClient":
         reader, writer = await asyncio.open_connection(
             host, port, limit=protocol.MAX_LINE_BYTES
         )
-        return cls(reader, writer)
+        return cls(reader, writer, call_timeout)
 
     # ------------------------------------------------------------------
     # Response pump
@@ -150,7 +174,17 @@ class ServiceClient:
         return asyncio.ensure_future(self._unwrap(raw))
 
     async def _unwrap(self, raw: "asyncio.Future[Dict[str, Any]]"):
-        response = await raw
+        try:
+            response = await asyncio.wait_for(raw, self._call_timeout)
+        except asyncio.TimeoutError:
+            message = (
+                f"no response within {self._call_timeout}s; "
+                f"the service stopped answering"
+            )
+            self._fail_pending(None, message)
+            raise ServiceTimeoutError(
+                protocol.UNAVAILABLE, "timeout", message
+            ) from None
         if response.get("ok"):
             return response
         error = response.get("error") or {}

@@ -35,14 +35,14 @@ with one exact witness test over the two frontiers' core coordinates
 Membership probes (a non-core point against a foreign core cell) are
 settled with exact ``eps`` ball tests against the owner's frontier.  A
 union-find over the ``(shard, label)`` components and the witnessed
-candidates labels every part with its global component; each
-component's parts are concatenated, sorted and deduplicated
-(:func:`repro.core.framework.assemble_groups`), and noise is the
-owners' unmatched ids minus the probe hits.  At ``rho = 0`` every
-decision involved is exact, which is why a merged result is
-bit-identical to a single engine's.  No merge state outlives a call on
-either side of the wire: a restarted worker reports the labels of its
-rebuilt engine.
+candidates labels every part with its global component; the labelled
+ids become canonical groups in one sort
+(:func:`repro.core.framework.assemble_groups`, the engine's own
+assembler), and noise is the owners' unmatched ids minus the probe
+hits.  At ``rho = 0`` every decision involved is exact, which is why a
+merged result is bit-identical to a single engine's.  No merge state
+outlives a call on either side of the wire: a restarted worker reports
+the labels of its rebuilt engine.
 
 Every shard response carries the shard's engine epoch; the router
 checks it against the update count it routed there, so lost updates or
@@ -207,29 +207,29 @@ class ShardRouter:
         tuples: List[Point] = [tuple(row) for row in arr.tolist()]
         base = self._next_id
         replica_shards = self.topology.replica_shards
-        member_idxs: List[List[np.ndarray]] = [
-            [] for _ in range(self.shard_count)
-        ]
-        for cell, idxs in bucket_by_cell(arr, self._grid.side):
+        cells, offsets, order = bucket_by_cell(arr, self._grid.side)
+        # replicas[shard, k]: whether ``shard`` gets bucket k's points.
+        replicas = np.zeros((self.shard_count, len(cells)), dtype=bool)
+        for k, cell in enumerate(map(tuple, cells.tolist())):
             self._dirty_cells.add(cell)
-            for shard in replica_shards(cell):
-                member_idxs[shard].append(idxs)
+            replicas[list(replica_shards(cell)), k] = True
+        counts = np.diff(offsets)
         shard_ids: List[Optional[np.ndarray]] = [None] * self.shard_count
         calls = []
-        for shard, parts in enumerate(member_idxs):
-            if not parts:
+        for shard, buckets in enumerate(replicas):
+            if not buckets.any():
                 calls.append(None)
                 continue
-            # Concatenate-and-sort restores arrival order within the
-            # shard's slice — the deterministic replay order every
-            # engine applies.  The slice ships as an (n, dim) float64
-            # array with its int64 global ids beside it, the declared
-            # bulk form (BULK_CALLS): the shard wire streams both as
-            # raw frames, and the shard engine stores every point
-            # under its global id.
-            order = np.sort(np.concatenate(parts))
-            ids = shard_ids[shard] = order + base
-            calls.append(("ingest", (arr[order], self.topology.version, ids)))
+            # Sorting the shard's rows restores arrival order within
+            # its slice — the deterministic replay order every engine
+            # applies.  The slice ships as an (n, dim) float64 array
+            # with its int64 global ids beside it, the declared bulk
+            # form (BULK_CALLS): the shard wire streams both as raw
+            # frames, and the shard engine stores every point under its
+            # global id.
+            rows = np.sort(order[np.repeat(buckets, counts)])
+            ids = shard_ids[shard] = rows + base
+            calls.append(("ingest", (arr[rows], self.topology.version, ids)))
         try:
             self.executor.map(calls)
         finally:
@@ -503,14 +503,24 @@ class ShardRouter:
                 uf.union(node_a, node_b)
         component = [uf.find(node) for node in range(nodes)]
 
-        # --- fragments and probes -> groups over global components ------
-        groups: Dict[int, List[np.ndarray]] = {}
+        # --- fragments and probes -> labelled ids over global components
+        members: List[np.ndarray] = []
+        counts: List[np.ndarray] = []
+        labels: List[np.ndarray] = []
         probes_by_cell: Dict[Cell, List[int]] = {}
         for fragments, _, _ in responses:
-            for cell, members in fragments.parts():
-                groups.setdefault(component[node_of[cell]], []).append(
-                    members
+            members.append(fragments.members)
+            counts.append(fragments.counts)
+            labels.append(
+                np.fromiter(
+                    (
+                        component[node_of[cell]]
+                        for cell in map(tuple, fragments.cells.tolist())
+                    ),
+                    dtype=np.int64,
+                    count=len(fragments.counts),
                 )
+            )
             for pid, cell in zip(
                 fragments.probe_ids.tolist(),
                 map(tuple, fragments.probe_cells.tolist()),
@@ -533,7 +543,9 @@ class ShardRouter:
                 ball_counts(self._coords(probe_pids), coords, self._sq_eps) > 0
             ]
             if len(hit):
-                groups.setdefault(component[node_of[cell]], []).append(hit)
+                members.append(hit)
+                counts.append(np.array([len(hit)]))
+                labels.append(np.array([component[node_of[cell]]]))
                 hits.append(hit)
         noise = sorted_unique(
             np.concatenate([frags.unmatched for frags, _, _ in responses])
@@ -541,7 +553,12 @@ class ShardRouter:
         if hits:
             noise = noise[~np.isin(noise, np.concatenate(hits))]
         return CGroupByResult(
-            groups=assemble_groups(groups.values()), noise=noise.tolist()
+            groups=assemble_groups(
+                np.concatenate(members),
+                np.concatenate(counts),
+                np.concatenate(labels),
+            ),
+            noise=noise.tolist(),
         )
 
     def _coords(self, pids: np.ndarray) -> np.ndarray:

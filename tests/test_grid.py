@@ -221,9 +221,11 @@ class TestNegativeCoordinateFlooring:
                 for _ in range(500)
             ]
             arr = np.asarray(pts, dtype=float)
+            cells, offsets, order = bucket_by_cell(arr, g.side)
             seen = {}
-            for cell, idxs in bucket_by_cell(arr, g.side):
-                for i in idxs.tolist():
+            bounds = offsets.tolist()
+            for k, cell in enumerate(map(tuple, cells.tolist())):
+                for i in order[bounds[k]:bounds[k + 1]].tolist():
                     seen[i] = cell
             assert len(seen) == len(pts)
             for i, p in enumerate(pts):

@@ -40,6 +40,22 @@ def _data(dim: int, seed: int, n: int = 220, m: int = 180):
     return a, b
 
 
+def _expect_buckets(buckets, rows, grid: Grid) -> None:
+    """A CSR ``bucket_by_cell`` result against :meth:`Grid.cell_of`:
+    cells distinct and lexicographic, each bucket's indices exactly its
+    rows, ascending."""
+    want = {}
+    for idx, row in enumerate(rows):
+        want.setdefault(grid.cell_of(row), []).append(idx)
+    cells = sorted(want)
+    assert buckets.cells.dtype == np.int64
+    assert buckets.cells.shape == (len(cells), grid.dim)
+    assert [tuple(c) for c in buckets.cells.tolist()] == cells
+    sizes = [len(want[cell]) for cell in cells]
+    assert buckets.offsets.tolist() == np.cumsum([0, *sizes]).tolist()
+    assert buckets.order.tolist() == [i for cell in cells for i in want[cell]]
+
+
 def _brute_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every pair's squared distance by the untiled difference formula."""
     diff = a[:, None, :] - b[None, :, :]
@@ -89,11 +105,7 @@ class TestBackendEquivalence:
         a = a * 40.0 - 30.0  # negative coordinates included
         for eps in (0.7, 3.0):
             grid = Grid(eps, dim)
-            want = {}
-            for idx, row in enumerate(a.tolist()):
-                want.setdefault(grid.cell_of(row), []).append(idx)
-            got = kernels.bucket_by_cell(a, grid.side)
-            assert [(c, idx.tolist()) for c, idx in got] == sorted(want.items())
+            _expect_buckets(kernels.bucket_by_cell(a, grid.side), a.tolist(), grid)
         cells = np.floor(a / 0.7).astype(np.int64)
         keys = kernels.pack_cell_keys(cells)
         # Monotone in the lexicographic cell order, equal only on equal
@@ -103,6 +115,20 @@ class TestBackendEquivalence:
         assert np.all(np.diff(keys[order]) >= 0)
         for i, j in zip(order, order[1:]):
             assert (keys[i] == keys[j]) == (rows[i] == rows[j])
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bucketing_survives_key_overflow(self, dim):
+        """Cells spread past the int64 key span: ``pack_cell_keys``
+        declines and ``bucket_by_cell`` groups row-wise, same result."""
+        grid = Grid(0.9, dim)
+        rng = np.random.RandomState(dim)
+        a = rng.rand(60, dim) * 4.0 - 2.0
+        a[::7, 0] = 3e17  # repeated far cells, on both sides of zero
+        a[3::7, 0] = -3e17
+        a[5::7, -1] = -1e17
+        cells = np.floor(a / grid.side).astype(np.int64)
+        assert kernels.pack_cell_keys(cells) is None
+        _expect_buckets(kernels.bucket_by_cell(a, grid.side), a.tolist(), grid)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_box_kernels_identical(self, dim):
@@ -158,7 +184,10 @@ class TestAgainstOracles:
         assert not kernels.any_within(empty, b, 1.0)
         assert kernels.count_within((0.0, 0.0), empty, 1.0) == 0
         assert kernels.distance_matrix(empty, b).shape == (0, 1)
-        assert kernels.bucket_by_cell(empty, 1.0) == []
+        cells, offsets, order = kernels.bucket_by_cell(empty, 1.0)
+        assert cells.shape == (0, 2) and cells.dtype == np.int64
+        assert offsets.tolist() == [0]
+        assert order.shape == (0,) and order.dtype == np.int64
 
 
 class TestSortedUnique:

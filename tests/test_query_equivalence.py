@@ -30,7 +30,10 @@ from repro.analysis.window import WindowedEngine
 from repro.core.framework import CGroupByResult, canonical_cgroup_result
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.core.semidynamic import SemiDynamicClusterer
+from repro.baselines.static_dbscan import dbscan_brute
+from repro.core.framework import GridClusterer
 from repro.geometry.points import sq_dist
+from repro.validation.legality import check_legality
 from repro.workload.workload import generate_workload
 
 from conftest import clustered_points, random_points
@@ -40,6 +43,10 @@ Point = Tuple[float, ...]
 DIMS = (2, 3, 5)
 RHOS = (0.0, 0.001, 0.1)
 REGIMES = ("dense", "mixed", "sparse")
+
+
+#: The module's own small-query cutoff (the fixture below zeroes it).
+DEFAULT_CUTOFF = framework._SEQUENTIAL_QUERY_CUTOFF
 
 
 @pytest.fixture(autouse=True)
@@ -202,7 +209,8 @@ class TestExactIdentical:
     def test_small_query_cutoff_routing(self, monkeypatch):
         """At the default cutoff, small queries take the scalar path and
         large ones the engine — with identical canonical results."""
-        monkeypatch.setattr(framework, "_SEQUENTIAL_QUERY_CUTOFF", 128)
+        monkeypatch.setattr(framework, "_SEQUENTIAL_QUERY_CUTOFF", DEFAULT_CUTOFF)
+        assert 50 <= DEFAULT_CUTOFF < 300
         points = _points_for("mixed", 300, 2, seed=31)
         algo = SemiDynamicClusterer(2.0, 5, rho=0.0, dim=2)
         ids = algo.insert_many(points)
@@ -233,6 +241,188 @@ class TestExactIdentical:
         clustering = algo.clusters()
         assert clustering.clusters == result.groups
         assert clustering.noise == result.noise
+
+
+# ----------------------------------------------------------------------
+# One query over every bucket kind
+# ----------------------------------------------------------------------
+
+#: 2d blobs whose cells are fully core inside, mixed at the fringes and
+#: non-core (mostly all-noise) around them, at eps = 1 and MinPts = 12.
+MIXED_EPS, MIXED_MINPTS = 1.0, 12
+
+
+def _mixed_points():
+    return clustered_points(400, 2, seed=5, centers=3, spread=1.2)
+
+
+def _mixed_clusterer(cls, rho: float):
+    """A clusterer over the mixed-bucket data; the fully-dynamic one
+    also deletes every ninth point.  Returns it with its live points."""
+    algo = cls(MIXED_EPS, MIXED_MINPTS, rho=rho, dim=2)
+    points = _mixed_points()
+    ids = algo.insert_many(points)
+    live = dict(zip(ids, points))
+    if cls is FullyDynamicClusterer:
+        algo.delete_many(ids[::9])
+        for pid in ids[::9]:
+            del live[pid]
+    return algo, live
+
+
+def _mixed_query(algo) -> List[int]:
+    """Whole cells and strict parts of cells, alternating per cell kind."""
+    seen: Dict[str, int] = {}
+    query: List[int] = []
+    for cell in sorted(algo._cells):
+        data = algo._cells[cell]
+        pids = sorted(data.points)
+        kind = (
+            "full" if len(data.core) == len(pids)
+            else "mixed" if data.core else "noncore"
+        )
+        seen[kind] = seen.get(kind, 0) + 1
+        if seen[kind] % 2 or len(pids) == 1:
+            query.extend(pids)
+        else:
+            query.extend(pids[:-1])
+    return query
+
+
+def _bucket_kinds(algo, query: List[int], noise: List[int]) -> Dict[str, int]:
+    """How many buckets of ``query`` are of each kind.
+
+    ``cached`` counts the cache-eligible ones: the query covers the
+    whole cell, and the cell is not fully core.
+    """
+    buckets: Dict[tuple, List[int]] = {}
+    for pid in query:
+        buckets.setdefault(algo.cell_of(pid), []).append(pid)
+    noise_set = set(noise)
+    kinds = dict(full=0, full_part=0, mixed=0, mixed_part=0, all_noise=0,
+                 cached=0)
+    for cell, pids in buckets.items():
+        data = algo._cells[cell]
+        whole = len(pids) == len(data.points)
+        if len(data.core) == len(data.points):
+            kinds["full" if whole else "full_part"] += 1
+            continue
+        if data.core:
+            kinds["mixed" if whole else "mixed_part"] += 1
+        if all(pid in noise_set for pid in pids):
+            kinds["all_noise"] += 1
+        kinds["cached"] += whole
+    return kinds
+
+
+def _restricted(clusters, noise, query: List[int]) -> CGroupByResult:
+    """A full clustering restricted to the queried ids, canonical."""
+    q = set(query)
+    return canonical_cgroup_result(
+        [q.intersection(c) for c in clusters], q.intersection(noise)
+    )
+
+
+def _assert_every_kind(kinds: Dict[str, int]) -> None:
+    for kind, count in kinds.items():
+        assert count > 0, f"the query has no {kind} bucket: {kinds}"
+
+
+GRID_CLUSTERERS = (SemiDynamicClusterer, FullyDynamicClusterer)
+
+
+class TestMixedBuckets:
+    """One query whose buckets are fully core (whole and partial), mixed
+    (whole and partial), all noise and cache-eligible: the fully-core
+    slices and the resolved buckets must assemble into one answer."""
+
+    @pytest.mark.parametrize("cls", GRID_CLUSTERERS)
+    def test_exact_against_sequential_and_brute(self, cls):
+        algo, live = _mixed_clusterer(cls, rho=0.0)
+        query = _mixed_query(algo)
+        before = algo.fragment_cache_stats()
+        got = algo.cgroup_by_many(query)
+        first = algo.fragment_cache_stats()
+        kinds = _bucket_kinds(algo, query, got.noise)
+        _assert_every_kind(kinds)
+        _assert_canonical(got)
+        _assert_identical(got, algo.cgroup_by_sequential(query))
+        keys = sorted(live)
+        ref = dbscan_brute([live[pid] for pid in keys], MIXED_EPS, MIXED_MINPTS)
+        _assert_identical(
+            got,
+            _restricted(
+                [[keys[i] for i in c] for c in ref.clusters],
+                [keys[i] for i in ref.noise],
+                query,
+            ),
+        )
+        # Only cache-eligible buckets consult the cache: each misses
+        # once, then hits; fully-core and partial buckets never do.
+        assert first.misses - before.misses == kinds["cached"]
+        assert first.hits == before.hits
+        _assert_identical(algo.cgroup_by_many(query), got)
+        second = algo.fragment_cache_stats()
+        assert second.hits - first.hits == kinds["cached"]
+        assert second.misses == first.misses
+
+    @pytest.mark.parametrize("cls", GRID_CLUSTERERS)
+    @pytest.mark.parametrize("rho", RHOS[1:])
+    def test_approximate_against_legal_clustering(self, cls, rho):
+        """rho > 0: the query is the restriction of the engine's own
+        ``Q = P`` clustering, and that clustering is legal."""
+        algo, live = _mixed_clusterer(cls, rho=rho)
+        query = _mixed_query(algo)
+        got = algo.cgroup_by_many(query)
+        _assert_every_kind(_bucket_kinds(algo, query, got.noise))
+        snapshot = algo.clusters()
+        violations = check_legality(
+            coords=live,
+            clusters=snapshot.clusters,
+            noise=snapshot.noise,
+            core={pid for pid in live if algo.is_core(pid)},
+            eps=MIXED_EPS,
+            minpts=MIXED_MINPTS,
+            rho=rho,
+            relaxed_core=False,
+        )
+        assert not violations, "\n".join(violations[:10])
+        _assert_identical(got, _restricted(snapshot.clusters, snapshot.noise, query))
+
+    @pytest.mark.parametrize("algorithm", ["semi", "full"])
+    def test_shard_trust_against_single_engine(self, algorithm, monkeypatch):
+        """Shards resolve their owned ids through ``membership_fragments``
+        under a trust predicate; merged, the answer is the single
+        engine's."""
+        calls: List[bool] = []
+        original = GridClusterer.membership_fragments
+
+        def spy(self, pids=None, trust=None):
+            calls.append(pids is not None and trust is not None)
+            return original(self, pids, trust)
+
+        monkeypatch.setattr(GridClusterer, "membership_fragments", spy)
+        knobs = dict(algorithm=algorithm, eps=MIXED_EPS, minpts=MIXED_MINPTS,
+                     rho=0.0, dim=2)
+        single = repro.api.open(**knobs)
+        sharded = repro.api.open(
+            shards=2, shard_block=1, shard_executor="serial", **knobs
+        )
+        try:
+            for engine in (single, sharded):
+                ids = engine.ingest(_mixed_points())
+                if algorithm == "full":
+                    engine.delete_many(ids[::9])
+            query = _mixed_query(single.raw)
+            want = single.cgroup_by_many(query)
+            _assert_every_kind(_bucket_kinds(single.raw, query, want.noise))
+            calls.clear()
+            got = sharded.cgroup_by_many(query)
+            assert len(calls) == 2 and all(calls)
+            _assert_identical(got, want)
+        finally:
+            single.close()
+            sharded.close()
 
 
 class TestOneResultForm:

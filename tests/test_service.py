@@ -849,6 +849,42 @@ class TestProtocol:
 
 
 class TestClientAndLifecycle:
+    def test_stalled_server_fails_within_the_call_deadline(self):
+        """A server that accepts and never replies: each call fails with
+        ``ServiceTimeoutError`` once the deadline passes, and so does
+        every other call pending on the now unusable connection."""
+        from repro.service.client import ServiceTimeoutError
+
+        deadline = 0.3
+
+        async def scenario():
+            async def silent(reader, writer):
+                await reader.read()  # read everything, answer nothing
+                writer.close()
+
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await ServiceClient.connect(
+                "127.0.0.1", port, call_timeout=deadline
+            )
+            try:
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                other = client.submit("stats")
+                with pytest.raises(ServiceTimeoutError):
+                    await client.ping()
+                assert loop.time() - start < deadline + 1.0
+                with pytest.raises(ServiceError):
+                    await other
+                with pytest.raises(ReproError):
+                    client.submit("ping")
+            finally:
+                await client.aclose()
+                server.close()
+                await server.wait_closed()
+
+        run_async(scenario())
+
     def test_client_pipelining_matches_responses_out_of_order_safe(self):
         engine = open_engine()
 

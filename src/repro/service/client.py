@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.service import protocol
 
 
@@ -72,7 +72,7 @@ class ServiceClient:
         call_timeout: float = CALL_TIMEOUT,
     ) -> None:
         if not call_timeout > 0:
-            raise ReproError(
+            raise ConfigError(
                 f"call_timeout must be positive, got {call_timeout!r}"
             )
         self._call_timeout = call_timeout

@@ -19,7 +19,7 @@ See :mod:`repro.kernels.interface` for the kernel contracts and the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

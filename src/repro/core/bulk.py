@@ -20,7 +20,7 @@ with ``rho > 0`` both are legal under the sandwich guarantee
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -85,15 +85,6 @@ class MembershipFragments:
     unmatched: np.ndarray
     probe_ids: np.ndarray
     probe_cells: np.ndarray
-
-    def parts(self) -> Iterator[Tuple[Cell, np.ndarray]]:
-        """Each part as ``(granting cell, member id slice)``."""
-        ends = np.cumsum(self.counts).tolist()
-        members = self.members
-        start = 0
-        for cell, end in zip(map(tuple, self.cells.tolist()), ends):
-            yield cell, members[start:end]
-            start = end
 
 
 @dataclass

@@ -22,7 +22,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -160,12 +159,12 @@ def assemble_groups(
         ranks = sorted_unique(members)
         members = np.searchsorted(ranks, members)
         lo, shift = 0, (len(ranks) - 1).bit_length()
-    # Full-size passes run in place: at snapshot sizes the temporaries,
-    # not the sort, decide whether this keeps up with sorting each group
-    # on its own.
+    # Full-size passes run in place, and the stable sort (a merge sort)
+    # takes each part's ascending ids as one run: at snapshot sizes this
+    # is what keeps one sort ahead of sorting each group on its own.
     keys = np.repeat((labels << shift) - lo, counts)
     keys += members
-    keys.sort()
+    keys.sort(kind="stable")
     repeat = keys[1:] == keys[:-1]
     if repeat.any():
         keys = np.concatenate([keys[:1], keys[1:][~repeat]])
@@ -176,24 +175,6 @@ def assemble_groups(
     groups = [ids[a:b].tolist() for a, b in zip(bounds, bounds[1:]) if b > a]
     groups.sort()
     return groups
-
-
-class _Parts(NamedTuple):
-    """Flat membership parts inside the engine.
-
-    The form :class:`repro.core.bulk.MembershipFragments` takes before
-    it leaves the engine: part ``i`` holds ``counts[i]`` ids of
-    ``members`` (back to back) granted by the core cell ``cells[i]``,
-    a tuple here, so labelling parts by component needs no array
-    round trip.  ``unmatched`` and ``probes`` are the resolution's
-    unresolved ids and its open ``(pid, cell)`` decisions.
-    """
-
-    members: np.ndarray
-    counts: np.ndarray
-    cells: List[Cell]
-    unmatched: List[int]
-    probes: List[Tuple[int, Cell]]
 
 
 @dataclass
@@ -475,7 +456,7 @@ class GridClusterer(PointStore):
         parts = self._query_fragments(pid_arr, arr, cc=cc)
         return CGroupByResult(
             groups=self._component_groups(parts, cc),
-            noise=sorted(parts.unmatched),
+            noise=np.sort(parts.unmatched).tolist(),
         )
 
     def _memoized_cc(self) -> Callable[[Cell], int]:
@@ -499,12 +480,14 @@ class GridClusterer(PointStore):
 
     @staticmethod
     def _component_groups(
-        parts: _Parts, cc: Callable[[Cell], int]
+        parts: MembershipFragments, cc: Callable[[Cell], int]
     ) -> List[List[int]]:
         """Canonical groups of flat parts: each part joins the group of
         its granting cell's component (``cc``, see :meth:`_memoized_cc`)."""
         labels = np.fromiter(
-            map(cc, parts.cells), dtype=np.int64, count=len(parts.cells)
+            map(cc, map(tuple, parts.cells.tolist())),
+            dtype=np.int64,
+            count=len(parts.cells),
         )
         return assemble_groups(parts.members, parts.counts, labels)
 
@@ -514,7 +497,7 @@ class GridClusterer(PointStore):
         arr: np.ndarray,
         trust: Optional[Callable[[Cell], bool]] = None,
         cc: Optional[Callable[[Cell], int]] = None,
-    ) -> _Parts:
+    ) -> MembershipFragments:
         """The flat membership parts of a query, one set per cell bucket.
 
         The engine behind every batched resolution of an explicit id
@@ -546,14 +529,12 @@ class GridClusterer(PointStore):
         cache = self._fragments
         cache.begin(trust)
         whole: List[bool] = []
-        whole_cells: List[Cell] = []
         frags: List[CellFragment] = []
         for k, cell in enumerate(map(tuple, cells.tolist())):
             data = registry[cell]
             size = len(data.points)  # type: ignore[attr-defined]
             if len(data.core) == size:  # type: ignore[attr-defined]
                 whole.append(True)
-                whole_cells.append(cell)
                 continue
             whole.append(False)
             lo, hi = bounds[k], bounds[k + 1]
@@ -571,7 +552,7 @@ class GridClusterer(PointStore):
         full = np.array(whole, dtype=bool)
         counts = np.diff(offsets)
         return self._flat_fragments(
-            frags, (ids[np.repeat(full, counts)], counts[full], whole_cells)
+            frags, (ids[np.repeat(full, counts)], counts[full], cells[full])
         )
 
     def _walk_fragments(
@@ -735,45 +716,33 @@ class GridClusterer(PointStore):
         resolves, exactly like the query paths.
         """
         if pids is None:
-            parts = self._flat_fragments(self._walk_fragments(trust))
-        else:
-            pid_arr = sorted_unique(
-                np.asarray(
-                    pids if isinstance(pids, np.ndarray) else list(pids),
-                    dtype=np.int64,
-                )
+            return self._flat_fragments(self._walk_fragments(trust))
+        pid_arr = sorted_unique(
+            np.asarray(
+                pids if isinstance(pids, np.ndarray) else list(pids),
+                dtype=np.int64,
             )
-            parts = self._query_fragments(
-                pid_arr, self._query_coords(pid_arr), trust=trust
-            )
-        dim = self.dim
-        probes = parts.probes
-        return MembershipFragments(
-            members=parts.members,
-            cells=np.array(parts.cells, dtype=np.int64).reshape(-1, dim),
-            counts=parts.counts,
-            unmatched=np.array(parts.unmatched, dtype=np.int64),
-            probe_ids=np.array([pid for pid, _ in probes], dtype=np.int64),
-            probe_cells=np.array(
-                [cell for _, cell in probes], dtype=np.int64
-            ).reshape(-1, dim),
+        )
+        return self._query_fragments(
+            pid_arr, self._query_coords(pid_arr), trust=trust
         )
 
-    @staticmethod
     def _flat_fragments(
+        self,
         frags: Iterable[CellFragment],
-        head: Optional[Tuple[np.ndarray, np.ndarray, List[Cell]]] = None,
-    ) -> _Parts:
+        head: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    ) -> MembershipFragments:
         """Concatenate cell fragments into flat parts.
 
         ``head`` optionally gives parts that are flat already, as
         ``(members, counts, cells)``; they lead the result.
         """
+        dim = self.dim
         if head is None:
-            head = (_NO_IDS, _NO_IDS, [])
+            head = (_NO_IDS, _NO_IDS, np.empty((0, dim), dtype=np.int64))
         members, counts, head_cells = head
         parts: List[np.ndarray] = [members]
-        cells: List[Cell] = list(head_cells)
+        cells: List[Cell] = []
         unmatched: List[int] = []
         probes: List[Tuple[int, Cell]] = []
         for frag in frags:
@@ -782,12 +751,17 @@ class GridClusterer(PointStore):
             unmatched.extend(frag.noise)
             probes.extend(frag.probes)
         sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        return _Parts(
+        return MembershipFragments(
             members=np.concatenate(parts),
+            cells=np.concatenate(
+                [head_cells, np.array(cells, dtype=np.int64).reshape(-1, dim)]
+            ),
             counts=np.concatenate([counts, sizes[1:]]),
-            cells=cells,
-            unmatched=unmatched,
-            probes=probes,
+            unmatched=np.array(unmatched, dtype=np.int64),
+            probe_ids=np.array([pid for pid, _ in probes], dtype=np.int64),
+            probe_cells=np.array(
+                [cell for _, cell in probes], dtype=np.int64
+            ).reshape(-1, dim),
         )
 
     def gum_edge_fragment(
@@ -887,7 +861,7 @@ class GridClusterer(PointStore):
         parts = self._flat_fragments(self._walk_fragments())
         return Clustering(
             clusters=self._component_groups(parts, self._memoized_cc()),
-            noise=sorted(parts.unmatched),
+            noise=np.sort(parts.unmatched).tolist(),
         )
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.service import protocol
 
 
@@ -66,16 +66,8 @@ class ServiceClient:
     """
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        call_timeout: float = CALL_TIMEOUT,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if not call_timeout > 0:
-            raise ConfigError(
-                f"call_timeout must be positive, got {call_timeout!r}"
-            )
-        self._call_timeout = call_timeout
         self._reader = reader
         self._writer = writer
         self._pending: Dict[Any, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -85,13 +77,11 @@ class ServiceClient:
         self._reader_task = asyncio.ensure_future(self._read_responses())
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, call_timeout: float = CALL_TIMEOUT
-    ) -> "ServiceClient":
+    async def connect(cls, host: str, port: int) -> "ServiceClient":
         reader, writer = await asyncio.open_connection(
             host, port, limit=protocol.MAX_LINE_BYTES
         )
-        return cls(reader, writer, call_timeout)
+        return cls(reader, writer)
 
     # ------------------------------------------------------------------
     # Response pump
@@ -175,10 +165,10 @@ class ServiceClient:
 
     async def _unwrap(self, raw: "asyncio.Future[Dict[str, Any]]"):
         try:
-            response = await asyncio.wait_for(raw, self._call_timeout)
+            response = await asyncio.wait_for(raw, CALL_TIMEOUT)
         except asyncio.TimeoutError:
             message = (
-                f"no response within {self._call_timeout}s; "
+                f"no response within {CALL_TIMEOUT}s; "
                 f"the service stopped answering"
             )
             self._fail_pending(None, message)

@@ -274,7 +274,7 @@ def test_trust_switch_flushes_everything():
     # The predicate switch dropped every entry; nothing was served from
     # the unrestricted run's fragments.
     assert flushed.invalidations > cached.invalidations
-    assert {cell for cell, _ in restricted.parts()} <= half
+    assert {tuple(c) for c in restricted.cells.tolist()} <= half
     # Untrusted memberships came back as probes, not silent grants.
     assert all(
         tuple(cell) not in half for cell in restricted.probe_cells.tolist()

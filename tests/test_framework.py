@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.core.framework import CGroupByResult, Clustering, GridClusterer
+from repro.core.framework import (
+    CGroupByResult,
+    Clustering,
+    GridClusterer,
+    assemble_groups,
+    canonical_cgroup_result,
+)
 from repro.core.fullydynamic import FullyDynamicClusterer
 from repro.core.semidynamic import SemiDynamicClusterer
 from repro.workload import config
@@ -31,6 +38,73 @@ class TestClustering:
     def test_cluster_count(self):
         c = Clustering(clusters=[{1}, {2, 3}], noise={4})
         assert c.cluster_count == 2
+
+
+class TestAssembleGroups:
+    """The flat-parts group assembler against the list-based canonical
+    form, on its packed-key path and on its rank fallback."""
+
+    @staticmethod
+    def _check(parts):
+        """``parts`` is a list of ``(label, ids)``; returns the groups."""
+        members = np.array(
+            [pid for _, ids in parts for pid in ids], dtype=np.int64
+        )
+        counts = np.array([len(ids) for _, ids in parts], dtype=np.int64)
+        labels = np.array([label for label, _ in parts], dtype=np.int64)
+        by_label = {}
+        for label, ids in parts:
+            by_label.setdefault(label, []).extend(ids)
+        groups = assemble_groups(members, counts, labels)
+        assert groups == canonical_cgroup_result(by_label.values(), []).groups
+        assert all(type(pid) is int for group in groups for pid in group)
+        return groups
+
+    def test_empty(self):
+        assert assemble_groups(
+            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64)
+        ) == []
+
+    def test_packed_path(self):
+        groups = self._check(
+            [
+                (1, [7, 3]),
+                (0, [9, 3]),
+                (1, [3, 4]),  # 3 repeats across parts of group 1
+                (3, []),  # an empty part; labels 2 and 3 stay empty
+                (0, [1]),
+            ]
+        )
+        assert groups == [[1, 3, 9], [3, 4, 7]]
+
+    def test_packed_path_offsets_large_ids(self):
+        base = 2**62
+        groups = self._check([(0, [base + 5, base]), (1, [base + 1, base])])
+        assert groups == [[base, base + 1], [base, base + 5]]
+
+    def test_rank_fallback_when_keys_overflow(self):
+        # Ids spanning 2**62 with two labels need 64 key bits: the
+        # assembler packs ranks instead, and maps them back to the ids.
+        big = 2**62
+        groups = self._check(
+            [(1, [0, big]), (0, [5, big]), (1, [big, 5]), (0, [0])]
+        )
+        assert groups == [[0, 5, big], [0, 5, big]]
+        groups = self._check([(0, [big + 3, 1]), (1, [2, big + 3]), (1, [1])])
+        assert groups == [[1, 2, big + 3], [1, big + 3]]
+
+    def test_random_parts(self):
+        rng = np.random.default_rng(7)
+        for high in (50, 2**40, 2**63 - 1):
+            for _ in range(20):
+                parts = [
+                    (
+                        int(rng.integers(0, 6)),
+                        rng.integers(0, high, rng.integers(0, 5)).tolist(),
+                    )
+                    for _ in range(rng.integers(1, 9))
+                ]
+                self._check(parts)
 
 
 class TestGridClustererShared:

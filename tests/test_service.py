@@ -849,13 +849,17 @@ class TestProtocol:
 
 
 class TestClientAndLifecycle:
-    def test_stalled_server_fails_within_the_call_deadline(self):
+    def test_stalled_server_fails_within_the_call_deadline(
+        self, monkeypatch
+    ):
         """A server that accepts and never replies: each call fails with
         ``ServiceTimeoutError`` once the deadline passes, and so does
         every other call pending on the now unusable connection."""
+        from repro.service import client as client_module
         from repro.service.client import ServiceTimeoutError
 
         deadline = 0.3
+        monkeypatch.setattr(client_module, "CALL_TIMEOUT", deadline)
 
         async def scenario():
             async def silent(reader, writer):
@@ -864,9 +868,7 @@ class TestClientAndLifecycle:
 
             server = await asyncio.start_server(silent, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            client = await ServiceClient.connect(
-                "127.0.0.1", port, call_timeout=deadline
-            )
+            client = await ServiceClient.connect("127.0.0.1", port)
             try:
                 loop = asyncio.get_running_loop()
                 start = loop.time()

@@ -246,7 +246,10 @@ def test_snapshot_merge_ships_no_ids_and_a_fixed_frame_count(
             assert isinstance(fragments.members, np.ndarray)
             assert isinstance(gum.labels, np.ndarray)
         owned_cells.append(
-            sum(len({cell for cell, _ in f.parts()}) for _, (f, _, _) in replies)
+            sum(
+                len({tuple(c) for c in f.cells.tolist()})
+                for _, (f, _, _) in replies
+            )
         )
     assert owned_cells[1] > owned_cells[0]
     # A C-group-by ships each shard its owned ids (an empty array for a

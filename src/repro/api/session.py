@@ -92,7 +92,7 @@ class IngestSession:
 
     def _watermark(self) -> Optional[int]:
         """The next id the engine's clusterer will assign (applied state)."""
-        return getattr(self._engine.raw, "_next_id", None)
+        return getattr(self._engine.raw, "next_id", None)
 
     # ------------------------------------------------------------------
     # Buffered updates

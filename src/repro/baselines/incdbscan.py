@@ -28,18 +28,16 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.connectivity.union_find import UnionFind
 from repro.core.bulk import SequentialQueryMixin
-from repro.errors import UnknownPointError
 from repro.core.framework import (
     CGroupByResult,
+    ClustererBase,
     Clustering,
-    PointStore,
     canonical_cgroup_result,
-    validated_query_pids,
 )
 from repro.geometry.rtree import RTree
 
 
-class IncDBSCAN(PointStore, SequentialQueryMixin):
+class IncDBSCAN(ClustererBase, SequentialQueryMixin):
     """Incremental exact DBSCAN with the C-group-by query interface.
 
     ``insert_many`` / ``delete_many`` / ``cgroup_by_many`` fall back to
@@ -93,7 +91,9 @@ class IncDBSCAN(PointStore, SequentialQueryMixin):
             if q == pid:
                 q_neighbors = neighbors
             else:
-                q_neighbors = [x for x in self._range(self._points[q]) if x != q]
+                q_neighbors = [
+                    x for x in self._range(self._store.point(q)) if x != q
+                ]
             anchor: Optional[int] = self._label.get(q)
             for x in q_neighbors:
                 cid = self._label.get(x)
@@ -113,9 +113,7 @@ class IncDBSCAN(PointStore, SequentialQueryMixin):
     # ------------------------------------------------------------------
 
     def delete(self, pid: int) -> None:
-        if pid not in self._points:
-            raise UnknownPointError(f"point id {pid} is not live")
-        pt = self._points.pop(pid)
+        pt = self._store.pop(pid)
         self._tree.delete(pid)
         was_core = self._count.pop(pid) >= self.minpts
         self._label.pop(pid, None)
@@ -134,7 +132,7 @@ class IncDBSCAN(PointStore, SequentialQueryMixin):
         if was_core:
             seeds.update(q for q in neighbors if q in self._label)
         for q in lost_core:
-            for x in self._range(self._points[q]):
+            for x in self._range(self._store.point(q)):
                 if x in self._label:
                     seeds.add(x)
         if not seeds:
@@ -170,7 +168,7 @@ class IncDBSCAN(PointStore, SequentialQueryMixin):
                     continue
                 progressed = True
                 x = queue.popleft()
-                for y in self._range(self._points[x]):
+                for y in self._range(self._store.point(x)):
                     if y not in self._label or y == x:
                         continue
                     prev = owner.get(y)
@@ -210,23 +208,23 @@ class IncDBSCAN(PointStore, SequentialQueryMixin):
     # Queries
     # ------------------------------------------------------------------
 
-    def _cluster_ids_of(self, pid: int) -> List[int]:
+    def _cluster_ids_of(self, pid: int, point: Sequence[float]) -> List[int]:
         cid = self._label.get(pid)
         if cid is not None:
             return [self._merges.find(cid)]
         found: Set[int] = set()
-        for q in self._range(self._points[pid]):
+        for q in self._range(point):
             qcid = self._label.get(q)
             if qcid is not None:
                 found.add(self._merges.find(qcid))
         return list(found)
 
     def cgroup_by(self, pids: Iterable[int]) -> CGroupByResult:
-        pid_list = validated_query_pids(pids, self._points)
+        pid_arr, coords = self._store.gather(pids)
         groups: Dict[int, List[int]] = {}
         noise: List[int] = []
-        for pid in pid_list:
-            cids = self._cluster_ids_of(pid)
+        for pid, point in zip(pid_arr.tolist(), coords.tolist()):
+            cids = self._cluster_ids_of(pid, point)
             if not cids:
                 noise.append(pid)
             for cid in cids:
@@ -234,12 +232,14 @@ class IncDBSCAN(PointStore, SequentialQueryMixin):
         return canonical_cgroup_result(groups.values(), noise)
 
     def clusters(self) -> Clustering:
-        result = self.cgroup_by(list(self._points.keys()))
+        result = self.cgroup_by(self._store.ids())
         return Clustering(clusters=result.groups, noise=result.noise)
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:
-        validated_query_pids((pid_a, pid_b), self._points)
-        a = set(self._cluster_ids_of(pid_a))
+        (pid_a, pid_b), (point_a, point_b) = (
+            part.tolist() for part in self._store.gather((pid_a, pid_b))
+        )
+        a = set(self._cluster_ids_of(pid_a, point_a))
         if not a:
             return False
-        return bool(a.intersection(self._cluster_ids_of(pid_b)))
+        return bool(a.intersection(self._cluster_ids_of(pid_b, point_b)))

@@ -16,17 +16,15 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines.static_dbscan import StaticClustering, dbscan_grid
 from repro.core.bulk import SequentialQueryMixin
-from repro.errors import UnknownPointError
 from repro.core.framework import (
     CGroupByResult,
+    ClustererBase,
     Clustering,
-    PointStore,
     canonical_cgroup_result,
-    validated_query_pids,
 )
 
 
-class RecomputeClusterer(PointStore, SequentialQueryMixin):
+class RecomputeClusterer(ClustererBase, SequentialQueryMixin):
     """Exact DBSCAN with O(1) updates and recompute-on-query semantics.
 
     The inherited sequential ``insert_many`` / ``delete_many`` are
@@ -50,9 +48,7 @@ class RecomputeClusterer(PointStore, SequentialQueryMixin):
         return pid
 
     def delete(self, pid: int) -> None:
-        if pid not in self._points:
-            raise UnknownPointError(f"point id {pid} is not live")
-        del self._points[pid]
+        self._store.pop(pid)
         self._cache = None
 
     # ------------------------------------------------------------------
@@ -61,10 +57,9 @@ class RecomputeClusterer(PointStore, SequentialQueryMixin):
 
     def _refresh(self) -> StaticClustering:
         if self._cache is None:
-            self._cache_keys = sorted(self._points)
-            self._cache = dbscan_grid(
-                [self._points[k] for k in self._cache_keys], self.eps, self.minpts
-            )
+            ids, coords = self._store.live()
+            self._cache_keys = ids.tolist()
+            self._cache = dbscan_grid(coords.tolist(), self.eps, self.minpts)
             self.recomputations += 1
         return self._cache
 
@@ -73,7 +68,7 @@ class RecomputeClusterer(PointStore, SequentialQueryMixin):
         return self._cache_keys.index(pid) in ref.core
 
     def cgroup_by(self, pids: Iterable[int]) -> CGroupByResult:
-        pid_list = validated_query_pids(pids, self._points)
+        pid_list = self._store.lookup(pids)[0].tolist()
         ref = self._refresh()
         position = {k: i for i, k in enumerate(self._cache_keys)}
         groups: Dict[int, List[int]] = {}
@@ -99,7 +94,7 @@ class RecomputeClusterer(PointStore, SequentialQueryMixin):
         return Clustering(clusters=result.groups, noise=result.noise)
 
     def same_cluster(self, pid_a: int, pid_b: int) -> bool:
-        validated_query_pids((pid_a, pid_b), self._points)
+        self._store.lookup((pid_a, pid_b))
         ref = self._refresh()
         position = {k: i for i, k in enumerate(self._cache_keys)}
         a, b = position[pid_a], position[pid_b]

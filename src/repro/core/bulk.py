@@ -20,11 +20,10 @@ with ``rho > 0`` both are legal under the sandwich guarantee
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import UnknownPointError
 from repro.kernels import as_point_array
 
 Cell = Tuple[int, ...]
@@ -36,21 +35,6 @@ __all__ = [
     "SequentialBulkMixin",
     "SequentialQueryMixin",
 ]
-
-
-def validated_delete_pids(pids: Iterable[int], live: Container[int]) -> List[int]:
-    """A deletion batch as a list, rejected whole (duplicates:
-    ``ValueError``; dead ids: ``UnknownPointError``) before any delete."""
-    pid_list = list(pids)
-    if len(set(pid_list)) != len(pid_list):
-        raise ValueError("duplicate point ids in delete_many batch")
-    dead = [pid for pid in pid_list if pid not in live]
-    if dead:
-        raise UnknownPointError(
-            f"point id(s) {sorted(set(dead))} are not live; "
-            f"the batch was rejected before deleting anything"
-        )
-    return pid_list
 
 
 @dataclass
@@ -117,8 +101,9 @@ class SequentialBulkMixin:
     Gives every clusterer (baselines included) the ``insert_many`` /
     ``delete_many`` surface the batched workload runner drives, with the
     trivially-equivalent sequential semantics.  Like the vectorized
-    paths, a batch is checked whole before the first update, so a
-    rejected batch changes nothing.
+    paths, a batch is checked whole against the clusterer's point store
+    (``_store``, a :class:`repro.core.store.PointStore`) before the
+    first update, so a rejected batch changes nothing.
     """
 
     def insert_many(self, points: Iterable[Sequence[float]]) -> List[int]:
@@ -128,7 +113,8 @@ class SequentialBulkMixin:
 
     def delete_many(self, pids: Iterable[int]) -> None:
         """Delete a batch of points by id."""
-        for pid in validated_delete_pids(pids, self):
+        pid_arr, _ = self._store.lookup(pids, delete=True)  # type: ignore[attr-defined]
+        for pid in pid_arr.tolist():
             self.delete(pid)
 
 

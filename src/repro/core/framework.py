@@ -2,8 +2,9 @@
 
 :class:`GridClusterer` owns the grid, the non-empty-cell registry with
 cached neighbor lists, and the C-group-by query algorithm of Section 4.2,
-on top of :class:`PointStore` (the point store it shares with the
-rho-free baselines).  Subclasses provide the update algorithms (core-status
+on top of :class:`ClustererBase`, whose columnar
+:class:`repro.core.store.PointStore` it shares with the rho-free
+baselines.  Subclasses provide the update algorithms (core-status
 structure + GUM + CC structure): :class:`repro.core.semidynamic.
 SemiDynamicClusterer` for insert-only workloads (Theorem 1) and
 :class:`repro.core.fullydynamic.FullyDynamicClusterer` for fully-dynamic
@@ -13,7 +14,6 @@ ones (Theorem 4).  Exact DBSCAN is obtained with ``rho = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -36,7 +36,8 @@ from repro.core.bulk import (
     SequentialBulkMixin,
 )
 from repro.core.fragments import CellFragment, FragmentCache, FragmentCacheStats
-from repro.errors import ConfigError, UnknownPointError
+from repro.core.store import PointStore
+from repro.errors import ConfigError
 from repro.kernels import (
     as_point_array,
     bucket_by_cell,
@@ -96,24 +97,6 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 #: squared radius within which a box test defers to a scan.
 _BOX_PAD = 2.0 ** -40
 _BOX_BAND = 1e-9
-
-
-def validated_query_pids(pids: Iterable[int], live: Dict[int, Point]) -> List[int]:
-    """Materialize a query and check every pid up front.
-
-    A dead pid must fail the whole query before any group is built — the
-    caller never observes a partially-resolved result.  Shared by the
-    grid framework and the baselines so the failure mode (and message)
-    stays uniform.
-    """
-    pid_list = list(pids)
-    missing = [pid for pid in pid_list if pid not in live]
-    if missing:
-        raise UnknownPointError(
-            f"point id(s) {sorted(set(missing))} are not live; "
-            f"the query was rejected before resolving any group"
-        )
-    return pid_list
 
 
 def canonical_cgroup_result(
@@ -196,10 +179,14 @@ class Clustering:
         return len(self.clusters)
 
 
-class PointStore(SequentialBulkMixin):
-    """The live points of a clusterer: id -> coordinate tuple, with ids
+class ClustererBase(SequentialBulkMixin):
+    """``eps``, ``MinPts``, the dimension and the live points of a
+    clusterer.
+
+    The points live in one columnar :class:`PointStore`, with ids
     assigned in arrival order.  The grid clusterers and both rho-free
-    baselines keep their points here."""
+    baselines derive from this class.
+    """
 
     def __init__(self, eps: float, minpts: int, dim: int) -> None:
         if eps <= 0:
@@ -209,22 +196,30 @@ class PointStore(SequentialBulkMixin):
         self.eps = eps
         self.minpts = minpts
         self.dim = dim
-        self._points: Dict[int, Point] = {}
-        self._next_id = 0
+        self._store = PointStore(dim)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._store)
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._points
+        return pid in self._store
+
+    @property
+    def next_id(self) -> int:
+        """The id the next inserted point gets."""
+        return self._store.next_id
 
     def point(self, pid: int) -> Point:
-        """Coordinates of a stored point id."""
-        return self._points[pid]
+        """Coordinates of a live point id."""
+        return self._store.point(pid)
 
-    def ids(self) -> Iterable[int]:
-        """All live point ids."""
-        return self._points.keys()
+    def ids(self) -> List[int]:
+        """All live point ids, ascending."""
+        return self._store.ids()
+
+    def live_points(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, coords)`` arrays of every live point, ids ascending."""
+        return self._store.live()
 
     def _register_point(self, point: Sequence[float]) -> Tuple[int, Point]:
         """Store one point under the next id; returns ``(id, tuple)``.
@@ -235,13 +230,10 @@ class PointStore(SequentialBulkMixin):
         no trace and fails exactly as a one-point ``insert_many`` does.
         """
         pt = tuple(as_point_array([point], self.dim)[0].tolist())
-        pid = self._next_id
-        self._next_id += 1
-        self._points[pid] = pt
-        return pid, pt
+        return self._store.append(pt), pt
 
 
-class GridClusterer(PointStore):
+class GridClusterer(ClustererBase):
     """Common state and the shared C-group-by query algorithm.
 
     Subclasses must maintain, per non-empty cell, an instance of their
@@ -251,6 +243,12 @@ class GridClusterer(PointStore):
     implement ``_cc_id`` plus the update entry points.  The inherited
     sequential ``insert_many`` / ``delete_many`` are overridden with
     vectorized paths by both dynamic clusterers.
+
+    Live points sit in the columnar :class:`PointStore` inherited from
+    :class:`ClustererBase` (ascending int64 ids, float64 rows) beside
+    each cell's ``points`` dict.  A query batch's ids are validated and
+    their coordinates gathered with one store lookup; the cell walks
+    (:meth:`_walk_fragments`, core counts) read the cell dicts.
 
     Queries resolve through the vectorized batch engine
     (:meth:`cgroup_by_many`): ids bucketed by cell in CSR form, each
@@ -331,7 +329,7 @@ class GridClusterer(PointStore):
         return len(self._cells)
 
     def cell_of(self, pid: int) -> Cell:
-        return self._grid.cell_of(self._points[pid])
+        return self._grid.cell_of(self._store.point(pid))
 
     # ------------------------------------------------------------------
     # Update interface (implemented by subclasses)
@@ -347,7 +345,7 @@ class GridClusterer(PointStore):
 
     def is_core(self, pid: int) -> bool:
         """Current core status of a live point (the core-status structure)."""
-        data = self._cells[self._grid.cell_of(self._points[pid])]
+        data = self._cells[self._grid.cell_of(self._store.point(pid))]
         return pid in data.core  # type: ignore[attr-defined]
 
     def _cc_id(self, cell: Cell) -> Hashable:
@@ -358,13 +356,14 @@ class GridClusterer(PointStore):
     # C-group-by query (Section 4.2) — shared by all variants
     # ------------------------------------------------------------------
 
-    def _cluster_ids_of(self, pid: int) -> List[Hashable]:
-        if pid not in self._points:
-            # Route the dead id through the uniform whole-query
-            # validation so it raises UnknownPointError with the same
-            # message as every other query path (not a bare KeyError).
-            self._validated_query((pid,))
-        point = self._points[pid]
+    def _cluster_ids_of(
+        self, pid: int, point: Optional[Sequence[float]] = None
+    ) -> List[Hashable]:
+        """The components a live point belongs to; ``point`` is its
+        coordinates when the caller has gathered them already."""
+        if point is None:
+            # A dead id fails like every other query path.
+            point = self._store.gather((pid,))[1][0].tolist()
         cell = self._grid.cell_of(point)
         data = self._cells[cell]
         if pid in data.core:  # type: ignore[attr-defined]
@@ -380,10 +379,6 @@ class GridClusterer(PointStore):
             if odata.emptiness.empty(point) is not None:  # type: ignore[attr-defined]
                 found.add(self._cc_id(other))
         return list(found)
-
-    def _validated_query(self, pids: Iterable[int]) -> List[int]:
-        """Up-front whole-query pid validation (see the module helper)."""
-        return validated_query_pids(pids, self._points)
 
     def cgroup_by(self, pids: Iterable[int]) -> CGroupByResult:
         """Group the queried ids by the clusters they belong to.
@@ -426,21 +421,7 @@ class GridClusterer(PointStore):
             return self.cgroup_by_sequential(pid_list)
         # The canonical result is order- and multiplicity-free, so the
         # engine works on the deduplicated ascending id array.
-        pid_arr = sorted_unique(np.asarray(pid_list, dtype=np.int64))
-        return self._resolve_query(pid_arr, self._query_coords(pid_arr))
-
-    def _query_coords(self, pid_arr: np.ndarray) -> np.ndarray:
-        """Coordinates of queried ids; dead ids fail the whole query."""
-        points = self._points
-        try:
-            coords = [points[pid] for pid in pid_arr.tolist()]
-        except KeyError:
-            self._validated_query(pid_arr.tolist())  # raises: full dead set
-            raise
-        flat = np.fromiter(
-            chain.from_iterable(coords), dtype=float, count=len(coords) * self.dim
-        )
-        return flat.reshape(-1, self.dim)
+        return self._resolve_query(*self._store.query(pid_list))
 
     def _resolve_query(
         self, pid_arr: np.ndarray, arr: np.ndarray
@@ -717,15 +698,7 @@ class GridClusterer(PointStore):
         """
         if pids is None:
             return self._flat_fragments(self._walk_fragments(trust))
-        pid_arr = sorted_unique(
-            np.asarray(
-                pids if isinstance(pids, np.ndarray) else list(pids),
-                dtype=np.int64,
-            )
-        )
-        return self._query_fragments(
-            pid_arr, self._query_coords(pid_arr), trust=trust
-        )
+        return self._query_fragments(*self._store.query(pids), trust=trust)
 
     def _flat_fragments(
         self,
@@ -835,11 +808,11 @@ class GridClusterer(PointStore):
         query-throughput benchmarks; produces the same canonical ordering
         as :meth:`cgroup_by_many`.
         """
-        pid_list = self._validated_query(pids)
+        pid_arr, coords = self._store.gather(pids)
         groups: Dict[Hashable, List[int]] = {}
         noise: List[int] = []
-        for pid in pid_list:
-            cids = self._cluster_ids_of(pid)
+        for pid, point in zip(pid_arr.tolist(), coords.tolist()):
+            cids = self._cluster_ids_of(pid, point)
             if not cids:
                 noise.append(pid)
             for cid in cids:
@@ -856,7 +829,7 @@ class GridClusterer(PointStore):
         order of :meth:`cgroup_by_many` (members ascending and
         deduplicated, groups lexicographic; noise ascending).
         """
-        if not self._points:
+        if not len(self._store):
             return Clustering()
         parts = self._flat_fragments(self._walk_fragments())
         return Clustering(
@@ -871,11 +844,13 @@ class GridClusterer(PointStore):
         :class:`repro.errors.UnknownPointError` (listing every dead id),
         exactly like the batched query paths.
         """
-        self._validated_query((pid_a, pid_b))
-        a = set(self._cluster_ids_of(pid_a))
+        (pid_a, pid_b), (point_a, point_b) = (
+            part.tolist() for part in self._store.gather((pid_a, pid_b))
+        )
+        a = set(self._cluster_ids_of(pid_a, point_a))
         if not a:
             return False
-        return bool(a.intersection(self._cluster_ids_of(pid_b)))
+        return bool(a.intersection(self._cluster_ids_of(pid_b, point_b)))
 
     # ------------------------------------------------------------------
     # Cell registry helpers
@@ -912,68 +887,15 @@ class GridClusterer(PointStore):
 
         Returns ``(ids, arr, tuples)``: ``ids`` is the batch's strictly
         ascending int64 id array, in batch order.  Without explicit
-        ``ids`` the batch takes the contiguous range from ``_next_id``
+        ``ids`` the batch takes the contiguous range from ``next_id``
         on, exactly the ids sequential ``insert`` calls would have
         assigned.  Explicit ``ids`` must be strictly ascending and not
         live, but may be older than ids already held (a shard receiving
-        a rebalance transfer), so batch membership is decided by
-        :meth:`_batch_rows`.
+        a rebalance transfer); see :meth:`PointStore.add`.
         """
         arr = as_point_array(list(points), self.dim)
-        n = len(arr)
-        if ids is None:
-            ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (n,):
-                raise ValueError(
-                    f"got {ids.size} ids for a batch of {n} points"
-                )
-            if n > 1 and not (ids[1:] > ids[:-1]).all():
-                raise ValueError("batch ids must be strictly ascending")
-            if n and ids[0] < self._next_id:
-                live = [pid for pid in ids.tolist() if pid in self._points]
-                if live:
-                    raise ValueError(f"point id(s) {live} are already live")
-        tuples: List[Point] = [tuple(row) for row in arr.tolist()]
-        self._points.update(zip(ids.tolist(), tuples))
-        if n:
-            self._next_id = max(self._next_id, int(ids[-1]) + 1)
-        return ids, arr, tuples
-
-    @staticmethod
-    def _batch_rows(ids: np.ndarray, pids: np.ndarray) -> np.ndarray:
-        """Row of each of ``pids`` in the batch ``ids``; -1 if not in it.
-
-        The one batch-membership rule of the bulk insert paths: the
-        batch's ids are strictly ascending (:meth:`_register_batch`),
-        so one binary search per id decides membership.
-        """
-        rows = np.searchsorted(ids, pids)
-        rows[rows == len(ids)] = 0
-        return np.where(ids[rows] == pids, rows, -1)
-
-    def _stored_coords(self, pids: Sequence[int]) -> np.ndarray:
-        """Coordinates of live ids as an ``(n, dim)`` array."""
-        points = self._points
-        return np.array(
-            [points[pid] for pid in pids], dtype=float
-        ).reshape(-1, self.dim)
-
-    def _batch_coords(
-        self, pids: np.ndarray, ids: np.ndarray, arr: np.ndarray
-    ) -> np.ndarray:
-        """Coordinates of ``pids`` while the batch ``arr`` is being applied.
-
-        Batch members (ids ``ids``, see :meth:`_batch_rows`) are sliced
-        from ``arr``; only the others are looked up in the point store.
-        """
-        rows = self._batch_rows(ids, pids)
-        new = rows >= 0
-        out = np.empty((len(pids), self.dim), dtype=float)
-        out[new] = arr[rows[new]]
-        out[~new] = self._stored_coords(pids[~new].tolist())
-        return out
+        ids = self._store.add(arr, ids)
+        return ids, arr, [tuple(row) for row in arr.tolist()]
 
     def _cell_coords(
         self, cell: Cell, cache: Dict[Cell, np.ndarray]

@@ -42,9 +42,7 @@ import numpy as np
 
 from repro.connectivity.hdt import HDTConnectivity
 from repro.core.abcp import ABCPInstance, SIDE_A, SIDE_B
-from repro.core.bulk import validated_delete_pids
 from repro.core.framework import GridClusterer
-from repro.errors import UnknownPointError
 from repro.kernels import ball_counts, bucket_by_cell
 from repro.core.grid import Cell
 from repro.geometry.emptiness import EmptinessStructure
@@ -169,7 +167,7 @@ class FullyDynamicClusterer(GridClusterer):
             if not data.noncore:
                 continue
             noncore = np.array(sorted(data.noncore), dtype=np.int64)
-            q_arr = self._batch_coords(noncore, ids, arr)
+            q_arr = self._store.gather(noncore)[1]
             if len(data.points) < minpts:
                 counts = ball_counts(
                     q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
@@ -194,14 +192,14 @@ class FullyDynamicClusterer(GridClusterer):
         only destroy core points, so one final pass reaches the
         sequential fixpoint.
         """
-        pid_list = validated_delete_pids(pids, self._points)
-        if not pid_list:
+        pid_arr, rows = self._store.lookup(pids, delete=True)
+        if not len(pid_arr):
             return
         cells, offsets, order = bucket_by_cell(
-            self._stored_coords(pid_list), self._grid.side
+            self._store.coords(rows), self._grid.side
         )
         bounds = offsets.tolist()
-        by_cell = np.asarray(pid_list, dtype=np.int64)[order].tolist()
+        by_cell = pid_arr[order].tolist()
         affected = list(map(tuple, cells.tolist()))
         # Invalidate before any removal: emptied cells are unlinked below,
         # and the rings need the neighbor links still intact.
@@ -243,13 +241,10 @@ class FullyDynamicClusterer(GridClusterer):
         for cell in affected:
             if not self._cells[cell].points:  # type: ignore[attr-defined]
                 self._unlink_cell(cell)
-        for pid in pid_list:
-            del self._points[pid]
+        self._store.discard(rows)
 
     def delete(self, pid: int) -> None:
-        if pid not in self._points:
-            raise UnknownPointError(f"point id {pid} is not live")
-        pt = self._points[pid]
+        pt = self._store.pop(pid)
         cell = self._grid.cell_of(pt)
         # Invalidate before any removal (the cell may be unlinked below).
         self._touch_cells((cell,))
@@ -277,14 +272,10 @@ class FullyDynamicClusterer(GridClusterer):
 
         if not data.points:
             self._unlink_cell(cell)
-        del self._points[pid]
 
     # ------------------------------------------------------------------
     # GUM (Section 7.4)
     # ------------------------------------------------------------------
-
-    def _coords(self, pid: int) -> Point:
-        return self._points[pid]
 
     def _promote_many(
         self,
@@ -317,7 +308,7 @@ class FullyDynamicClusterer(GridClusterer):
                 if not odata.core:
                     continue
                 instance = ABCPInstance(
-                    data.emptiness, odata.emptiness, self._coords
+                    data.emptiness, odata.emptiness, self._store.point
                 )
                 data.abcp[other] = (instance, SIDE_A)
                 odata.abcp[cell] = (instance, SIDE_B)

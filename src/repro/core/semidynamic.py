@@ -168,8 +168,12 @@ class SemiDynamicClusterer(GridClusterer):
             data = self._cells[cell]  # type: ignore[assignment]
             if len(data.points) >= minpts:
                 continue
-            noncore = np.array(sorted(data.noncore), dtype=np.int64)
-            old_noncore = noncore[self._batch_rows(ids, noncore) < 0].tolist()
+            idxs = new_in_cell.get(cell)
+            old_noncore = sorted(
+                data.noncore
+                if idxs is None
+                else data.noncore.difference(ids[idxs].tolist())
+            )
             if not old_noncore:
                 continue
             near_idxs = [
@@ -204,7 +208,7 @@ class SemiDynamicClusterer(GridClusterer):
             for pid in pids:
                 vincnt.pop(pid, None)
             pid_arr = np.asarray(pids, dtype=np.int64)
-            new_core = new_core_of[cell] = self._batch_coords(pid_arr, ids, arr)
+            new_core = new_core_of[cell] = self._store.gather(pid_arr)[1]
             data.emptiness.insert_many(pid_arr, new_core)
             if not had_core:
                 self._uf.add(cell)

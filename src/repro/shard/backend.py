@@ -208,13 +208,10 @@ class ShardBackend:
         replay of the journal suffix is bit-identical to the original
         history.
         """
-        ids = sorted(self.engine.raw.ids())
-        points = np.array(
-            [self.engine.point(pid) for pid in ids], dtype=np.float64
-        ).reshape(len(ids), self.config.dim)
+        ids, points = self.engine.raw.live_points()
         return {
             "points": points,
-            "ids": np.asarray(ids, dtype=np.int64),
+            "ids": ids,
             "epoch": self.epoch(),
             "version": self.topology.version,
             "overrides": self.topology.ownership_overrides,

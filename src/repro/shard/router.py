@@ -2,9 +2,10 @@
 
 The router owns everything global about a sharded deployment:
 
-* the **global point registry** and the contiguous global id space
-  (``_next_id``), assigned in arrival order exactly like a single
-  engine.  It is the only id space: every shard engine stores its
+* the **global point registry**: one columnar
+  :class:`repro.core.store.PointStore`, the engines' own store, with
+  the contiguous global id space assigned in arrival order exactly like
+  a single engine.  It is the only id space: every shard engine stores its
   points under their global ids, so updates, fragments and probes
   cross the shard wire untranslated.  Per shard the router keeps just
   the set of ids that shard holds, which routes deletes and filters
@@ -76,14 +77,9 @@ import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.connectivity.union_find import UnionFind
-from repro.core.bulk import validated_delete_pids
-from repro.core.framework import (
-    CGroupByResult,
-    Clustering,
-    assemble_groups,
-    validated_query_pids,
-)
+from repro.core.framework import CGroupByResult, Clustering, assemble_groups
 from repro.core.grid import Cell, Grid
+from repro.core.store import PointStore
 from repro.errors import ConfigError, ReproError, UnknownPointError
 from repro.geometry.points import Point
 from repro.kernels import (
@@ -131,7 +127,16 @@ def _near_cells(cells: np.ndarray, dirty: np.ndarray, reach: int) -> np.ndarray:
 
 
 class ShardRouter:
-    """Routes updates and merges queries across per-shard engines."""
+    """Routes updates and merges queries across per-shard engines.
+
+    The global registry is one columnar
+    :class:`repro.core.store.PointStore`: ingest appends the batch
+    under fresh global ids, a delete or query batch is validated (and
+    its coordinates gathered) with one vectorized lookup, and a
+    rebalance finds its transfer set with one vectorized floor and box
+    test over the coordinate column (:meth:`_transfer_set`).  Per shard
+    only the set of held ids is kept.
+    """
 
     def __init__(self, config: EngineConfig, executor) -> None:
         self.config = config
@@ -149,8 +154,7 @@ class ShardRouter:
         relaxed = eps * (1.0 + config.effective_rho)
         self._sq_eps = eps * eps
         self._sq_relaxed = relaxed * relaxed
-        self._points: Dict[int, Point] = {}
-        self._next_id = 0
+        self._store = PointStore(config.dim)
         self._epoch = 0
         #: The global ids each shard holds (owned points, halo replicas
         #: and any copies a rebalance left behind).
@@ -169,24 +173,30 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._store)
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._points
+        return pid in self._store
 
     @property
     def epoch(self) -> int:
         return self._epoch
 
-    def point(self, pid: int) -> Point:
-        return self._points[pid]
+    @property
+    def next_id(self) -> int:
+        """The global id the next inserted point gets."""
+        return self._store.next_id
 
-    def ids(self) -> Iterable[int]:
-        return self._points.keys()
+    def point(self, pid: int) -> Point:
+        return self._store.point(pid)
+
+    def ids(self) -> List[int]:
+        """All live global ids, ascending."""
+        return self._store.ids()
 
     def owner_of(self, pid: int) -> int:
         """The shard whose engine is authoritative for this point."""
-        return self.topology.owner_of_cell(self._grid.cell_of(self._points[pid]))
+        return self.topology.owner_of_cell(self._grid.cell_of(self._store.point(pid)))
 
     # ------------------------------------------------------------------
     # Updates
@@ -204,8 +214,7 @@ class ShardRouter:
         arr = as_point_array(batch, self.config.dim)
         if len(arr) == 0:
             return []
-        tuples: List[Point] = [tuple(row) for row in arr.tolist()]
-        base = self._next_id
+        base = self._store.next_id
         replica_shards = self.topology.replica_shards
         cells, offsets, order = bucket_by_cell(arr, self._grid.side)
         # replicas[shard, k]: whether ``shard`` gets bucket k's points.
@@ -235,15 +244,13 @@ class ShardRouter:
         finally:
             # Mirror Engine.ingest: the epoch over-counts on failure
             # rather than ever under-counting.
-            self._epoch += len(tuples)
-        new_ids = range(base, base + len(tuples))
-        self._points.update(zip(new_ids, tuples))
-        self._next_id = base + len(tuples)
+            self._epoch += len(arr)
+        self._store.add(arr)
         for shard, ids in enumerate(shard_ids):
             if ids is not None:
                 self._held[shard].update(ids.tolist())
                 self._routed[shard] += len(ids)
-        return list(new_ids)
+        return list(range(base, base + len(arr)))
 
     def delete_many(self, pids: Iterable[int]) -> None:
         """Route one deletion batch to every shard holding each id.
@@ -253,12 +260,12 @@ class ShardRouter:
         messages *before* any shard is contacted, so an invalid batch is
         all-or-nothing across the whole deployment.
         """
-        pid_list = validated_delete_pids(map(int, pids), self._points)
-        if not pid_list:
+        pid_arr, rows = self._store.lookup(pids, delete=True)
+        if not len(pid_arr):
             return
-        cell_of = self._grid.cell_of
-        for pid in pid_list:
-            self._dirty_cells.add(cell_of(self._points[pid]))
+        cells = np.floor(self._store.coords(rows) / self._grid.side)
+        self._dirty_cells.update(map(tuple, cells.astype(np.int64).tolist()))
+        pid_list = pid_arr.tolist()
         # Every shard holding a copy deletes it: the current replicas,
         # and a former owner that kept its copies through a rebalance
         # (so a block rebalanced back finds no dead points there).
@@ -278,8 +285,7 @@ class ShardRouter:
         for shard, shard_pids in enumerate(per_shard):
             self._held[shard].difference_update(shard_pids)
             self._routed[shard] += len(shard_pids)
-        for pid in pid_list:
-            del self._points[pid]
+        self._store.discard(rows)
 
     # ------------------------------------------------------------------
     # Merged queries
@@ -287,12 +293,10 @@ class ShardRouter:
 
     def cgroup_by_many(self, pids: Iterable[int]) -> CGroupByResult:
         """C-group-by across shards, merged at the boundary."""
-        pid_list = validated_query_pids(pids, self._points)
-        if not pid_list:
+        query, coords = self._store.query(pids)
+        if not len(query):
             return CGroupByResult()
-        return self._merge(
-            sorted_unique(np.asarray(pid_list, dtype=np.int64))
-        )
+        return self._merge(query, coords)
 
     def clusters(self) -> Clustering:
         """Full clustering of the live dataset (the ``Q = P`` query).
@@ -300,14 +304,14 @@ class ShardRouter:
         The merged result passes through in its canonical form (see
         :class:`repro.core.framework.Clustering`).
         """
-        if not self._points:
+        if not len(self._store):
             return Clustering()
         result = self._merge(None)
         return Clustering(clusters=result.groups, noise=result.noise)
 
     def is_core(self, pid: int) -> bool:
         """Authoritative core status, answered by the owner shard."""
-        if pid not in self._points:
+        if pid not in self._store:
             raise UnknownPointError(f"point id {pid} is not live")
         return self.executor.call(self.owner_of(pid), "is_core", pid)
 
@@ -361,31 +365,15 @@ class ShardRouter:
                 f"cannot rebalance block {block_t!r} to shard {dest}: "
                 f"deployment has {self.shard_count} shards"
             )
-        reach, b = self.topology.reach, self.topology.block
-        lo = [blk * b - reach for blk in block_t]
-        hi = [(blk + 1) * b - 1 + reach for blk in block_t]
         held = self._held[dest]
-        cell_of = self._grid.cell_of
-        transfer = sorted(
-            pid
-            for pid, pt in self._points.items()
-            if pid not in held
-            and all(
-                low <= c <= high
-                for low, c, high in zip(lo, cell_of(pt), hi)
-            )
-        )
-        if transfer:
+        transfer, arr = self._transfer_set(block_t, dest)
+        if len(transfer):
             # Older global ids than some ``dest`` already holds: the
             # shard engine accepts any fresh ascending ids.
-            arr = np.array(
-                [self._points[pid] for pid in transfer], dtype=np.float64
-            )
             self.executor.call(
-                dest, "ingest", arr, self.topology.version,
-                np.asarray(transfer, dtype=np.int64),
+                dest, "ingest", arr, self.topology.version, transfer
             )
-            held.update(transfer)
+            held.update(transfer.tolist())
             self._routed[dest] += len(transfer)
         overrides = self.topology.ownership_overrides
         overrides[block_t] = dest
@@ -397,6 +385,31 @@ class ShardRouter:
         self._witness_cache.clear()
         self._dirty_cells.clear()
         return new_version
+
+    def _transfer_set(
+        self, block: Cell, dest: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, coords)`` a rebalance of ``block`` to ``dest`` ships.
+
+        Every live point whose cell lies in the closeness-reach box
+        around the block and that ``dest`` does not hold yet, ids
+        ascending: one vectorized floor and box test over the store's
+        coordinate column.
+        """
+        reach, b = self.topology.reach, self.topology.block
+        lo = np.array([blk * b - reach for blk in block], dtype=np.int64)
+        hi = np.array([(blk + 1) * b - 1 + reach for blk in block], dtype=np.int64)
+        ids, coords = self._store.live()
+        cells = np.floor(coords / self._grid.side).astype(np.int64)
+        inside = np.flatnonzero(((cells >= lo) & (cells <= hi)).all(axis=1))
+        held = self._held[dest]
+        fresh = np.fromiter(
+            (pid not in held for pid in ids[inside].tolist()),
+            dtype=bool,
+            count=len(inside),
+        )
+        rows = inside[fresh]
+        return ids[rows], coords[rows]
 
     def _invalidate_witnesses(self) -> None:
         """Drop cached witnesses within reach of any mutated cell.
@@ -428,17 +441,20 @@ class ShardRouter:
             self.merge_cache_invalidations += int(stale.sum())
         dirty.clear()
 
-    def _merge(self, query: Optional[np.ndarray]) -> CGroupByResult:
+    def _merge(
+        self, query: Optional[np.ndarray], coords: Optional[np.ndarray] = None
+    ) -> CGroupByResult:
         """One overlapped fan-out plus the boundary merge (see module doc).
 
-        ``query`` holds distinct live ids; ``None`` is the ``Q = P``
+        ``query`` holds distinct live ids and ``coords`` their
+        coordinates (:meth:`PointStore.query`); ``None`` is the ``Q = P``
         snapshot, for which every shard walks the cells it owns.
         """
         version = self.topology.version
         if query is None:
             calls = [("merge_state", (None, version))] * self.shard_count
         else:
-            cells = np.floor(self._coords(query) / self._grid.side)
+            cells = np.floor(coords / self._grid.side)
             owners = self.topology.owners_of_cells(cells.astype(np.int64))
             calls = [
                 ("merge_state", (query[owners == shard], version))
@@ -540,7 +556,8 @@ class ShardRouter:
                 np.asarray(probes_by_cell[cell], dtype=np.int64)
             )
             hit = probe_pids[
-                ball_counts(self._coords(probe_pids), coords, self._sq_eps) > 0
+                ball_counts(self._store.gather(probe_pids)[1], coords, self._sq_eps)
+                > 0
             ]
             if len(hit):
                 members.append(hit)
@@ -560,10 +577,3 @@ class ShardRouter:
             ),
             noise=noise.tolist(),
         )
-
-    def _coords(self, pids: np.ndarray) -> np.ndarray:
-        """Registry coordinates of live ids as an ``(n, dim)`` array."""
-        points = self._points
-        return np.array(
-            [points[pid] for pid in pids.tolist()], dtype=np.float64
-        ).reshape(-1, self.config.dim)

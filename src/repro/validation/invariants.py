@@ -38,13 +38,13 @@ def check_invariants(algo) -> List[str]:
             problems.append(f"cell {cell} is registered but empty")
         for pid, pt in data.points.items():
             seen += 1
-            if algo._points.get(pid) != pt:
+            if pid not in algo or algo.point(pid) != pt:
                 problems.append(f"point {pid} in cell {cell} mismatches store")
             if grid.cell_of(pt) != cell:
                 problems.append(f"point {pid} stored in wrong cell {cell}")
-    if seen != len(algo._points):
+    if seen != len(algo):
         problems.append(
-            f"cells hold {seen} points but the store has {len(algo._points)}"
+            f"cells hold {seen} points but the store has {len(algo)}"
         )
 
     # --- 2. symmetric, correct neighbor caches ---------------------------
@@ -112,7 +112,7 @@ def check_invariants(algo) -> List[str]:
                         f"aBCP witness {theirs} is not a core point of {other}"
                     )
                 elif (
-                    sq_dist(algo._points[a], algo._points[b])
+                    sq_dist(algo.point(a), algo.point(b))
                     > sq_relaxed * (1 + 1e-9)
                 ):
                     problems.append(

@@ -136,6 +136,19 @@ class TestUnknownPoint:
             with pytest.raises(KeyError):
                 algo.cgroup_by([999])
 
+    @pytest.mark.parametrize("shards", (None, 2))
+    def test_non_integer_ids_are_never_live(self, shards):
+        """A non-integer id fails small and large (vectorized) queries
+        and deletes alike; it is not truncated to a live integer id."""
+        engine = repro.api.open(eps=1.0, minpts=2, dim=2, shards=shards)
+        engine.ingest([(float(i), 0.0) for i in range(300)])
+        for query in ([1.7, 2], [1.7] + list(range(2, 300)), [1.0, 2]):
+            with pytest.raises(UnknownPointError, match=r"\[1\.\d\] are not"):
+                engine.cgroup_by_many(query)
+        with pytest.raises(UnknownPointError, match=r"\[2\.0\] are not"):
+            engine.delete_many([1, 2.0])
+        assert len(engine) == 300
+
     def test_delete_rejects_dead_ids(self):
         for cls in (FullyDynamicClusterer, IncDBSCAN, RecomputeClusterer):
             algo = cls(1.0, 2, dim=2)

@@ -551,3 +551,53 @@ def test_witness_cache_cleared_past_the_dirty_limit(monkeypatch):
         assert not router._witness_cache and not router._dirty_cells
     finally:
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# Rebalance transfer set
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_rebalance_transfer_set_matches_brute_force(dim, seed):
+    """The points a rebalance ships are exactly the live ones whose
+    ``Grid.cell_of`` lies in the reach box around the block and that
+    the destination does not hold yet, ids ascending — through deletes
+    and earlier rebalances, on random and occupied blocks with negative
+    cells too."""
+    engine = _sharded(shards=3, block=8, dim=dim, shard_executor="serial")
+    try:
+        router = engine.raw
+        rng = np.random.default_rng(seed)
+        ids = engine.ingest(rng.uniform(-60.0, 60.0, size=(600, dim)))
+        engine.delete_many(rng.choice(ids, size=150, replace=False).tolist())
+        reach, b = router.topology.reach, router.topology.block
+        moved = 0
+        for step in range(8):
+            if step % 2:
+                block = tuple(int(x) for x in rng.integers(-6, 6, size=dim))
+            else:  # a block around a live point, so something may move
+                anchor = router.point(int(rng.choice(router.ids())))
+                block = router.topology.block_of(router._grid.cell_of(anchor))
+            owner = router.topology.owner_of_block(block)
+            dest = (owner + int(rng.integers(1, 3))) % 3
+            held = router._held[dest]
+            expected = [
+                pid
+                for pid in router.ids()
+                if pid not in held
+                and all(
+                    blk * b - reach <= c <= (blk + 1) * b - 1 + reach
+                    for blk, c in zip(block, router._grid.cell_of(router.point(pid)))
+                )
+            ]
+            got_ids, got_coords = router._transfer_set(block, dest)
+            assert got_ids.tolist() == expected
+            assert got_coords.tolist() == [list(router.point(p)) for p in expected]
+            engine.rebalance(block, dest)
+            assert set(expected) <= router._held[dest]
+            moved += len(expected)
+        assert moved > 0, "no rebalance shipped any point"
+    finally:
+        engine.close()
